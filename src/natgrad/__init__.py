@@ -5,12 +5,9 @@ from .grids import Grid, build_operator_set, build_weighted_divergence
 from .linalg import (
     CgReport,
     PivotedQRFactors,
-    QRFactors,
     cg_solve,
     qr_column_pivoted,
-    qr_economy,
     solve_least_squares_min_norm,
-    triangular_solve,
 )
 from .metrics import BlockMetric, MetricKind, MetricOperator, build_metric
 from .models import (
@@ -42,12 +39,9 @@ __all__ = [
     "build_weighted_divergence",
     "CgReport",
     "PivotedQRFactors",
-    "QRFactors",
     "cg_solve",
     "qr_column_pivoted",
-    "qr_economy",
     "solve_least_squares_min_norm",
-    "triangular_solve",
     "BlockMetric",
     "MetricKind",
     "MetricOperator",

@@ -180,6 +180,7 @@ def load_experiment(path, seed_override=None, out_override=None) -> Experiment:
     try:
         solver = NgdConfig(**solver_section)
         solver.metric_kind()
+        solver.damping_kind()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver section: {exc}")
 

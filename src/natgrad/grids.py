@@ -20,20 +20,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import (
-    QRFactors,
-    RankDeficiencyError,
-    pseudo_apply_underdetermined,
-    qr_economy,
-    solve_least_squares_min_norm,
-)
+from .linalg import solve_least_squares_min_norm
 
-# Above this many entries in B^T the dense QR backend is skipped in favor of a
-# sparse factorization of B B^T (full-rank grids) or an iterative fallback.
+# Above this many entries in B^T the rank-deficient (every interior count odd)
+# weighted divergence switches from the dense minimum-norm solve to lsmr.
 DENSE_BT_LIMIT = 20_000
 
 
@@ -175,9 +168,9 @@ class DifferentialOperatorSet:
         return self._h1_lu.solve(np.asarray(v, dtype=float))
 
     def solve_poisson_deflated(self, v: np.ndarray) -> np.ndarray:
-        """Solve G^T G w = v - mean(v) with mean(w) = 0."""
+        """Solve G^T G w = v - mean(v) with mean(w) = 0, column by column."""
         v = np.asarray(v, dtype=float)
-        rhs = np.concatenate([v, [0.0]])
+        rhs = np.concatenate([v, np.zeros((1,) + v.shape[1:])])
         return self._poisson_lu.solve(rhs)[:-1]
 
 
@@ -187,49 +180,38 @@ def build_operator_set(grid: Grid) -> DifferentialOperatorSet:
     return DifferentialOperatorSet(grid)
 
 
-def apply_elliptic_inverse(ops: DifferentialOperatorSet, kind: str, v) -> np.ndarray:
-    if kind == "h1":
-        return ops.solve_h1(v)
-    if kind == "poisson_deflated":
-        return ops.solve_poisson_deflated(v)
-    raise ValueError(f"unknown elliptic solve kind: {kind!r}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class WeightedDivergence:
     """Density-weighted central-difference divergence B = -[A_x D, A_y D].
 
     D = diag(rho^mobility_exponent); exponent 0.5 gives the optimal-transport
-    operator, 0 the plain divergence. B is full row rank exactly when rho > 0
-    and every interior count is even (equivalently, an odd number of mesh
-    intervals per axis); odd interior counts drop the rank by the product of
-    the per-axis kernel dimensions and trigger the minimum-norm fallback.
+    operator, 0 the plain divergence. With rho > 0 the cokernel of B is the
+    tensor product of the per-axis kernels of the central-difference matrix,
+    which is one-dimensional for an odd count and trivial for an even one. So
+    B is full row rank exactly when some interior count is even; when every
+    count is odd the rank drops by one and the minimum-norm backend is used.
+
+    ``backend`` is "sparse" (LU of B B^T) for full rank, otherwise "dense"
+    (pivoted-QR minimum norm) up to DENSE_BT_LIMIT entries of B^T and "lsmr"
+    above. Every action accepts a vector or a block of columns.
     """
 
     grid: Grid
-    rho_snapshot: np.ndarray
     mobility_exponent: float
     b: sp.csr_matrix
-    backend: str = "dense"
-    rank_deficient: bool = False
-    bt_qr: QRFactors | None = None
+    backend: str
     _gram_lu: spla.SuperLU | None = field(default=None, repr=False)
-    _b_dense: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def rank_deficient(self) -> bool:
+        return self.backend != "sparse"
 
     def apply_pinv(self, zeta) -> np.ndarray:
         """Minimum-norm solution of B y = zeta (the action of pinv(B))."""
         zeta = np.asarray(zeta, dtype=float)
-        if self.backend == "dense":
-            if not self.rank_deficient:
-                try:
-                    return pseudo_apply_underdetermined(self.bt_qr, zeta)
-                except RankDeficiencyError:
-                    self.rank_deficient = True
-            return solve_least_squares_min_norm(self._b_dense, zeta)
         if self.backend == "sparse":
             return self.b.T @ self._gram_lu.solve(zeta)
-        sol = spla.lsmr(self.b, zeta, atol=1e-13, btol=1e-13, maxiter=20000)
-        return sol[0]
+        return self._min_norm(self.b, zeta)
 
     def apply_bt(self, g) -> np.ndarray:
         """Apply B^T, the matching (negative) weighted gradient."""
@@ -238,18 +220,22 @@ class WeightedDivergence:
     def apply_gram_pinv(self, v) -> np.ndarray:
         """Apply pinv(B B^T), equal to pinv(B)^T pinv(B)."""
         v = np.asarray(v, dtype=float)
-        if self.backend == "dense" and not self.rank_deficient:
-            # B^T = Q R gives B B^T = R^T R: two triangular solves.
-            r = self.bt_qr.r
-            w = sla.solve_triangular(r.T, v, lower=True)
-            return sla.solve_triangular(r, w, lower=False)
         if self.backend == "sparse":
             return self._gram_lu.solve(v)
-        y = self.apply_pinv(v)
+        return self._min_norm(self.b.T, self.apply_pinv(v))
+
+    def _min_norm(self, a: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+        """Minimum-norm least-squares solution of a x = rhs."""
         if self.backend == "dense":
-            return solve_least_squares_min_norm(self._b_dense.T, y)
-        sol = spla.lsmr(self.b.T, y, atol=1e-13, btol=1e-13, maxiter=20000)
-        return sol[0]
+            return solve_least_squares_min_norm(a.toarray(), rhs)
+
+        def solve(r):
+            return spla.lsmr(a, r, atol=1e-13, btol=1e-13, maxiter=20000)[0]
+
+        # lsmr takes one right-hand side at a time.
+        if rhs.ndim == 1:
+            return solve(rhs)
+        return np.column_stack([solve(r) for r in rhs.T])
 
 
 def build_weighted_divergence(
@@ -263,41 +249,17 @@ def build_weighted_divergence(
         raise ValueError("density must be strictly positive")
     if not 0.0 <= mobility_exponent <= 1.0:
         raise ValueError("mobility exponent must lie in [0, 1]")
-    even_counts = all(n % 2 == 0 for n in grid.interior_counts)
-    if not even_counts:
-        warnings.warn(
-            "odd interior counts: the weighted divergence loses full row rank "
-            "and the minimum-norm fallback will be used"
-        )
     weights = rho**mobility_exponent if mobility_exponent != 0.0 else np.ones_like(rho)
     d = sp.diags(weights)
     blocks = [-(a @ d) for a in axis_central_operators(grid)]
     b = sp.hstack(blocks, format="csr") if len(blocks) > 1 else blocks[0].tocsr()
 
-    k = grid.size
-    bt_entries = b.shape[0] * b.shape[1]
-    wdiv = WeightedDivergence(
-        grid=grid, rho_snapshot=rho.copy(), mobility_exponent=mobility_exponent, b=b
+    if any(n % 2 == 0 for n in grid.interior_counts):
+        lu = spla.splu((b @ b.T).tocsc())
+        return WeightedDivergence(grid, mobility_exponent, b, "sparse", lu)
+    backend = "dense" if b.shape[0] * b.shape[1] <= DENSE_BT_LIMIT else "lsmr"
+    warnings.warn(
+        "every interior count is odd: the weighted divergence loses full row "
+        f"rank and the {backend} minimum-norm backend will be used"
     )
-    if bt_entries <= DENSE_BT_LIMIT:
-        wdiv.backend = "dense"
-        wdiv._b_dense = b.toarray()
-        try:
-            wdiv.bt_qr = qr_economy(wdiv._b_dense.T)
-            diag = np.abs(np.diag(wdiv.bt_qr.r))
-            wdiv.rank_deficient = bool(
-                diag.size == 0 or np.any(diag <= 1e-12 * diag.max())
-            )
-        except ValueError:
-            wdiv.rank_deficient = True
-    elif even_counts:
-        wdiv.backend = "sparse"
-        wdiv._gram_lu = spla.splu((b @ b.T).tocsc())
-    else:
-        warnings.warn(
-            f"grid too large for dense QR (k={k}) and rank-deficient by parity; "
-            "using iterative least-squares (slow)"
-        )
-        wdiv.backend = "lsmr"
-        wdiv.rank_deficient = True
-    return wdiv
+    return WeightedDivergence(grid, mobility_exponent, b, backend)

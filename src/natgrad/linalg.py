@@ -1,5 +1,5 @@
-"""Dense linear-algebra kernels: QR factorizations, minimum-norm least squares,
-triangular solves, conjugate gradient, and pseudoinverse application.
+"""Dense linear-algebra kernels: rank-revealing QR, minimum-norm least squares
+and conjugate gradient.
 
 Everything here is plain 64-bit float numpy/scipy. Factorization results are
 immutable value objects; all functions are pure.
@@ -13,18 +13,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
-
-
-class RankDeficiencyError(RuntimeError):
-    """Raised when a factorization that assumes full rank meets a singular R."""
-
-
-@dataclass(frozen=True)
-class QRFactors:
-    """Economy-size QR factorization A = Q R with orthonormal-column Q."""
-
-    q: np.ndarray
-    r: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,16 +49,6 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-def qr_economy(a) -> QRFactors:
-    """Economy-size QR of a tall matrix (rows >= cols)."""
-    a = _as_matrix(a)
-    k, p = a.shape
-    if k < p:
-        raise ValueError(f"qr_economy requires rows >= cols, got {k}x{p}")
-    q, r = sla.qr(a, mode="economic")
-    return QRFactors(q=q, r=r)
-
-
 def qr_column_pivoted(a, tol: float = 1e-10) -> PivotedQRFactors:
     """Rank-revealing QR with column pivoting.
 
@@ -92,7 +70,8 @@ def qr_column_pivoted(a, tol: float = 1e-10) -> PivotedQRFactors:
 
 
 def solve_least_squares_min_norm(a, b, tol: float = 1e-10) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``a @ x ~ b``.
+    """Minimum-norm least-squares solution of ``a @ x ~ b``, for a vector ``b``
+    or for each column of a matrix ``b``.
 
     Uses two QR passes: a column-pivoted QR of ``a`` truncated at the numerical
     rank, then a second QR of the truncated triangular block transposed, so the
@@ -101,30 +80,20 @@ def solve_least_squares_min_norm(a, b, tol: float = 1e-10) -> np.ndarray:
     """
     a = _as_matrix(a)
     b = np.asarray(b, dtype=float)
-    if b.shape != (a.shape[0],):
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs shape {b.shape} does not match matrix {a.shape}")
     piv = qr_column_pivoted(a, tol=tol)
     r = piv.numerical_rank
     if r == 0:
         warnings.warn("least-squares matrix is numerically zero; returning 0")
-        return np.zeros(a.shape[1])
+        return np.zeros((a.shape[1],) + b.shape[1:])
     qt_b = piv.q[:, :r].T @ b
     r_trunc = piv.r[:r, :]
     q1, r1 = sla.qr(r_trunc.T, mode="economic")
     x_perm = q1 @ sla.solve_triangular(r1.T, qt_b, lower=True)
-    x = np.empty(a.shape[1])
+    x = np.empty((a.shape[1],) + b.shape[1:])
     x[piv.permutation] = x_perm
     return x
-
-
-def triangular_solve(r, b, lower: bool = False) -> np.ndarray:
-    """Solve a triangular system by forward/backward substitution."""
-    r = _as_matrix(r)
-    b = np.asarray(b, dtype=float)
-    diag = np.diag(r)
-    if np.any(diag == 0.0):
-        raise RankDeficiencyError("triangular matrix has a zero diagonal entry")
-    return sla.solve_triangular(r, b, lower=lower)
 
 
 def cg_solve(
@@ -169,19 +138,3 @@ def cg_solve(
         iterations += 1
     return CgReport(x, iterations, float(rel), bool(rel <= tol))
 
-
-def pseudo_apply_underdetermined(bt_factors: QRFactors, zeta) -> np.ndarray:
-    """Apply the pseudoinverse of a full-row-rank wide matrix B via QR of B^T.
-
-    Given B^T = Q R, the minimum-norm solution of B y = zeta is
-    y = Q (R^T)^{-1} zeta, evaluated by one forward substitution.
-    Raises RankDeficiencyError when R has a (numerically) zero diagonal, in
-    which case the caller should fall back to the pivoted-QR path.
-    """
-    zeta = np.asarray(zeta, dtype=float)
-    r = bt_factors.r
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or np.any(diag <= 1e-14 * max(diag.max(), 1e-300)):
-        raise RankDeficiencyError("B^T factor is rank deficient")
-    w = sla.solve_triangular(r.T, zeta, lower=True)
-    return bt_factors.q @ w

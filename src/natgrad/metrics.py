@@ -24,11 +24,11 @@ a new operator, so operators stay immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .grids import (
-    DifferentialOperatorSet,
     Grid,
     WeightedDivergence,
     build_operator_set,
@@ -98,8 +98,106 @@ class InfoMatrix:
     kind: MetricKind
 
 
-class MetricOperator:
-    """The (L, pinv(L^T)) action pair for one metric on one grid."""
+class _Actions(NamedTuple):
+    """One metric's linear actions on a vector or a (k, p) column block.
+
+    ``project`` maps onto range(L^T) and is None when L^T has full row rank.
+    """
+
+    L: Callable[[np.ndarray], np.ndarray]
+    Lt_pinv: Callable[[np.ndarray], np.ndarray]
+    LtL: Callable[[np.ndarray], np.ndarray]
+    row_dim: int
+    project: Callable[[np.ndarray], np.ndarray] | None = None
+    divergence: WeightedDivergence | None = None
+
+
+def _identity(v):
+    return v
+
+
+def _remove_mean(g):
+    return g - g.mean(axis=0)
+
+
+def _l2_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
+    return _Actions(_identity, _identity, _identity, grid.size)
+
+
+def _fisher_rao_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
+    # Transposing lets one weight per state entry scale a vector or every
+    # column of a block.
+    sqrt_rho = np.sqrt(rho)
+    return _Actions(
+        L=lambda v: (v.T / sqrt_rho).T,
+        Lt_pinv=lambda g: (g.T * sqrt_rho).T,
+        LtL=lambda v: (v.T / rho).T,
+        row_dim=grid.size,
+    )
+
+
+def _sobolev_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
+    ops = build_operator_set(grid)
+    g = ops.grad_neumann
+    gtg = -ops.laplacian_neumann
+    if kind.homogeneous:
+        def stack(v):
+            return g @ v
+
+        def gram(v):
+            return gtg @ v
+
+        solve, rows, project = ops.solve_poisson_deflated, ops.edge_count, _remove_mean
+    else:
+        def stack(v):
+            return np.concatenate([v, g @ v])
+
+        def gram(v):
+            return v + gtg @ v
+
+        solve, rows, project = ops.solve_h1, grid.size + ops.edge_count, None
+
+    def solve_then_stack(v):
+        return stack(solve(v))
+
+    # Orders +1 and -1 swap the roles of L and pinv(L^T).
+    if kind.order == 1:
+        return _Actions(stack, solve_then_stack, gram, rows, project)
+    return _Actions(solve_then_stack, stack, solve, rows, project)
+
+
+def _transport_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
+    wdiv = build_weighted_divergence(grid, rho, kind.mobility_exponent)
+    project = (lambda g: wdiv.b @ wdiv.apply_pinv(g)) if wdiv.rank_deficient else None
+    return _Actions(
+        wdiv.apply_pinv, wdiv.apply_bt, wdiv.apply_gram_pinv,
+        grid.dim * grid.size, project, wdiv,
+    )
+
+
+_ACTIONS = {
+    "l2": _l2_actions,
+    "fisher-rao": _fisher_rao_actions,
+    "sobolev": _sobolev_actions,
+    "wasserstein": _transport_actions,
+}
+
+
+class _InfoMatrixMixin:
+    """Information-matrix assembly shared by single-grid and per-panel metrics."""
+
+    def info_matrix(self, z) -> InfoMatrix:
+        """Assemble (L Z)^T (L Z), symmetrized."""
+        y = self.apply_L_matrix(z)
+        g = y.T @ y
+        return InfoMatrix(matrix=0.5 * (g + g.T), kind=self.kind)
+
+
+class MetricOperator(_InfoMatrixMixin):
+    """The (L, pinv(L^T)) action pair for one metric on one grid.
+
+    Every action takes a state vector or a (k, p) block of state columns.
+    """
 
     def __init__(self, kind: MetricKind, grid: Grid, rho: np.ndarray | None = None):
         if kind.state_dependent:
@@ -112,30 +210,10 @@ class MetricOperator:
         self.grid = grid
         self.rho = rho
         self.state_dependent = kind.state_dependent
-        self._ops: DifferentialOperatorSet | None = None
-        self._wdiv: WeightedDivergence | None = None
-        self._sqrt_rho: np.ndarray | None = None
-        if kind.family == "sobolev":
-            self._ops = build_operator_set(grid)
-        elif kind.family == "fisher-rao":
-            self._sqrt_rho = np.sqrt(rho)
-        elif kind.family == "wasserstein":
-            self._wdiv = build_weighted_divergence(grid, rho, kind.mobility_exponent)
-
-    @property
-    def row_dim(self) -> int:
-        k = self.grid.size
-        fam = self.kind.family
-        if fam in ("l2", "fisher-rao"):
-            return k
-        if fam == "wasserstein":
-            return self.grid.dim * k
-        edges = self._ops.edge_count
-        return edges if self.kind.homogeneous else k + edges
-
-    @property
-    def weighted_divergence(self) -> WeightedDivergence | None:
-        return self._wdiv
+        self._actions = _ACTIONS[kind.family](kind, grid, rho)
+        self.row_dim = self._actions.row_dim
+        self.needs_tangent_projection = self._actions.project is not None
+        self.weighted_divergence = self._actions.divergence
 
     def refresh(self, rho) -> "MetricOperator":
         """Return an operator rebuilt at the new density (self if state-free)."""
@@ -144,97 +222,29 @@ class MetricOperator:
         return MetricOperator(self.kind, self.grid, rho)
 
     def apply_L(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        fam = self.kind.family
-        if fam == "l2":
-            return v
-        if fam == "fisher-rao":
-            return v / self._sqrt_rho
-        if fam == "wasserstein":
-            return self._wdiv.apply_pinv(v)
-        g = self._ops.grad_neumann
-        if self.kind.order == 1:
-            if self.kind.homogeneous:
-                return g @ v
-            return np.concatenate([v, g @ v])
-        if self.kind.homogeneous:
-            return g @ self._ops.solve_poisson_deflated(v)
-        w = self._ops.solve_h1(v)
-        return np.concatenate([w, g @ w])
+        return self._actions.L(np.asarray(v, dtype=float))
 
     def apply_Lt_pinv(self, grad) -> np.ndarray:
-        grad = np.asarray(grad, dtype=float)
-        fam = self.kind.family
-        if fam == "l2":
-            return grad
-        if fam == "fisher-rao":
-            return grad * self._sqrt_rho
-        if fam == "wasserstein":
-            return self._wdiv.apply_bt(grad)
-        g = self._ops.grad_neumann
-        if self.kind.order == 1:
-            if self.kind.homogeneous:
-                return g @ self._ops.solve_poisson_deflated(grad)
-            w = self._ops.solve_h1(grad)
-            return np.concatenate([w, g @ w])
-        if self.kind.homogeneous:
-            return g @ grad
-        return np.concatenate([grad, g @ grad])
+        return self._actions.Lt_pinv(np.asarray(grad, dtype=float))
 
     def apply_LtL(self, v) -> np.ndarray:
         """Apply L^T L in one shot (exact closed forms, no stacking)."""
-        v = np.asarray(v, dtype=float)
-        fam = self.kind.family
-        if fam == "l2":
-            return v
-        if fam == "fisher-rao":
-            return v / self.rho
-        if fam == "wasserstein":
-            return self._wdiv.apply_gram_pinv(v)
-        gtg = -self._ops.laplacian_neumann
-        if self.kind.order == 1:
-            if self.kind.homogeneous:
-                return gtg @ v
-            return v + gtg @ v
-        if self.kind.homogeneous:
-            return self._ops.solve_poisson_deflated(v)
-        return self._ops.solve_h1(v)
-
-    @property
-    def needs_tangent_projection(self) -> bool:
-        """True when L^T is not full row rank, so L^T pinv(L^T) is a proper
-        projection: the homogeneous Sobolev metrics (constants are dropped)
-        and a rank-deficient transport divergence."""
-        if self.kind.family == "sobolev" and self.kind.homogeneous:
-            return True
-        if self.kind.family == "wasserstein":
-            return self._wdiv.rank_deficient
-        return False
+        return self._actions.LtL(np.asarray(v, dtype=float))
 
     def project_state_gradient(self, g) -> np.ndarray:
         """Project onto range(L^T): the component of the state gradient the
-        metric can see. The matrix-free route must feed Z^T applied to this
-        projection to agree with the least-squares formulation."""
+        metric can see. Only the homogeneous Sobolev metrics (constants are
+        dropped) and a rank-deficient transport divergence project; the
+        matrix-free route must feed Z^T applied to this projection to agree
+        with the least-squares formulation."""
         g = np.asarray(g, dtype=float)
         if not self.needs_tangent_projection:
             return g
-        if self.kind.family == "sobolev":
-            return g - g.mean()
-        return self._wdiv.b @ self._wdiv.apply_pinv(g)
+        return self._actions.project(g)
 
     def apply_L_matrix(self, z) -> np.ndarray:
-        """Apply L to every column of a dense matrix."""
-        z = np.asarray(z, dtype=float)
-        out = np.empty((self.row_dim, z.shape[1]))
-        for j in range(z.shape[1]):
-            out[:, j] = self.apply_L(z[:, j])
-        return out
-
-    def info_matrix(self, z) -> InfoMatrix:
-        """Assemble (L Z)^T (L Z), symmetrized."""
-        y = self.apply_L_matrix(z)
-        g = y.T @ y
-        return InfoMatrix(matrix=0.5 * (g + g.T), kind=self.kind)
+        """Apply L to a (k, p) matrix as one block."""
+        return self.apply_L(z)
 
 
 def build_metric(kind: MetricKind | str, grid: Grid, rho=None) -> MetricOperator:
@@ -260,7 +270,7 @@ def normalize_to_density(values, floor_fraction: float = 0.1) -> np.ndarray:
     return shifted * (v.size / shifted.sum())
 
 
-class BlockMetric:
+class BlockMetric(_InfoMatrixMixin):
     """One metric applied per data panel, summed into a single operator.
 
     Used for multi-source data: the state vector is the concatenation of
@@ -306,54 +316,42 @@ class BlockMetric:
     def row_dim(self) -> int:
         return sum(b.row_dim for b in self._blocks)
 
-    def _split(self, v) -> list[np.ndarray]:
-        v = np.asarray(v, dtype=float)
-        expected = self.n_blocks * self.block_size
-        if v.shape != (expected,):
-            raise ValueError(f"state shape {v.shape} != ({expected},)")
-        return np.split(v, self.n_blocks)
-
-    def refresh(self, state) -> "BlockMetric":
-        if not self.state_dependent:
-            return self
-        panels = self._split(state)
-        return BlockMetric(
-            self.kind, self.block_grid, self.n_blocks,
-            densities=panels, normalize=self.normalize,
-        )
-
-    def apply_L(self, v) -> np.ndarray:
-        return np.concatenate(
-            [b.apply_L(p) for b, p in zip(self._blocks, self._split(v))]
-        )
-
-    def apply_Lt_pinv(self, grad) -> np.ndarray:
-        return np.concatenate(
-            [b.apply_Lt_pinv(p) for b, p in zip(self._blocks, self._split(grad))]
-        )
-
-    def apply_LtL(self, v) -> np.ndarray:
-        return np.concatenate(
-            [b.apply_LtL(p) for b, p in zip(self._blocks, self._split(v))]
-        )
-
     @property
     def needs_tangent_projection(self) -> bool:
         return any(b.needs_tangent_projection for b in self._blocks)
 
-    def project_state_gradient(self, g) -> np.ndarray:
-        return np.concatenate(
-            [b.project_state_gradient(p) for b, p in zip(self._blocks, self._split(g))]
+    def _split(self, v) -> list[np.ndarray]:
+        """Panels of a state vector or of a block of state columns."""
+        v = np.asarray(v, dtype=float)
+        expected = self.n_blocks * self.block_size
+        if v.ndim not in (1, 2) or v.shape[0] != expected:
+            raise ValueError(f"state shape {v.shape} does not start with {expected}")
+        return np.split(v, self.n_blocks)
+
+    def _map(self, action, v) -> np.ndarray:
+        """Apply a MetricOperator action panel by panel and stack the results."""
+        panels = self._split(v)
+        return np.concatenate([action(b, p) for b, p in zip(self._blocks, panels)])
+
+    def refresh(self, state) -> "BlockMetric":
+        if not self.state_dependent:
+            return self
+        return BlockMetric(
+            self.kind, self.block_grid, self.n_blocks,
+            densities=self._split(state), normalize=self.normalize,
         )
 
-    def apply_L_matrix(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        out = np.empty((self.row_dim, z.shape[1]))
-        for j in range(z.shape[1]):
-            out[:, j] = self.apply_L(z[:, j])
-        return out
+    def apply_L(self, v) -> np.ndarray:
+        return self._map(MetricOperator.apply_L, v)
 
-    def info_matrix(self, z) -> InfoMatrix:
-        y = self.apply_L_matrix(z)
-        g = y.T @ y
-        return InfoMatrix(matrix=0.5 * (g + g.T), kind=self.kind)
+    def apply_Lt_pinv(self, grad) -> np.ndarray:
+        return self._map(MetricOperator.apply_Lt_pinv, grad)
+
+    def apply_LtL(self, v) -> np.ndarray:
+        return self._map(MetricOperator.apply_LtL, v)
+
+    def project_state_gradient(self, g) -> np.ndarray:
+        return self._map(MetricOperator.project_state_gradient, g)
+
+    def apply_L_matrix(self, z) -> np.ndarray:
+        return self._map(MetricOperator.apply_L_matrix, z)

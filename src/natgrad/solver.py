@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import Grid
 from .linalg import cg_solve, solve_least_squares_min_norm
-from .metrics import MetricKind
+from .metrics import BlockMetric, MetricKind, MetricOperator
 
 GD_LABEL = "gd"
 
@@ -62,6 +63,12 @@ class NgdConfig:
     def metric_kind(self) -> MetricKind | None:
         return None if self.metric == GD_LABEL else MetricKind.parse(self.metric)
 
+    def damping_kind(self) -> MetricKind | None:
+        """The damping regularizer's metric; None selects the identity."""
+        if self.damping_metric is None:
+            return None
+        return MetricKind.parse(self.damping_metric)
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -80,7 +87,6 @@ class SketchMatrix:
     """Row-selection sketch: row i of S picks state entry row_to_column[i]."""
 
     row_to_column: np.ndarray
-    n_columns: int
 
     def restrict(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v)[self.row_to_column]
@@ -94,7 +100,7 @@ def sample_sketch(k_prime: int, k: int, rng: np.random.Generator) -> SketchMatri
     if k_prime > k:
         raise ValueError(f"sketch size {k_prime} exceeds state size {k}")
     idx = rng.choice(k, size=k_prime, replace=False)
-    return SketchMatrix(row_to_column=idx, n_columns=k)
+    return SketchMatrix(row_to_column=idx)
 
 
 def direction_explicit(
@@ -257,8 +263,6 @@ class OptimizeResult:
 
 def build_metric_for_model(model, kind, rho=None):
     """Metric operator on the model's metric domain, refreshed at rho if given."""
-    from .metrics import BlockMetric, MetricOperator
-
     if isinstance(kind, str):
         kind = MetricKind.parse(kind)
     layout = getattr(model, "data_layout", None)
@@ -301,7 +305,6 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
     sketch_rng = np.random.default_rng([cfg.seed, 101])
     hutch_rng = np.random.default_rng([cfg.seed, 202])
 
-    metric = None
     records: list[IterationRecord] = []
     stagnated = False
 
@@ -310,6 +313,8 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
     records.append(
         IterationRecord(0, loss, float("nan"), 0.0, model.propagation_counter, 0.0)
     )
+    metric = _metric_at(model, kind, rho)
+    damping_metric = _metric_at(model, cfg.damping_kind(), rho)
 
     for it in range(1, cfg.max_iters + 1):
         if (
@@ -317,13 +322,9 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
             and model.propagation_counter >= cfg.max_propagations
         ):
             break
-        if kind is not None:
-            if metric is None:
-                metric = build_metric_for_model(
-                    model, kind, model.metric_state(rho) if kind.state_dependent else None
-                )
-            elif kind.state_dependent:
-                metric = metric.refresh(model.metric_state(rho))
+        if it > 1:
+            metric = _refresh(model, metric, rho)
+            damping_metric = _refresh(model, damping_metric, rho)
 
         if kind is None:
             # Plain gradient descent.
@@ -348,13 +349,6 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
                     cfg.damping_lambda, None,
                 )
             else:
-                damping_metric = (
-                    build_metric_for_model(
-                        model, cfg.damping_metric, model.metric_state(rho)
-                    )
-                    if cfg.damping_metric is not None
-                    else None
-                )
                 eta = direction_explicit(
                     z, metric, grad_rho, cfg.rank_tol,
                     cfg.damping_lambda, damping_metric,
@@ -367,13 +361,6 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
                     z_est, metric, grad_rho, cfg.rank_tol, cfg.damping_lambda, None
                 )
             else:
-                damping_metric = (
-                    build_metric_for_model(
-                        model, cfg.damping_metric, model.metric_state(rho)
-                    )
-                    if cfg.damping_metric is not None
-                    else None
-                )
                 rhs_grad = projected_gradient_adjoint(
                     model, metric, grad_rho, grad_theta
                 )
@@ -425,31 +412,23 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
     return OptimizeResult(theta=theta, records=records, stagnated=stagnated)
 
 
+def _metric_at(model, kind, rho):
+    """The metric of kind on the model's metric domain at rho (None for None)."""
+    if kind is None:
+        return None
+    return build_metric_for_model(model, kind, model.metric_state(rho))
+
+
+def _refresh(model, metric, rho):
+    """Rebuild a state-dependent metric at rho; state-free metrics are kept."""
+    if metric is None or not metric.state_dependent:
+        return metric
+    return metric.refresh(model.metric_state(rho))
+
+
 def _sketched_metric(metric, sketch: SketchMatrix):
-    """Restriction of a diagonal metric to the sketched rows."""
-    if metric is None:
+    """Restriction of a diagonal metric to the sketched rows (None for l2)."""
+    if metric is None or metric.kind.family == "l2":
         return None
-    from .metrics import MetricOperator
-
-    class _Diagonal:
-        def __init__(self, weights):
-            self.w = weights
-
-        def apply_L_matrix(self, z):
-            return z * self.w[:, None]
-
-        def apply_Lt_pinv(self, g):
-            return g / self.w
-
-        def apply_L(self, v):
-            return v * self.w
-
-        def apply_LtL(self, v):
-            return v * self.w**2
-
-    if metric.kind.family == "l2":
-        return None
-    if metric.kind.family == "fisher-rao":
-        if isinstance(metric, MetricOperator):
-            return _Diagonal(1.0 / np.sqrt(metric.rho[sketch.row_to_column]))
-    raise ValueError("sketching is only defined for diagonal metrics")
+    idx = sketch.row_to_column
+    return MetricOperator(metric.kind, Grid.index_space([idx.size]), metric.rho[idx])

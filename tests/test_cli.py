@@ -115,6 +115,21 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_bad_damping_metric_exits_1(self, tmp_path, capsys):
+        for name in ("bogus", "gd"):
+            cfg = write_config(
+                tmp_path / f"damp_{name}.json",
+                {
+                    "model": {"kind": "linear-toy", "rows": 20, "cols": 5, "seed": 3},
+                    "solver": {"metric": "l2", "damping_lambda": 0.1,
+                               "damping_metric": name},
+                    "output": {"directory": str(tmp_path / name)},
+                },
+            )
+            assert cli.main(["run", "-c", cfg]) == 1
+            assert "error:" in capsys.readouterr().err
+            assert not (tmp_path / name).exists()
+
     def test_unknown_model_kind_exits_1(self, tmp_path):
         cfg = write_config(
             tmp_path / "unknown.json",

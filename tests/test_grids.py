@@ -1,11 +1,12 @@
 """Grid operators: stencils, adjoint exactness, kernels, divergence rank."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from natgrad.grids import (
     Grid,
-    apply_elliptic_inverse,
     axis_central_operators,
     build_operator_set,
     build_weighted_divergence,
@@ -89,27 +90,20 @@ class TestEllipticInverses:
         u = rng.standard_normal(grid_2d.size)
         gram = ops.grad_neumann.T @ ops.grad_neumann
         v = u + gram @ u
-        np.testing.assert_allclose(
-            apply_elliptic_inverse(ops, "h1", v), u, atol=1e-10
-        )
+        np.testing.assert_allclose(ops.solve_h1(v), u, atol=1e-10)
 
     def test_poisson_deflated_constant_maps_to_zero(self, grid_2d):
         ops = build_operator_set(grid_2d)
-        w = apply_elliptic_inverse(ops, "poisson_deflated", np.ones(grid_2d.size))
+        w = ops.solve_poisson_deflated(np.ones(grid_2d.size))
         np.testing.assert_allclose(w, np.zeros(grid_2d.size), atol=1e-12)
 
     def test_poisson_deflated_roundtrip(self, grid_2d, rng):
         ops = build_operator_set(grid_2d)
         v = rng.standard_normal(grid_2d.size)
-        w = apply_elliptic_inverse(ops, "poisson_deflated", v)
+        w = ops.solve_poisson_deflated(v)
         assert abs(w.mean()) <= 1e-12
         back = ops.grad_neumann.T @ (ops.grad_neumann @ w)
         np.testing.assert_allclose(back, v - v.mean(), atol=1e-10)
-
-    def test_unknown_kind_rejected(self, grid_2d):
-        ops = build_operator_set(grid_2d)
-        with pytest.raises(ValueError):
-            apply_elliptic_inverse(ops, "bogus", np.ones(grid_2d.size))
 
 
 class TestWeightedDivergence:
@@ -129,9 +123,9 @@ class TestWeightedDivergence:
         np.testing.assert_allclose(wdiv0.b.toarray(), wdiv1.b.toarray(), atol=0)
 
     def test_full_rank_on_even_interior_counts(self, rng):
-        # Full row rank requires strictly positive density and even interior
-        # counts (an odd number of mesh intervals per axis); odd interior
-        # counts leave an alternating checkerboard field in the cokernel.
+        # With strictly positive density, even interior counts (an odd number
+        # of mesh intervals per axis) give full row rank; odd counts on every
+        # axis leave an alternating checkerboard field in the cokernel.
         for m in (2, 4, 6, 8):
             grid = Grid.regular([[0, 1], [0, 1]], [m, m])
             rho = rng.uniform(0.5, 2.0, grid.size)
@@ -161,15 +155,46 @@ class TestWeightedDivergence:
         null_basis = vt[grid_2d.size :, :]
         assert np.linalg.norm(null_basis @ y) <= 1e-10 * np.linalg.norm(y)
 
+    def test_full_rank_when_any_interior_count_is_even(self, rng):
+        # The cokernel of B is ker(C_x) (x) ker(C_y), which is trivial as soon
+        # as one axis has an even count: mixed-parity grids are full rank, get
+        # the sparse Gram factorization at every size and never warn.
+        for counts in [(3, 4), (9, 10), (1, 4), (11, 12)]:
+            grid = Grid.regular([[0, 1], [0, 1]], counts)
+            rho = rng.uniform(0.5, 2.0, grid.size)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                wdiv = build_weighted_divergence(grid, rho)
+            assert not wdiv.rank_deficient
+            assert wdiv.backend == "sparse"
+            b_dense = wdiv.b.toarray()
+            assert qr_column_pivoted(b_dense.T, tol=1e-10).numerical_rank == grid.size
+            zeta = rng.standard_normal(grid.size)
+            np.testing.assert_allclose(
+                wdiv.apply_pinv(zeta), np.linalg.pinv(b_dense) @ zeta, atol=1e-9
+            )
+            np.testing.assert_allclose(
+                wdiv.apply_gram_pinv(zeta),
+                np.linalg.pinv(b_dense @ b_dense.T) @ zeta, atol=1e-9,
+            )
+
     def test_pinv_on_rank_deficient_matches_svd(self, rng):
-        grid = Grid.regular([[0, 1], [0, 1]], [3, 3])
-        rho = rng.uniform(0.5, 2.0, grid.size)
-        with pytest.warns(UserWarning):
-            wdiv = build_weighted_divergence(grid, rho)
-        zeta = rng.standard_normal(grid.size)
-        y = wdiv.apply_pinv(zeta)
-        y_svd = np.linalg.pinv(wdiv.b.toarray()) @ zeta
-        np.testing.assert_allclose(y, y_svd, atol=1e-9)
+        # Every count odd: dense minimum norm up to DENSE_BT_LIMIT, lsmr above.
+        for counts, backend in (((3, 3), "dense"), ((11, 11), "lsmr")):
+            grid = Grid.regular([[0, 1], [0, 1]], counts)
+            rho = rng.uniform(0.5, 2.0, grid.size)
+            with pytest.warns(UserWarning):
+                wdiv = build_weighted_divergence(grid, rho)
+            assert wdiv.backend == backend
+            zeta = rng.standard_normal(grid.size)
+            b_dense = wdiv.b.toarray()
+            y_svd = np.linalg.pinv(b_dense) @ zeta
+            np.testing.assert_allclose(wdiv.apply_pinv(zeta), y_svd, atol=1e-9)
+            gram_svd = np.linalg.pinv(b_dense @ b_dense.T) @ zeta
+            np.testing.assert_allclose(
+                wdiv.apply_gram_pinv(zeta), gram_svd,
+                atol=1e-9 * np.abs(gram_svd).max(),
+            )
 
     def test_gram_pinv_matches_svd(self, grid_2d, rng):
         rho = rng.uniform(0.5, 2.0, grid_2d.size)

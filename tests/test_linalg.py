@@ -3,44 +3,7 @@
 import numpy as np
 import pytest
 
-from natgrad.linalg import (
-    RankDeficiencyError,
-    cg_solve,
-    pseudo_apply_underdetermined,
-    qr_column_pivoted,
-    qr_economy,
-    solve_least_squares_min_norm,
-    triangular_solve,
-)
-
-
-class TestQrEconomy:
-    def test_hand_gram_schmidt_column(self):
-        f = qr_economy([[3.0], [4.0]])
-        # Q = +-[0.6, 0.8], R = +-5, product recovers the input.
-        assert abs(abs(f.r[0, 0]) - 5.0) < 1e-14
-        np.testing.assert_allclose(np.abs(f.q[:, 0]), [0.6, 0.8], atol=1e-14)
-        np.testing.assert_allclose(f.q @ f.r, [[3.0], [4.0]], atol=1e-14)
-
-    def test_identity(self):
-        f = qr_economy(np.eye(3))
-        np.testing.assert_allclose(np.abs(f.q), np.eye(3), atol=1e-14)
-        np.testing.assert_allclose(np.abs(f.r), np.eye(3), atol=1e-14)
-
-    def test_reconstruction_random(self, rng):
-        a = rng.standard_normal((50, 10))
-        f = qr_economy(a)
-        rel = np.linalg.norm(f.q @ f.r - a) / np.linalg.norm(a)
-        assert rel <= 1e-12
-        np.testing.assert_allclose(f.q.T @ f.q, np.eye(10), atol=1e-12)
-
-    def test_wide_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            qr_economy(np.ones((2, 5)))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            qr_economy([[np.nan], [1.0]])
+from natgrad.linalg import cg_solve, qr_column_pivoted, solve_least_squares_min_norm
 
 
 class TestQrColumnPivoted:
@@ -69,6 +32,10 @@ class TestQrColumnPivoted:
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError):
             qr_column_pivoted(np.eye(2), tol=2.0)
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError):
+            qr_column_pivoted([[np.nan], [1.0]])
 
 
 class TestMinNormLeastSquares:
@@ -99,28 +66,39 @@ class TestMinNormLeastSquares:
         np.testing.assert_allclose(x, np.zeros(3))
 
 
-class TestTriangularSolve:
-    def test_hand_backward_substitution(self):
-        x = triangular_solve([[2.0, 1.0], [0.0, 4.0]], [4.0, 8.0])
-        np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-14)
+class TestPseudoApplyUnderdetermined:
+    """The minimum-norm solve applied to wide, full-row-rank systems B y = zeta,
+    i.e. y = pinv(B) zeta."""
+
+    def test_min_norm_of_sum_constraint(self):
+        # B = [1, 1]: the closest point to the origin on y1 + y2 = 2.
+        y = solve_least_squares_min_norm([[1.0, 1.0]], [2.0])
+        np.testing.assert_allclose(y, [1.0, 1.0], atol=1e-14)
 
     def test_identity(self, rng):
-        b = rng.standard_normal(5)
-        np.testing.assert_allclose(triangular_solve(np.eye(5), b), b)
+        z = rng.standard_normal(4)
+        y = solve_least_squares_min_norm(np.eye(4), z)
+        np.testing.assert_allclose(y, z, atol=1e-14)
 
-    def test_hand_forward_substitution(self):
-        x = triangular_solve([[3.0, 0.0], [1.0, 2.0]], [3.0, 3.0], lower=True)
-        np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
+    def test_random_full_row_rank_consistency_and_null_component(self, rng):
+        b = rng.standard_normal((9, 18))
+        zeta = rng.standard_normal(9)
+        y = solve_least_squares_min_norm(b, zeta)
+        assert np.linalg.norm(b @ y - zeta) <= 1e-10 * np.linalg.norm(zeta)
+        # Null-space basis from an SVD oracle: y must be orthogonal to it.
+        _, _, vt = np.linalg.svd(b)
+        assert np.linalg.norm(vt[9:, :] @ y) <= 1e-10 * np.linalg.norm(y)
+        np.testing.assert_allclose(y, np.linalg.pinv(b) @ zeta, atol=1e-10)
 
-    def test_singular_diagonal_raises(self):
-        with pytest.raises(RankDeficiencyError):
-            triangular_solve([[1.0, 1.0], [0.0, 0.0]], [1.0, 1.0])
-
-    def test_residual_random(self, rng):
-        r = np.triu(rng.standard_normal((12, 12))) + 5 * np.eye(12)
-        b = rng.standard_normal(12)
-        x = triangular_solve(r, b)
-        assert np.linalg.norm(r @ x - b) <= 1e-12 * np.linalg.norm(b)
+    def test_larger_consistency_property(self, rng):
+        for _ in range(5):
+            k, n = 50, 100
+            b = rng.standard_normal((k, n))
+            zeta = rng.standard_normal(k)
+            y = solve_least_squares_min_norm(b, zeta)
+            assert np.linalg.norm(b @ y - zeta) <= 1e-10 * np.linalg.norm(zeta)
+            x_svd = np.linalg.pinv(b) @ zeta
+            assert np.linalg.norm(y - x_svd) <= 1e-8 * np.linalg.norm(x_svd)
 
 
 class TestCgSolve:
@@ -161,49 +139,3 @@ class TestCgSolve:
         if rep.converged:
             assert rep.final_relative_residual <= 1e-8
 
-
-class TestPseudoApplyUnderdetermined:
-    def test_min_norm_of_sum_constraint(self):
-        from natgrad.linalg import qr_economy
-
-        bt = qr_economy(np.array([[1.0], [1.0]]))  # B = [1, 1]
-        y = pseudo_apply_underdetermined(bt, [2.0])
-        np.testing.assert_allclose(y, [1.0, 1.0], atol=1e-14)
-
-    def test_identity(self, rng):
-        from natgrad.linalg import qr_economy
-
-        z = rng.standard_normal(4)
-        y = pseudo_apply_underdetermined(qr_economy(np.eye(4)), z)
-        np.testing.assert_allclose(y, z, atol=1e-14)
-
-    def test_random_full_row_rank_consistency_and_null_component(self, rng):
-        from natgrad.linalg import qr_economy
-
-        b = rng.standard_normal((9, 18))
-        zeta = rng.standard_normal(9)
-        y = pseudo_apply_underdetermined(qr_economy(b.T), zeta)
-        assert np.linalg.norm(b @ y - zeta) <= 1e-10 * np.linalg.norm(zeta)
-        # Null-space basis from an SVD oracle: y must be orthogonal to it.
-        _, _, vt = np.linalg.svd(b)
-        null_basis = vt[9:, :]
-        assert np.linalg.norm(null_basis @ y) <= 1e-10 * np.linalg.norm(y)
-
-    def test_rank_deficiency_signalled(self):
-        from natgrad.linalg import qr_economy
-
-        bt = qr_economy(np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(RankDeficiencyError):
-            pseudo_apply_underdetermined(bt, [1.0, 1.0])
-
-    def test_larger_consistency_property(self, rng):
-        from natgrad.linalg import qr_economy
-
-        for _ in range(5):
-            k, n = 50, 100
-            b = rng.standard_normal((k, n))
-            zeta = rng.standard_normal(k)
-            y = pseudo_apply_underdetermined(qr_economy(b.T), zeta)
-            assert np.linalg.norm(b @ y - zeta) <= 1e-10 * np.linalg.norm(zeta)
-            x_svd = np.linalg.pinv(b) @ zeta
-            assert np.linalg.norm(y - x_svd) <= 1e-8 * np.linalg.norm(x_svd)

@@ -311,3 +311,39 @@ class TestBlockMetric:
         bm = BlockMetric("h-1", panel, 3)
         assert bm._blocks[0] is bm._blocks[1] is bm._blocks[2]
         assert bm.refresh(np.ones(3 * panel.size)) is bm
+
+
+class TestColumnBlocks:
+    def test_apply_L_matrix_matches_column_loop(self, rng):
+        # One application to a (k, p) block must equal applying L column by
+        # column, for every family, per panel, and for the rank-deficient
+        # (every count odd) transport backend.
+        even = Grid.regular([[0, 1], [0, 1]], [6, 6])
+        odd = Grid.regular([[0, 1], [0, 1]], [5, 5])
+        panel = Grid.index_space([4, 6])
+        odd_panel = Grid.index_space([3, 5])
+        rho = rng.uniform(0.5, 2.0, even.size)
+        data = rng.standard_normal(2 * panel.size)
+        ops = {}
+        for name in ALL_METRICS:
+            kind = MetricKind.parse(name)
+            ops[name] = build_metric(kind, even, rho if kind.state_dependent else None)
+            densities = np.split(data, 2) if kind.state_dependent else None
+            ops[f"block {name}"] = BlockMetric(kind, panel, 2, densities=densities)
+        with pytest.warns(UserWarning):
+            ops["w2 odd"] = build_metric("w2", odd, rng.uniform(0.5, 2.0, odd.size))
+        with pytest.warns(UserWarning):
+            ops["block w2 odd"] = BlockMetric(
+                "w2", odd_panel, 2,
+                densities=np.split(rng.standard_normal(2 * odd_panel.size), 2),
+            )
+        for label, op in ops.items():
+            k = op.grid.size * getattr(op, "n_blocks", 1)
+            z = rng.standard_normal((k, 5))
+            block = op.apply_L_matrix(z)
+            loop = np.column_stack([op.apply_L(z[:, j]) for j in range(5)])
+            assert block.shape == (op.row_dim, 5), label
+            err = np.abs(block - loop).max()
+            assert err <= 1e-12 * np.abs(loop).max(), f"{label}: {err:.1e}"
+            g = op.info_matrix(z).matrix
+            np.testing.assert_array_equal(g, g.T)

@@ -296,6 +296,40 @@ class TestOptimize:
         res = optimize(model, np.full(model.param_dim, 0.7), cfg)
         assert res.records[-1].loss < res.records[0].loss
 
+    def test_fisher_rao_minibatch_matches_hand_built_reference(self, toy_model):
+        model, _ = toy_model
+        theta = np.full(model.param_dim, 0.7)
+        cfg = NgdConfig(metric="fisher-rao", step0=1.0, fixed_step=True,
+                        max_iters=1, minibatch_size=20, seed=5)
+        res = optimize(model, theta, cfg)
+        # The loop draws its sketch from this stream.
+        idx = sample_sketch(20, model.state_dim,
+                            np.random.default_rng([cfg.seed, 101])).row_to_column
+        rho = model.solve_forward(theta)
+        _, grad_rho = model.loss_and_grad_rho(rho)
+        root = np.sqrt(rho[idx])
+        z_s = model.a[idx] / root[:, None]
+        expected = -np.linalg.lstsq(z_s, root * grad_rho[idx], rcond=None)[0]
+        np.testing.assert_allclose(res.theta - theta, expected, rtol=1e-10, atol=1e-12)
+
+    def test_damping_metric_same_direction_on_both_routes(self, toy_model):
+        # The damping regularizer is built once and refreshed with the main
+        # metric; both routes must take the same steps with it.
+        model, _ = toy_model
+        theta0 = np.full(model.param_dim, 0.7)
+        for damping in ("h1", "fisher-rao"):
+            thetas = {}
+            for path in ("explicit", "implicit"):
+                cfg = NgdConfig(
+                    metric="l2", damping_lambda=0.5, damping_metric=damping,
+                    step0=0.5, fixed_step=True, max_iters=3,
+                    cg_tol=1e-13, cg_max_iter=300, path=path,
+                )
+                thetas[path] = optimize(model, theta0, cfg).theta
+            diff = thetas["implicit"] - thetas["explicit"]
+            rel = np.linalg.norm(diff) / np.linalg.norm(thetas["explicit"] - theta0)
+            assert rel < 1e-8, f"{damping}: {rel:.1e}"
+
     def test_minibatch_rejects_grid_metrics(self, toy_model):
         model, _ = toy_model
         cfg = NgdConfig(metric="h1", minibatch_size=10)
