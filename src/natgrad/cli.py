@@ -104,9 +104,16 @@ def cmd_compare(args) -> int:
             print("error: --steps must match the metric list", file=sys.stderr)
             return 1
 
+    solvers = [replace(exp.solver, metric=name) for name in metrics]
+    try:
+        for solver in solvers:
+            solver.metric_kind()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
     rows = []
-    for i, name in enumerate(metrics):
-        solver = replace(exp.solver, metric=name)
+    for i, (name, solver) in enumerate(zip(metrics, solvers)):
         if steps is not None:
             solver = replace(solver, step0=steps[i])
         sub = Experiment(
@@ -115,7 +122,8 @@ def cmd_compare(args) -> int:
             snapshot_every=exp.snapshot_every,
             reference_point=exp.reference_point,
         )
-        sub.model.propagation_counter = 0
+        # Shared model: every run pays for its own first forward solve.
+        sub.model.reset_accounting()
         result = _run_single(sub, sub.output_dir)
         row = {
             "metric": name,
@@ -172,14 +180,9 @@ def _check_adjoint_dot(model, theta0, rng) -> tuple[bool, str]:
     model.solve_forward(theta0)
     probe = rng.standard_normal(model.state_dim)
     lam = model.apply_drho_h_transpose_inverse(probe)
-    if isinstance(lam, list):
-        u = [rng.standard_normal(block.shape) for block in lam]
-        left = model.apply_drho_h_inverse(u) @ probe
-        right = sum(float(np.vdot(ui, li)) for ui, li in zip(u, lam))
-    else:
-        u = rng.standard_normal(model.state_dim)
-        left = model.apply_drho_h_inverse(u) @ probe
-        right = float(u @ lam)
+    u = rng.standard_normal(np.shape(lam))
+    left = model.apply_drho_h_inverse(u) @ probe
+    right = float(np.vdot(u, lam))
     rel = abs(left - right) / max(abs(left), abs(right), 1e-300)
     return rel < 1e-10, f"rel err {rel:.3e}"
 

@@ -192,8 +192,9 @@ class WeightedDivergence:
     count is odd the rank drops by one and the minimum-norm backend is used.
 
     ``backend`` is "sparse" (LU of B B^T) for full rank, otherwise "dense"
-    (pivoted-QR minimum norm) up to DENSE_BT_LIMIT entries of B^T and "lsmr"
-    above. Every action accepts a vector or a block of columns.
+    (pinv(B), formed once by the pivoted-QR minimum-norm solve) up to
+    DENSE_BT_LIMIT entries of B^T and "lsmr" above. Every action accepts a
+    vector or a block of columns.
     """
 
     grid: Grid
@@ -201,6 +202,7 @@ class WeightedDivergence:
     b: sp.csr_matrix
     backend: str
     _gram_lu: spla.SuperLU | None = field(default=None, repr=False)
+    _pinv: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def rank_deficient(self) -> bool:
@@ -211,7 +213,9 @@ class WeightedDivergence:
         zeta = np.asarray(zeta, dtype=float)
         if self.backend == "sparse":
             return self.b.T @ self._gram_lu.solve(zeta)
-        return self._min_norm(self.b, zeta)
+        if self.backend == "dense":
+            return self._pinv @ zeta
+        return self._lsmr(self.b, zeta)
 
     def apply_bt(self, g) -> np.ndarray:
         """Apply B^T, the matching (negative) weighted gradient."""
@@ -222,12 +226,13 @@ class WeightedDivergence:
         v = np.asarray(v, dtype=float)
         if self.backend == "sparse":
             return self._gram_lu.solve(v)
-        return self._min_norm(self.b.T, self.apply_pinv(v))
-
-    def _min_norm(self, a: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-        """Minimum-norm least-squares solution of a x = rhs."""
         if self.backend == "dense":
-            return solve_least_squares_min_norm(a.toarray(), rhs)
+            return self._pinv.T @ (self._pinv @ v)
+        return self._lsmr(self.b.T, self.apply_pinv(v))
+
+    @staticmethod
+    def _lsmr(a: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+        """Minimum-norm least-squares solution of a x = rhs by lsmr."""
 
         def solve(r):
             return spla.lsmr(a, r, atol=1e-13, btol=1e-13, maxiter=20000)[0]
@@ -262,4 +267,8 @@ def build_weighted_divergence(
         "every interior count is odd: the weighted divergence loses full row "
         f"rank and the {backend} minimum-norm backend will be used"
     )
-    return WeightedDivergence(grid, mobility_exponent, b, backend)
+    if backend == "lsmr":
+        return WeightedDivergence(grid, mobility_exponent, b, backend)
+    # Factor once per density: pinv(B) column by column.
+    pinv = solve_least_squares_min_norm(b.toarray(), np.eye(b.shape[0]))
+    return WeightedDivergence(grid, mobility_exponent, b, backend, _pinv=pinv)

@@ -13,15 +13,20 @@ exposes whichever Jacobian access it has:
       apply_dtheta_h(eta)                  d_theta h . eta
       apply_dtheta_h_transpose(lam)        d_theta h^T . lam
 
-  For models whose observation is the full constraint state (the linear toy),
-  rhs/lam vectors live in R^k. For the wave model the constraint state is the
-  per-source space-time wavefield; the inverse action returns receiver traces
-  and the transposed inverse takes trace-space input, so the two remain exact
-  adjoints of each other between those spaces.
+  Constraint fields are one array. For models whose observation is the full
+  constraint state (the linear toy), rhs/lam vectors live in R^k. For the
+  wave model they are space-time stacks with a leading source axis,
+  (n_sources, n_t, npx, npz); the inverse action returns receiver traces and
+  the transposed inverse takes trace-space input, so the two remain exact
+  adjoints of each other between those spaces. ``apply_dtheta_h`` may return
+  a lazy array-like (the wave model's Born source) that supports negation and
+  ``np.asarray``; ``apply_drho_h_inverse`` accepts it, its negation, or any
+  array-like of the field shape.
 
 Every model tracks ``propagation_counter``: one unit per forward, adjoint, or
-linearized-forward solve (per source for the wave model), the cost unit used
-in convergence histories.
+linearized-forward solve (per source for the wave model, whose batched solves
+march every source at once), the cost unit used in convergence histories.
+``reset_accounting()`` zeroes it together with the forward cache.
 """
 
 from __future__ import annotations
@@ -40,6 +45,14 @@ class ForwardModel:
 
     def __init__(self):
         self.propagation_counter = 0
+        # Parameters of the cached forward solve; None when nothing is cached.
+        self._cache_theta = None
+
+    def reset_accounting(self) -> None:
+        """Zero the propagation counter and drop the cached forward solve, so
+        the next run starts from scratch and pays for its first forward."""
+        self.propagation_counter = 0
+        self._cache_theta = None
 
     # --- dimensions -----------------------------------------------------
     @property

@@ -86,7 +86,6 @@ class GaussianMixtureModel(ForwardModel):
         if self.reference.shape != (grid.size,):
             raise ValueError("reference must be sampled on the grid")
         self._points = grid.points()
-        self._cache_theta = None
         self._cache_rho = None
 
     @classmethod

@@ -24,7 +24,6 @@ class LinearToyModel(ForwardModel):
         if self.reference.shape != (self.a.shape[0],):
             raise ValueError("reference length must match the row count of A")
         self.grid = grid if grid is not None else Grid.index_space([self.a.shape[0]])
-        self._cache_theta = None
         self._cache_rho = None
 
     @classmethod

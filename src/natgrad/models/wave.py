@@ -16,12 +16,18 @@ which corresponds to the constraint, per time level n,
     h^n = (m / dt^2) (u^{n+1}/d - 2 u^n + d u^{n-1}) - lap(u^n) - f^n = 0.
 
 Hence d_m h . eta injects eta * w with w the damped second time derivative of
-the cached wavefield, and d_m h^T correlates adjoint fields with w (zero-lag,
+the forward wavefield, and d_m h^T correlates adjoint fields with w (zero-lag,
 summed over sources). Parameters are the interior model cells; the padded
 ring replicates edge cells, and its transpose scatter-adds back.
 
 The observed state is the stack of receiver traces over sources, one
-(n_receivers x n_time) panel per source, flattened receiver-major.
+(n_receivers x n_time) panel per source, flattened receiver-major. Every solve
+marches all sources together as one (n_sources, npx, npz) array in
+preallocated, rotated buffers; constraint fields carry the same leading source
+axis, (n_sources, n_t, npx, npz). The forward cache keeps only w (one
+space-time stack per source), built step by step while marching, and the
+Born source eta * w is formed one time step at a time inside the linearized
+solve.
 """
 
 from __future__ import annotations
@@ -91,14 +97,19 @@ class WaveFwiModel(ForwardModel):
         if len(set(self.receivers)) != len(self.receivers):
             # Scatter in the adjoint uses plain fancy indexing.
             raise ValueError("receiver locations must be distinct")
-        self._rec_ix = rec[:, 0] + w
-        self._rec_iz = rec[:, 1] + w
-        self._src_padded = [(sx + w, sz + w) for sx, sz in self.sources]
+        # Flat indices into a flattened (n_sources, npx, npz) batch: every
+        # (source, receiver) pair, source-major, and each field's own source.
+        batch = (len(src), self.npx, self.npz)
+        field = np.arange(len(src))[:, None]
+        self._rec_flat = np.ravel_multi_index(
+            (field, rec[None, :, 0] + w, rec[None, :, 1] + w), batch
+        ).ravel()
+        self._src_flat = np.ravel_multi_index(
+            (field[:, 0], src[:, 0] + w, src[:, 1] + w), batch
+        )
 
         self.reference = None if reference is None else np.asarray(reference, float)
-        self._cache_theta = None
-        self._cache_u = None
-        self._cache_w = None
+        self._cache_u_tt = None
         self._cache_traces = None
 
     # --- layout -----------------------------------------------------------
@@ -113,6 +124,11 @@ class WaveFwiModel(ForwardModel):
     @property
     def data_layout(self) -> tuple[int, int, int]:
         return (self.n_sources, self.n_receivers, self.n_t)
+
+    @property
+    def field_shape(self) -> tuple[int, int, int, int]:
+        """Shape of the constraint fields: one space-time stack per source."""
+        return (self.n_sources, self.n_t, self.npx, self.npz)
 
     @property
     def data_grid(self) -> Grid:
@@ -150,91 +166,137 @@ class WaveFwiModel(ForwardModel):
         return out
 
     # --- core linear solves ---------------------------------------------------
-    def _laplacian(self, u) -> np.ndarray:
-        out = (-2.0 / self.dx**2 - 2.0 / self.dz**2) * u
-        out[1:, :] += u[:-1, :] / self.dx**2
-        out[:-1, :] += u[1:, :] / self.dx**2
-        out[:, 1:] += u[:, :-1] / self.dz**2
-        out[:, :-1] += u[:, 1:] / self.dz**2
+    def _laplacian(self, u, out, scratch) -> np.ndarray:
+        """Five-point Laplacian of each (npx, npz) field of u, written to out.
+
+        out and scratch are C-contiguous buffers shaped like u; nothing is
+        allocated. The z-neighbours are added along the flattened buffers,
+        one element apart, with the scratch column that would wrap into the
+        next row zeroed: a strided last-axis add costs about three contiguous
+        ones, and adding +0.0 leaves every nonzero value unchanged.
+        """
+        dx2, dz2 = self.dx**2, self.dz**2
+        np.multiply(u, -2.0 / dx2 - 2.0 / dz2, out=out)
+        np.divide(u, dx2, out=scratch)
+        out[..., 1:, :] += scratch[..., :-1, :]
+        out[..., :-1, :] += scratch[..., 1:, :]
+        np.divide(u, dz2, out=scratch)
+        flat_out, flat_scratch = out.reshape(-1), scratch.reshape(-1)
+        scratch[..., -1] = 0.0
+        flat_out[1:] += flat_scratch[:-1]
+        np.divide(u[..., -1], dz2, out=scratch[..., -1])
+        scratch[..., 0] = 0.0
+        flat_out[:-1] += flat_scratch[1:]
         return out
 
-    def _forward_loop(self, dt2m, rhs=None, point_source=None, store=False):
-        """March the leapfrog once; returns (traces, wavefield stack or None).
+    def _fields(self, like=0.0) -> np.ndarray:
+        """An (n_sources, npx, npz) buffer, one field per source, filled with
+        like (a scalar or one (npx, npz) field). Full-shape coefficients keep
+        the batched ufuncs off their slower broadcasting loops."""
+        out = np.empty((self.n_sources, self.npx, self.npz))
+        out[...] = like
+        return out
 
-        rhs is an optional (n_t, npx, npz) source stack; point_source an
-        optional padded (ix, iz) injecting the model wavelet.
+    def _forward_loop(self, dt2m, inject, u_tt=None) -> np.ndarray:
+        """March the leapfrog for every source at once; returns the traces
+        as the flat data vector (one receiver-major panel per source).
+
+        inject(n, f) adds the step-n right-hand side to f, which holds
+        lap(u^n) for every source. If u_tt is given, the damped second time
+        derivative (u^{n+1}/d - 2 u^n + d u^{n-1}) / dt^2 of every step is
+        written to u_tt[:, n].
         """
-        d = self.damp
-        a = np.zeros((self.npx, self.npz))
-        b = np.zeros_like(a)
-        traces = np.empty((self.n_receivers, self.n_t))
-        stack = np.empty((self.n_t, self.npx, self.npz)) if store else None
+        d, dt2m = self._fields(self.damp), self._fields(dt2m)
+        a, b, c, f, two_b, da, tmp = (self._fields() for _ in range(7))
+        traces = np.empty((self.n_t, self._rec_flat.size))
         for n in range(self.n_t):
-            f = self._laplacian(b)
-            if rhs is not None:
-                f = f + rhs[n]
-            if point_source is not None:
-                f[point_source] += self.wavelet[n]
-            c = d * (2.0 * b - d * a + dt2m * f)
-            traces[:, n] = c[self._rec_ix, self._rec_iz]
-            if store:
-                stack[n] = c
-            a, b = b, c
-        self.propagation_counter += 1
-        return traces, stack
+            self._laplacian(b, out=f, scratch=tmp)
+            inject(n, f)
+            # c = d * (2 b - d a + dt2m f), in that operation order.
+            np.multiply(b, 2.0, out=two_b)
+            np.multiply(d, a, out=da)
+            np.subtract(two_b, da, out=c)
+            np.multiply(dt2m, f, out=tmp)
+            c += tmp
+            c *= d
+            traces[n] = c.reshape(-1)[self._rec_flat]
+            if u_tt is not None:
+                w = u_tt[:, n]
+                np.divide(c, d, out=w)
+                if n >= 1:
+                    w -= two_b
+                if n >= 2:
+                    w += da
+                w /= self.dt**2
+            a, b, c = b, c, a
+        self.propagation_counter += self.n_sources
+        return traces.T.ravel()
 
-    def _reverse_loop(self, dt2m, data_rhs) -> np.ndarray:
+    def _reverse_loop(self, dt2m, data) -> np.ndarray:
         """Exact transpose of the trace-recording forward map.
 
-        Maps an (n_receivers, n_t) panel to the space-time adjoint field
-        stack, running the transposed recursion backward in time.
+        Maps a flat data vector to the (n_sources, n_t, npx, npz) adjoint
+        field stack, running the transposed recursion backward in time for
+        every source at once.
         """
         d = self.damp
-        abar = np.zeros((self.npx, self.npz))
-        bbar = np.zeros_like(abar)
-        xi = np.empty((self.n_t, self.npx, self.npz))
+        d_dt2m, two_d, neg_dd = (self._fields(g) for g in (d * dt2m, 2.0 * d, -(d * d)))
+        abar, bbar, lap, tmp = (self._fields() for _ in range(4))
+        xi = np.empty(self.field_shape)
+        steps = data.reshape(-1, self.n_t).T.copy()  # row n: every trace at step n
         for n in range(self.n_t - 1, -1, -1):
-            cbar = bbar.copy()
-            cbar[self._rec_ix, self._rec_iz] += data_rhs[:, n]
-            w = d * dt2m * cbar
-            xi[n] = w
-            new_b = abar + 2.0 * d * cbar + self._laplacian(w)
-            new_a = -(d * d) * cbar
-            abar, bbar = new_a, new_b
-        self.propagation_counter += 1
+            cbar = bbar
+            cbar.reshape(-1)[self._rec_flat] += steps[n]
+            w = xi[:, n]
+            np.multiply(d_dt2m, cbar, out=w)
+            # new_b = abar + 2 d cbar + lap(w); new_a = -(d d) cbar.
+            self._laplacian(w, out=lap, scratch=tmp)
+            np.multiply(two_d, cbar, out=tmp)
+            abar += tmp
+            abar += lap
+            np.multiply(neg_dd, cbar, out=cbar)
+            abar, bbar = cbar, abar
+        self.propagation_counter += self.n_sources
         return xi
 
     # --- forward map -----------------------------------------------------------
+    def _dt2m(self, theta) -> np.ndarray:
+        return self.dt**2 / self._pad_model(theta)
+
+    def _record(self, theta, u_tt=None) -> np.ndarray:
+        """Flattened traces of every source's point-source solve at theta."""
+        dt2m = self._dt2m(theta)
+
+        def inject(n, f):
+            f.reshape(-1)[self._src_flat] += self.wavelet[n]
+
+        traces = self._forward_loop(dt2m, inject, u_tt)
+        if not np.all(np.isfinite(traces)):
+            raise RuntimeError(
+                "wave solve blew up (non-finite traces); check the CFL margin"
+            )
+        return traces
+
     def solve_forward(self, theta) -> np.ndarray:
         theta = self._check_theta(theta)
         if self._cache_theta is not None and np.array_equal(theta, self._cache_theta):
             return self._cache_traces.copy()
-        dt2m = self.dt**2 / self._pad_model(theta)
-        stacks, panels = [], []
-        for src in self._src_padded:
-            traces, stack = self._forward_loop(dt2m, point_source=src, store=True)
-            if not np.all(np.isfinite(traces)):
-                raise RuntimeError(
-                    "wave solve blew up (non-finite traces); check the CFL margin"
-                )
-            stacks.append(stack)
-            panels.append(traces)
+        u_tt = np.empty(self.field_shape)
+        traces = self._record(theta, u_tt)
         self._cache_theta = theta.copy()
-        self._cache_u = stacks
-        self._cache_w = None
-        self._cache_traces = np.concatenate([t.ravel() for t in panels])
-        return self._cache_traces.copy()
+        self._cache_u_tt = u_tt
+        self._cache_traces = traces
+        return traces.copy()
 
     def generate_reference(self, theta_true) -> np.ndarray:
-        """Record observed data from a ground-truth model; not charged as cost."""
+        """Record observed data from a ground-truth model; not charged as cost.
+
+        The march stores no wavefields and leaves the forward cache alone.
+        """
         counter = self.propagation_counter
-        data = self.solve_forward(theta_true)
-        self.reference = data
+        self.reference = self._record(self._check_theta(theta_true))
         self.propagation_counter = counter
-        self._cache_theta = None
-        self._cache_u = None
-        self._cache_w = None
-        return data
+        return self.reference
 
     def loss_and_grad_rho(self, rho):
         if self.reference is None:
@@ -242,59 +304,77 @@ class WaveFwiModel(ForwardModel):
         return least_squares_misfit(rho, self.reference)
 
     # --- constraint actions ------------------------------------------------------
-    def _require_cache(self):
+    def _require_cache(self) -> np.ndarray:
+        """The cached u_tt stack; raises if no forward solve is cached."""
         if self._cache_theta is None:
             raise RuntimeError("forward wavefields not cached; run solve_forward first")
-
-    def _dtt_fields(self):
-        """Damped second time derivatives of the cached wavefields, per source."""
-        self._require_cache()
-        if self._cache_w is None:
-            d = self.damp
-            out = []
-            for u in self._cache_u:
-                w = u / d
-                w[1:] -= 2.0 * u[:-1]
-                w[2:] += d * u[:-2]
-                out.append(w / self.dt**2)
-            self._cache_w = out
-        return self._cache_w
-
-    def _split_panels(self, data):
-        data = np.asarray(data, dtype=float)
-        if data.shape != (self.state_dim,):
-            raise ValueError(f"data vector must have length {self.state_dim}")
-        return [
-            block.reshape(self.n_receivers, self.n_t)
-            for block in np.split(data, self.n_sources)
-        ]
+        return self._cache_u_tt
 
     def apply_drho_h_inverse(self, rhs_fields) -> np.ndarray:
-        """Linearized forward: per-source space-time sources to trace panels."""
-        self._require_cache()
-        dt2m = self.dt**2 / self._pad_model(self._cache_theta)
-        panels = []
-        for field in rhs_fields:
-            traces, _ = self._forward_loop(dt2m, rhs=field)
-            panels.append(traces)
-        return np.concatenate([t.ravel() for t in panels])
+        """Linearized forward: (n_sources, n_t, npx, npz) sources to traces.
 
-    def apply_drho_h_transpose_inverse(self, data_rhs):
-        """Reverse-time solve: trace-space input to per-source adjoint fields."""
+        A BornSource is expanded one time step at a time; any other
+        array-like of that shape is read as it is.
+        """
         self._require_cache()
-        dt2m = self.dt**2 / self._pad_model(self._cache_theta)
-        return [self._reverse_loop(dt2m, panel) for panel in self._split_panels(data_rhs)]
+        dt2m = self._dt2m(self._cache_theta)
+        if isinstance(rhs_fields, BornSource):
+            eta_pad, u_tt = self._fields(rhs_fields.eta_pad), rhs_fields.u_tt
+            born = self._fields()
 
-    def apply_dtheta_h(self, eta):
-        """Model perturbation to per-source Born source fields eta * u_tt."""
+            def inject(n, f):
+                np.multiply(eta_pad, u_tt[:, n], out=born)
+                f += born
+        else:
+            rhs = np.asarray(rhs_fields, dtype=float)
+            if rhs.shape != self.field_shape:
+                raise ValueError(f"source fields must have shape {self.field_shape}")
+
+            def inject(n, f):
+                f += rhs[:, n]
+
+        return self._forward_loop(dt2m, inject)
+
+    def apply_drho_h_transpose_inverse(self, data_rhs) -> np.ndarray:
+        """Reverse-time solve: trace-space input to adjoint fields, shaped
+        (n_sources, n_t, npx, npz)."""
+        self._require_cache()
+        data = np.asarray(data_rhs, dtype=float)
+        if data.shape != (self.state_dim,):
+            raise ValueError(f"data vector must have length {self.state_dim}")
+        return self._reverse_loop(self._dt2m(self._cache_theta), data)
+
+    def apply_dtheta_h(self, eta) -> BornSource:
+        """Model perturbation to the Born source fields eta * u_tt."""
+        u_tt = self._require_cache()
         eta_pad = np.asarray(eta, dtype=float)[self._pad_flat].reshape(
             self.npx, self.npz
         )
-        return [eta_pad * w for w in self._dtt_fields()]
+        return BornSource(eta_pad, u_tt)
 
     def apply_dtheta_h_transpose(self, lam_fields) -> np.ndarray:
         """Zero-lag correlation of adjoint fields with u_tt, summed over sources."""
+        u_tt = self._require_cache()
         acc = np.zeros((self.npx, self.npz))
-        for lam, w in zip(lam_fields, self._dtt_fields()):
+        for lam, w in zip(lam_fields, u_tt):
             acc += np.einsum("tij,tij->ij", lam, w)
         return self._pad_transpose(acc)
+
+
+class BornSource:
+    """The Born source fields eta * u_tt of every source, never materialized.
+
+    The linearized solve forms each time step's slice as it marches.
+    Negation flips the stored perturbation, which is exact, and
+    ``np.asarray`` builds the full (n_sources, n_t, npx, npz) stack.
+    """
+
+    def __init__(self, eta_pad, u_tt):
+        self.eta_pad = eta_pad
+        self.u_tt = u_tt
+
+    def __neg__(self) -> BornSource:
+        return BornSource(-self.eta_pad, self.u_tt)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.eta_pad * self.u_tt, dtype=dtype)

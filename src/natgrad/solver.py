@@ -159,11 +159,7 @@ def gl_action(model, metric, eta) -> np.ndarray:
     One linearized forward gives gamma = Z eta, the metric weights it, and one
     adjoint solve brings it back to parameter space.
     """
-    born = model.apply_dtheta_h(eta)
-    if isinstance(born, list):
-        gamma = model.apply_drho_h_inverse([-f for f in born])
-    else:
-        gamma = model.apply_drho_h_inverse(-born)
+    gamma = model.apply_drho_h_inverse(-model.apply_dtheta_h(eta))
     weighted = metric.apply_LtL(gamma) if metric is not None else gamma
     lam = model.apply_drho_h_transpose_inverse(weighted)
     return -model.apply_dtheta_h_transpose(lam)
@@ -201,11 +197,7 @@ def assemble_jacobian(model) -> np.ndarray:
     for j in range(p):
         e = np.zeros(p)
         e[j] = 1.0
-        born = model.apply_dtheta_h(e)
-        if isinstance(born, list):
-            cols.append(model.apply_drho_h_inverse([-f for f in born]))
-        else:
-            cols.append(model.apply_drho_h_inverse(-born))
+        cols.append(model.apply_drho_h_inverse(-model.apply_dtheta_h(e)))
     return np.stack(cols, axis=1)
 
 

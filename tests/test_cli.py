@@ -183,6 +183,30 @@ class TestCompare:
         cmp_trace = (tmp_path / "cmp1" / "l2" / "trace.csv").read_bytes()
         assert run_trace == cmp_trace
 
+    def test_every_metric_pays_its_first_forward(self, tmp_path):
+        # A one-propagation budget stops each run right after its forward at
+        # theta0, so the shared model's cache still holds theta0 when the
+        # next metric starts. That run must still be charged its forward, and
+        # so stop at theta0 too, instead of taking a step on a free forward.
+        cfg = write_config(tmp_path / "budget.json", {
+            "model": {"kind": "linear-toy", "rows": 20, "cols": 5, "seed": 3,
+                      "theta0": [0.5] * 5},
+            "solver": {"metric": "l2", "max_propagations": 1, "seed": 0},
+        })
+        assert cli.main(["compare", "-c", cfg, "-m", "gd,l2,h1",
+                         "--out", str(tmp_path / "cmp")]) == 0
+        for metric in ("gd", "l2", "h1"):
+            with open(tmp_path / "cmp" / metric / "trace.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [(r["iter"], r["propagations"]) for r in rows] == [("0", "1")]
+
+    def test_unknown_metric_rejected_before_any_run(self, toy_config, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "-c", toy_config, "-m", "l2,bogus",
+                         "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "l2").exists()
+
     def test_mismatched_steps_rejected(self, toy_config):
         assert cli.main(["compare", "-c", toy_config, "-m", "gd,l2",
                          "--steps", "0.1"]) == 1

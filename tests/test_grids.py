@@ -13,7 +13,7 @@ from natgrad.grids import (
     central_difference_matrix,
     neumann_gradient,
 )
-from natgrad.linalg import qr_column_pivoted
+from natgrad.linalg import qr_column_pivoted, solve_least_squares_min_norm
 
 
 class TestCentralDifference:
@@ -195,6 +195,22 @@ class TestWeightedDivergence:
                 wdiv.apply_gram_pinv(zeta), gram_svd,
                 atol=1e-9 * np.abs(gram_svd).max(),
             )
+
+    def test_dense_backend_factors_once_and_matches_per_call_solve(self, rng):
+        # The dense backend forms pinv(B) at build time; its actions must agree
+        # with a fresh minimum-norm solve per call (the former implementation),
+        # for a vector and for a block of columns.
+        grid = Grid.regular([[0, 1], [0, 1]], [9, 9])
+        with pytest.warns(UserWarning):
+            wdiv = build_weighted_divergence(grid, rng.uniform(0.5, 2.0, grid.size))
+        assert wdiv.backend == "dense"
+        b_dense = wdiv.b.toarray()
+        for rhs in (rng.standard_normal(grid.size), rng.standard_normal((grid.size, 3))):
+            y = solve_least_squares_min_norm(b_dense, rhs)
+            gram = solve_least_squares_min_norm(b_dense.T, y)
+            for got, want in ((wdiv.apply_pinv(rhs), y), (wdiv.apply_gram_pinv(rhs), gram)):
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_gram_pinv_matches_svd(self, grid_2d, rng):
         rho = rng.uniform(0.5, 2.0, grid_2d.size)
