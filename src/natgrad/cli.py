@@ -69,6 +69,12 @@ def _run_single(exp: Experiment, out_dir: Path) -> OptimizeResult:
     result = optimize(exp.model, exp.theta0, exp.solver, callback=callback)
     _write_trace(out_dir / "trace.csv", result.records)
     write_field(out_dir / "theta_final.f64", result.theta)
+    if result.cg_unconverged:
+        print(
+            f"warning: {exp.solver.metric}: {result.cg_unconverged} CG direction "
+            f"solve(s) stopped before reaching cg_tol {exp.solver.cg_tol:g}",
+            file=sys.stderr,
+        )
     return result
 
 
@@ -179,8 +185,9 @@ def _check_fd_gradient(model, theta0, rng) -> tuple[bool, str]:
 def _check_adjoint_dot(model, theta0, rng) -> tuple[bool, str]:
     model.solve_forward(theta0)
     probe = rng.standard_normal(model.state_dim)
-    lam = model.apply_drho_h_transpose_inverse(probe)
-    u = rng.standard_normal(np.shape(lam))
+    # Lazy adjoint fields re-run their solve on every conversion: convert once.
+    lam = np.asarray(model.apply_drho_h_transpose_inverse(probe))
+    u = rng.standard_normal(lam.shape)
     left = model.apply_drho_h_inverse(u) @ probe
     right = float(np.vdot(u, lam))
     rel = abs(left - right) / max(abs(left), abs(right), 1e-300)

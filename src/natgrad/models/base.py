@@ -21,7 +21,13 @@ exposes whichever Jacobian access it has:
   adjoints of each other between those spaces. ``apply_dtheta_h`` may return
   a lazy array-like (the wave model's Born source) that supports negation and
   ``np.asarray``; ``apply_drho_h_inverse`` accepts it, its negation, or any
-  array-like of the field shape.
+  array-like of the field shape. Likewise ``apply_drho_h_transpose_inverse``
+  may return lazy adjoint fields (the wave model's ``AdjointFields``) that
+  carry what ``apply_dtheta_h_transpose`` needs, their correlation with the
+  cached forward fields, and have ``shape``; ``apply_dtheta_h_transpose``
+  accepts them (from the current forward solve only) or any array-like of
+  the field shape. ``np.asarray`` on them re-runs the adjoint solve, which
+  is charged to ``propagation_counter``.
 
 Every model tracks ``propagation_counter``: one unit per forward, adjoint, or
 linearized-forward solve (per source for the wave model, whose batched solves

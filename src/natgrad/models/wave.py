@@ -21,16 +21,30 @@ summed over sources). Parameters are the interior model cells; the padded
 ring replicates edge cells, and its transpose scatter-adds back.
 
 The observed state is the stack of receiver traces over sources, one
-(n_receivers x n_time) panel per source, flattened receiver-major. Every solve
-marches all sources together as one (n_sources, npx, npz) array in
-preallocated, rotated buffers; constraint fields carry the same leading source
-axis, (n_sources, n_t, npx, npz). The forward cache keeps only w (one
-space-time stack per source), built step by step while marching, and the
-Born source eta * w is formed one time step at a time inside the linearized
-solve.
+(n_receivers x n_time) panel per source, flattened receiver-major. Constraint
+fields carry a leading source axis, (n_sources, n_t, npx, npz).
+
+Kernel layout: every solve marches all sources as one flat buffer shaped
+(n_sources, npx + 2, npz + 2), whose one-cell ghost ring is zero, so the
+five-point neighbours of a cell are the flat offsets -1, +1 (z) and -W, +W
+(x), W = npz + 2. With dt2m = dt^2 / m and r = dx^2 / dz^2, the step
+folds into per-cell coefficients built once per model:
+
+    c = cb b + cx (r (b[-1] + b[+1]) + b[-W] + b[+W]) - dd a + cs f,
+    cb = d (2 - dt2m (2/dx^2 + 2/dz^2)), cx = cs / dx^2, dd = d^2, cs = d dt2m,
+
+zero on the ghost ring, so the ghosts stay 0 and no neighbour wraps. Each
+step is a handful of contiguous whole-batch ufuncs over the "core" range
+(every cell but the first and last ghost row of the batch); the reverse step
+is their literal transpose. The forward cache keeps only w, time-major in the
+same layout; the Born source and the adjoint correlation are formed one step
+at a time inside the linearized and the reverse solves, so neither stores
+more than per-step buffers.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +59,20 @@ def ricker_wavelet(n_t: int, dt: float, peak_freq: float, delay: float | None = 
     t = dt * np.arange(n_t) - delay
     arg = (np.pi * peak_freq * t) ** 2
     return (1.0 - 2.0 * arg) * np.exp(-arg)
+
+
+class _Stencil(NamedTuple):
+    """The model-dependent leapfrog coefficients on the core range."""
+
+    cb: np.ndarray
+    cx: np.ndarray
+    cs: np.ndarray
+
+
+def _interior(stack, batch) -> np.ndarray:
+    """View of a time-major (n_t, flat batch) stack as (n_sources, n_t, npx,
+    npz) fields: the ghost ring is dropped and the source axis moved first."""
+    return stack.reshape(-1, *batch)[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
 
 
 class WaveFwiModel(ForwardModel):
@@ -97,18 +125,32 @@ class WaveFwiModel(ForwardModel):
         if len(set(self.receivers)) != len(self.receivers):
             # Scatter in the adjoint uses plain fancy indexing.
             raise ValueError("receiver locations must be distinct")
-        # Flat indices into a flattened (n_sources, npx, npz) batch: every
-        # (source, receiver) pair, source-major, and each field's own source.
-        batch = (len(src), self.npx, self.npz)
+
+        # Ghost-padded flat layout; see the module docstring.
+        self._batch = (len(src), self.npx + 2, self.npz + 2)
+        self._size = int(np.prod(self._batch))
+        self._row = self.npz + 2
+        self._core = slice(self._row, self._size - self._row)
+        # Core-range indices of every (source, receiver) pair, source-major,
+        # and of each field's own source.
         field = np.arange(len(src))[:, None]
-        self._rec_flat = np.ravel_multi_index(
-            (field, rec[None, :, 0] + w, rec[None, :, 1] + w), batch
-        ).ravel()
-        self._src_flat = np.ravel_multi_index(
-            (field[:, 0], src[:, 0] + w, src[:, 1] + w), batch
+        self._rec_core = np.ravel_multi_index(
+            (field, rec[None, :, 0] + w + 1, rec[None, :, 1] + w + 1), self._batch
+        ).ravel() - self._row
+        self._src_core = np.ravel_multi_index(
+            (field[:, 0], src[:, 0] + w + 1, src[:, 1] + w + 1), self._batch
+        ) - self._row
+        # Model-independent fields: -d^2, and the weights of c, b and a in
+        # u_tt = (c / d - 2 b + d a) / dt^2.
+        dt2 = self.dt**2
+        self._ratio = self.dx**2 / self.dz**2
+        self._neg_dd, self._inv_d_dt2, self._d_dt2 = (
+            self._padded(g)[self._core]
+            for g in (-(self.damp * self.damp), 1.0 / (self.damp * dt2), self.damp / dt2)
         )
 
         self.reference = None if reference is None else np.asarray(reference, float)
+        self._cache_stencil = None
         self._cache_u_tt = None
         self._cache_traces = None
 
@@ -165,112 +207,131 @@ class WaveFwiModel(ForwardModel):
         np.add.at(out, self._pad_flat, field.ravel())
         return out
 
+    def _padded(self, field) -> np.ndarray:
+        """An (npx, npz) field in every source's block of a flat batch, with
+        a zero ghost ring."""
+        out = np.zeros(self._batch)
+        out[:, 1:-1, 1:-1] = field
+        return out.reshape(-1)
+
+    def _stencil(self, theta) -> _Stencil:
+        """The leapfrog coefficients of the module docstring at theta."""
+        dt2m = self.dt**2 / self._pad_model(theta)
+        cs = self.damp * dt2m
+        kx, kz = 1.0 / self.dx**2, 1.0 / self.dz**2
+        cb = self.damp * (2.0 - dt2m * (2.0 * kx + 2.0 * kz))
+        return _Stencil(*(self._padded(g)[self._core] for g in (cb, cs * kx, cs)))
+
     # --- core linear solves ---------------------------------------------------
-    def _laplacian(self, u, out, scratch) -> np.ndarray:
-        """Five-point Laplacian of each (npx, npz) field of u, written to out.
+    def _views(self, buf) -> tuple[np.ndarray, ...]:
+        """Core range of a flat batch buffer, then its z-1, z+1, x-1, x+1
+        neighbours: five contiguous views of equal length."""
+        n, w = self._size, self._row
+        return (buf[w:n - w], buf[w - 1:n - w - 1], buf[w + 1:n - w + 1],
+                buf[:n - 2 * w], buf[2 * w:])
 
-        out and scratch are C-contiguous buffers shaped like u; nothing is
-        allocated. The z-neighbours are added along the flattened buffers,
-        one element apart, with the scratch column that would wrap into the
-        next row zeroed: a strided last-axis add costs about three contiguous
-        ones, and adding +0.0 leaves every nonzero value unchanged.
-        """
-        dx2, dz2 = self.dx**2, self.dz**2
-        np.multiply(u, -2.0 / dx2 - 2.0 / dz2, out=out)
-        np.divide(u, dx2, out=scratch)
-        out[..., 1:, :] += scratch[..., :-1, :]
-        out[..., :-1, :] += scratch[..., 1:, :]
-        np.divide(u, dz2, out=scratch)
-        flat_out, flat_scratch = out.reshape(-1), scratch.reshape(-1)
-        scratch[..., -1] = 0.0
-        flat_out[1:] += flat_scratch[:-1]
-        np.divide(u[..., -1], dz2, out=scratch[..., -1])
-        scratch[..., 0] = 0.0
-        flat_out[:-1] += flat_scratch[1:]
-        return out
-
-    def _fields(self, like=0.0) -> np.ndarray:
-        """An (n_sources, npx, npz) buffer, one field per source, filled with
-        like (a scalar or one (npx, npz) field). Full-shape coefficients keep
-        the batched ufuncs off their slower broadcasting loops."""
-        out = np.empty((self.n_sources, self.npx, self.npz))
-        out[...] = like
-        return out
-
-    def _forward_loop(self, dt2m, inject, u_tt=None) -> np.ndarray:
+    def _forward_loop(self, stencil, inject, u_tt=None) -> np.ndarray:
         """March the leapfrog for every source at once; returns the traces
         as the flat data vector (one receiver-major panel per source).
 
-        inject(n, f) adds the step-n right-hand side to f, which holds
-        lap(u^n) for every source. If u_tt is given, the damped second time
-        derivative (u^{n+1}/d - 2 u^n + d u^{n-1}) / dt^2 of every step is
-        written to u_tt[:, n].
+        inject(n, c, t) adds cs * f^n to c, the core range of the new field
+        (t is a free core-sized buffer). If u_tt is given, the damped second
+        time derivative of every step is written to its row n.
         """
-        d, dt2m = self._fields(self.damp), self._fields(dt2m)
-        a, b, c, f, two_b, da, tmp = (self._fields() for _ in range(7))
-        traces = np.empty((self.n_t, self._rec_flat.size))
+        cb, cx, _ = stencil
+        a, b, c = (self._views(np.zeros(self._size)) for _ in range(3))
+        t = np.empty_like(cb)
+        traces = np.empty((self.n_t, self._rec_core.size))
+        if u_tt is not None:
+            u_core, two_dt2 = u_tt[:, self._core], 2.0 / self.dt**2
         for n in range(self.n_t):
-            self._laplacian(b, out=f, scratch=tmp)
-            inject(n, f)
-            # c = d * (2 b - d a + dt2m f), in that operation order.
-            np.multiply(b, 2.0, out=two_b)
-            np.multiply(d, a, out=da)
-            np.subtract(two_b, da, out=c)
-            np.multiply(dt2m, f, out=tmp)
-            c += tmp
-            c *= d
-            traces[n] = c.reshape(-1)[self._rec_flat]
+            b0, bzm, bzp, bxm, bxp = b
+            a0, c0 = a[0], c[0]
+            # c = cb b + cx (r (z-neighbours) + x-neighbours) - dd a + cs f.
+            np.multiply(cb, b0, out=c0)
+            np.add(bzm, bzp, out=t)
+            if self._ratio != 1.0:
+                t *= self._ratio
+            t += bxm
+            t += bxp
+            t *= cx
+            c0 += t
+            np.multiply(self._neg_dd, a0, out=t)
+            c0 += t
+            inject(n, c0, t)
+            traces[n] = c0[self._rec_core]
             if u_tt is not None:
-                w = u_tt[:, n]
-                np.divide(c, d, out=w)
-                if n >= 1:
-                    w -= two_b
-                if n >= 2:
-                    w += da
-                w /= self.dt**2
+                w = u_core[n]
+                np.multiply(self._inv_d_dt2, c0, out=w)
+                np.multiply(b0, two_dt2, out=t)
+                w -= t
+                np.multiply(self._d_dt2, a0, out=t)
+                w += t
             a, b, c = b, c, a
         self.propagation_counter += self.n_sources
         return traces.T.ravel()
 
-    def _reverse_loop(self, dt2m, data) -> np.ndarray:
-        """Exact transpose of the trace-recording forward map.
+    def _reverse_loop(self, stencil, data, u_tt=None, stack=None):
+        """Exact transpose of the trace-recording forward map, marched
+        backward in time for every source at once.
 
-        Maps a flat data vector to the (n_sources, n_t, npx, npz) adjoint
-        field stack, running the transposed recursion backward in time for
-        every source at once.
+        The adjoint field of step n is w = cs * cbar = dx^2 * cx * cbar,
+        cbar being the adjoint of the step's new field; the loop carries
+        w / dx^2. With u_tt given, returns the zero-lag correlation
+        sum_n w^n u_tt^n as a flat batch; with stack given, writes w^n / dx^2
+        to the core range of its row n.
         """
-        d = self.damp
-        d_dt2m, two_d, neg_dd = (self._fields(g) for g in (d * dt2m, 2.0 * d, -(d * d)))
-        abar, bbar, lap, tmp = (self._fields() for _ in range(4))
-        xi = np.empty(self.field_shape)
+        cb, cx, _ = stencil
+        abar, bbar = np.zeros(cb.size), np.zeros(cb.size)
+        w0, wzm, wzp, wxm, wxp = self._views(np.zeros(self._size))
+        t = np.empty_like(cb)
+        if u_tt is not None:
+            u_core, acc = u_tt[:, self._core], np.zeros(self._size)
+            acc_core = acc[self._core]
         steps = data.reshape(-1, self.n_t).T.copy()  # row n: every trace at step n
         for n in range(self.n_t - 1, -1, -1):
             cbar = bbar
-            cbar.reshape(-1)[self._rec_flat] += steps[n]
-            w = xi[:, n]
-            np.multiply(d_dt2m, cbar, out=w)
-            # new_b = abar + 2 d cbar + lap(w); new_a = -(d d) cbar.
-            self._laplacian(w, out=lap, scratch=tmp)
-            np.multiply(two_d, cbar, out=tmp)
-            abar += tmp
-            abar += lap
-            np.multiply(neg_dd, cbar, out=cbar)
+            cbar[self._rec_core] += steps[n]
+            np.multiply(cx, cbar, out=w0)
+            if u_tt is not None:
+                np.multiply(w0, u_core[n], out=t)
+                acc_core += t
+            if stack is not None:
+                stack[n, self._core] = w0
+            # new_b = abar + cb cbar + transposed neighbour sums of w;
+            # new_a = -dd cbar.
+            np.multiply(cb, cbar, out=t)
+            abar += t
+            np.add(wzm, wzp, out=t)
+            if self._ratio != 1.0:
+                t *= self._ratio
+            t += wxm
+            t += wxp
+            abar += t
+            np.multiply(self._neg_dd, cbar, out=cbar)
             abar, bbar = cbar, abar
         self.propagation_counter += self.n_sources
-        return xi
+        if stack is not None:
+            stack *= self.dx**2
+        return acc * self.dx**2 if u_tt is not None else None
+
+    def _adjoint_fields(self, stencil, data) -> np.ndarray:
+        """Re-march a reverse solve, storing its (n_sources, n_t, npx, npz)
+        adjoint fields."""
+        stack = np.zeros((self.n_t, self._size))
+        self._reverse_loop(stencil, data, stack=stack)
+        return _interior(stack, self._batch)
 
     # --- forward map -----------------------------------------------------------
-    def _dt2m(self, theta) -> np.ndarray:
-        return self.dt**2 / self._pad_model(theta)
+    def _record(self, stencil, u_tt=None) -> np.ndarray:
+        """Flattened traces of every source's point-source solve."""
+        src = self._src_core
+        terms = np.outer(self.wavelet, stencil.cs[src])  # row n: cs * wavelet[n]
 
-    def _record(self, theta, u_tt=None) -> np.ndarray:
-        """Flattened traces of every source's point-source solve at theta."""
-        dt2m = self._dt2m(theta)
+        def inject(n, c, t):
+            c[src] += terms[n]
 
-        def inject(n, f):
-            f.reshape(-1)[self._src_flat] += self.wavelet[n]
-
-        traces = self._forward_loop(dt2m, inject, u_tt)
+        traces = self._forward_loop(stencil, inject, u_tt)
         if not np.all(np.isfinite(traces)):
             raise RuntimeError(
                 "wave solve blew up (non-finite traces); check the CFL margin"
@@ -281,11 +342,14 @@ class WaveFwiModel(ForwardModel):
         theta = self._check_theta(theta)
         if self._cache_theta is not None and np.array_equal(theta, self._cache_theta):
             return self._cache_traces.copy()
-        u_tt = np.empty(self.field_shape)
-        traces = self._record(theta, u_tt)
+        # Drop the old cache first: one live stack, and a march that fails
+        # leaves no cache behind.
+        self._cache_theta = self._cache_stencil = self._cache_u_tt = self._cache_traces = None
+        stencil = self._stencil(theta)
+        u_tt = np.zeros((self.n_t, self._size))
+        traces = self._record(stencil, u_tt)
         self._cache_theta = theta.copy()
-        self._cache_u_tt = u_tt
-        self._cache_traces = traces
+        self._cache_stencil, self._cache_u_tt, self._cache_traces = stencil, u_tt, traces
         return traces.copy()
 
     def generate_reference(self, theta_true) -> np.ndarray:
@@ -294,7 +358,7 @@ class WaveFwiModel(ForwardModel):
         The march stores no wavefields and leaves the forward cache alone.
         """
         counter = self.propagation_counter
-        self.reference = self._record(self._check_theta(theta_true))
+        self.reference = self._record(self._stencil(self._check_theta(theta_true)))
         self.propagation_counter = counter
         return self.reference
 
@@ -304,11 +368,11 @@ class WaveFwiModel(ForwardModel):
         return least_squares_misfit(rho, self.reference)
 
     # --- constraint actions ------------------------------------------------------
-    def _require_cache(self) -> np.ndarray:
-        """The cached u_tt stack; raises if no forward solve is cached."""
+    def _require_cache(self) -> tuple[_Stencil, np.ndarray]:
+        """The cached stencil and u_tt stack; raises if no forward is cached."""
         if self._cache_theta is None:
             raise RuntimeError("forward wavefields not cached; run solve_forward first")
-        return self._cache_u_tt
+        return self._cache_stencil, self._cache_u_tt
 
     def apply_drho_h_inverse(self, rhs_fields) -> np.ndarray:
         """Linearized forward: (n_sources, n_t, npx, npz) sources to traces.
@@ -316,65 +380,106 @@ class WaveFwiModel(ForwardModel):
         A BornSource is expanded one time step at a time; any other
         array-like of that shape is read as it is.
         """
-        self._require_cache()
-        dt2m = self._dt2m(self._cache_theta)
+        stencil, _ = self._require_cache()
         if isinstance(rhs_fields, BornSource):
-            eta_pad, u_tt = self._fields(rhs_fields.eta_pad), rhs_fields.u_tt
-            born = self._fields()
+            ceta = stencil.cs * rhs_fields.eta[self._core]
+            u_core = rhs_fields.u_tt[:, self._core]
 
-            def inject(n, f):
-                np.multiply(eta_pad, u_tt[:, n], out=born)
-                f += born
+            def inject(n, c, t):
+                np.multiply(ceta, u_core[n], out=t)
+                c += t
         else:
             rhs = np.asarray(rhs_fields, dtype=float)
             if rhs.shape != self.field_shape:
                 raise ValueError(f"source fields must have shape {self.field_shape}")
+            f = np.zeros(self._batch)
+            f_in, f_core = f[:, 1:-1, 1:-1], f.reshape(-1)[self._core]
 
-            def inject(n, f):
-                f += rhs[:, n]
+            def inject(n, c, t):
+                f_in[...] = rhs[:, n]
+                np.multiply(stencil.cs, f_core, out=t)
+                c += t
 
-        return self._forward_loop(dt2m, inject)
+        return self._forward_loop(stencil, inject)
 
-    def apply_drho_h_transpose_inverse(self, data_rhs) -> np.ndarray:
+    def apply_drho_h_transpose_inverse(self, data_rhs) -> AdjointFields:
         """Reverse-time solve: trace-space input to adjoint fields, shaped
-        (n_sources, n_t, npx, npz)."""
-        self._require_cache()
-        data = np.asarray(data_rhs, dtype=float)
+        (n_sources, n_t, npx, npz) and held as their correlation with u_tt."""
+        stencil, u_tt = self._require_cache()
+        data = np.array(data_rhs, dtype=float)
         if data.shape != (self.state_dim,):
             raise ValueError(f"data vector must have length {self.state_dim}")
-        return self._reverse_loop(self._dt2m(self._cache_theta), data)
+        correlation = self._reverse_loop(stencil, data, u_tt=u_tt)
+        return AdjointFields(self, stencil, data, correlation)
 
     def apply_dtheta_h(self, eta) -> BornSource:
         """Model perturbation to the Born source fields eta * u_tt."""
-        u_tt = self._require_cache()
-        eta_pad = np.asarray(eta, dtype=float)[self._pad_flat].reshape(
-            self.npx, self.npz
-        )
-        return BornSource(eta_pad, u_tt)
+        _, u_tt = self._require_cache()
+        eta_pad = self._pad_model(np.asarray(eta, dtype=float))
+        return BornSource(self._padded(eta_pad), u_tt, self._batch)
 
     def apply_dtheta_h_transpose(self, lam_fields) -> np.ndarray:
-        """Zero-lag correlation of adjoint fields with u_tt, summed over sources."""
-        u_tt = self._require_cache()
-        acc = np.zeros((self.npx, self.npz))
-        for lam, w in zip(lam_fields, u_tt):
-            acc += np.einsum("tij,tij->ij", lam, w)
+        """Zero-lag correlation of adjoint fields with u_tt, summed over sources.
+
+        AdjointFields carry it from their reverse solve; any other array-like
+        of the field shape is correlated here.
+        """
+        stencil, u_tt = self._require_cache()
+        if isinstance(lam_fields, AdjointFields):
+            if lam_fields.stencil is not stencil:
+                raise RuntimeError("adjoint fields belong to another forward solve")
+            acc = lam_fields.correlation.reshape(self._batch)[:, 1:-1, 1:-1].sum(axis=0)
+        else:
+            lam = np.asarray(lam_fields, dtype=float)
+            if lam.shape != self.field_shape:
+                raise ValueError(f"adjoint fields must have shape {self.field_shape}")
+            acc = np.einsum("stij,stij->ij", lam, _interior(u_tt, self._batch))
         return self._pad_transpose(acc)
 
 
 class BornSource:
     """The Born source fields eta * u_tt of every source, never materialized.
 
-    The linearized solve forms each time step's slice as it marches.
-    Negation flips the stored perturbation, which is exact, and
-    ``np.asarray`` builds the full (n_sources, n_t, npx, npz) stack.
+    eta is flat in the kernel layout and u_tt the cached stack. The
+    linearized solve forms each time step's slice as it marches. Negation
+    flips the stored perturbation, which is exact, and ``np.asarray`` builds
+    the full (n_sources, n_t, npx, npz) stack.
     """
 
-    def __init__(self, eta_pad, u_tt):
-        self.eta_pad = eta_pad
+    def __init__(self, eta, u_tt, batch):
+        self.eta = eta
         self.u_tt = u_tt
+        self.batch = batch
 
     def __neg__(self) -> BornSource:
-        return BornSource(-self.eta_pad, self.u_tt)
+        return BornSource(-self.eta, self.u_tt, self.batch)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(self.eta_pad * self.u_tt, dtype=dtype)
+        return np.asarray(_interior(self.eta * self.u_tt, self.batch), dtype=dtype)
+
+
+class AdjointFields:
+    """Adjoint fields of one reverse solve, kept as their zero-lag correlation
+    with u_tt (every source, flat in the kernel layout), which the solve
+    accumulated.
+
+    ``apply_dtheta_h_transpose`` reads the correlation. ``shape`` is the field
+    shape; ``np.asarray`` (and iteration, over sources) re-marches the reverse
+    solve storing every step, charged as one propagation per source.
+    """
+
+    def __init__(self, model, stencil, data, correlation):
+        self.model = model
+        self.stencil = stencil
+        self.data = data
+        self.correlation = correlation
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        return self.model.field_shape
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.model._adjoint_fields(self.stencil, self.data), dtype=dtype)
+
+    def __iter__(self):
+        return iter(np.asarray(self))

@@ -80,6 +80,9 @@ class IterationRecord:
     step: float
     propagations: int
     direction_norm: float
+    # Outcome of the direction's CG solve; None on the routes without one.
+    cg_iterations: int | None = None
+    cg_converged: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -247,6 +250,8 @@ class OptimizeResult:
     theta: np.ndarray
     records: list[IterationRecord]
     stagnated: bool = False
+    # Direction CG solves that stopped unconverged, accepted step or not.
+    cg_unconverged: int = 0
 
     @property
     def final_loss(self) -> float:
@@ -299,6 +304,7 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
 
     records: list[IterationRecord] = []
     stagnated = False
+    cg_unconverged = 0
 
     rho = model.solve_forward(theta)
     loss, grad_rho = model.loss_and_grad_rho(rho)
@@ -314,6 +320,7 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
             and model.propagation_counter >= cfg.max_propagations
         ):
             break
+        cg = None
         if it > 1:
             metric = _refresh(model, metric, rho)
             damping_metric = _refresh(model, damping_metric, rho)
@@ -356,9 +363,11 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
                 rhs_grad = projected_gradient_adjoint(
                     model, metric, grad_rho, grad_theta
                 )
-                eta, _ = direction_implicit(
+                eta, cg = direction_implicit(
                     model, metric, rhs_grad, cfg, damping_metric
                 )
+                if not cg.converged:
+                    cg_unconverged += 1
 
         grad_norm = float(np.linalg.norm(grad_theta))
 
@@ -396,12 +405,16 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
             IterationRecord(
                 it, loss, grad_norm, tau,
                 model.propagation_counter, float(np.linalg.norm(eta)),
+                None if cg is None else cg.iterations,
+                None if cg is None else cg.converged,
             )
         )
         if callback is not None:
             callback(it, theta)
 
-    return OptimizeResult(theta=theta, records=records, stagnated=stagnated)
+    return OptimizeResult(
+        theta=theta, records=records, stagnated=stagnated, cg_unconverged=cg_unconverged
+    )
 
 
 def _metric_at(model, kind, rho):

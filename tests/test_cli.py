@@ -108,6 +108,20 @@ class TestRun:
         assert (tmp_path / "gm_out" / "theta_iter0000.f64").exists()
         assert (tmp_path / "gm_out" / "theta_iter0005.f64").exists()
 
+    def test_unconverged_cg_warns_once(self, toy_config, tmp_path, capsys):
+        assert cli.main(["run", "-c", toy_config]) == 2
+        assert capsys.readouterr().err == ""
+        with open(toy_config) as fh:
+            payload = json.load(fh)
+        payload["solver"].update(path="implicit", cg_max_iter=1, cg_tol=1e-12)
+        cfg = write_config(tmp_path / "cg1.json", payload)
+        code = cli.main(["run", "-c", cfg])
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 2)
+        assert len(err) == 1 and err[0].startswith("warning: l2: ")
+        with open(tmp_path / "out" / "trace.csv") as fh:
+            assert tuple(next(csv.reader(fh))) == cli.TRACE_COLUMNS
+
     def test_malformed_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

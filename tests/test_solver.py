@@ -1,6 +1,7 @@
 """Direction solvers, line search, descent loop, and randomized helpers."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -329,6 +330,20 @@ class TestOptimize:
             diff = thetas["implicit"] - thetas["explicit"]
             rel = np.linalg.norm(diff) / np.linalg.norm(thetas["explicit"] - theta0)
             assert rel < 1e-8, f"{damping}: {rel:.1e}"
+
+    def test_cg_outcome_recorded(self, toy_model):
+        model, _ = toy_model
+        theta0 = np.full(model.param_dim, 0.7)
+        cfg = NgdConfig(metric="l2", step0=0.5, fixed_step=True, max_iters=3,
+                        cg_tol=1e-12, cg_max_iter=1, path="implicit")
+        res = optimize(model, theta0, cfg)
+        assert [(r.cg_iterations, r.cg_converged) for r in res.records[1:]] == [(1, False)] * 3
+        assert res.cg_unconverged == 3
+        # Routes without a CG solve leave the fields unset.
+        for route in (dict(path="explicit"), dict(metric="gd", path="implicit")):
+            res = optimize(model, theta0, replace(cfg, **route))
+            assert {(r.cg_iterations, r.cg_converged) for r in res.records} == {(None, None)}
+            assert res.cg_unconverged == 0
 
     def test_minibatch_rejects_grid_metrics(self, toy_model):
         model, _ = toy_model

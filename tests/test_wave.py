@@ -197,10 +197,10 @@ class TestBatchedSources:
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_gl_action_working_memory_is_one_stack(self, rng):
+        # The one stack is the cached u_tt; gl_action itself allocates none.
         model = _sources_model(self.SOURCES)
         model.solve_forward(np.full(64, 1.1))
         eta = rng.standard_normal(64)
-        stack = 8 * int(np.prod(model.field_shape))
         batch = 8 * model.n_sources * model.npx * model.npz
 
         def peak_bytes(action):
@@ -211,11 +211,95 @@ class TestBatchedSources:
             finally:
                 tracemalloc.stop()
 
-        # The Born source is formed per step: the linearized solve needs only
-        # per-step buffers, and gl_action adds just the adjoint stack.
+        # The Born source is formed per step in the linearized solve and the
+        # correlation is accumulated per step in the reverse solve, so both
+        # need only per-step buffers.
         born = -model.apply_dtheta_h(eta)
         assert peak_bytes(lambda: model.apply_drho_h_inverse(born)) <= 32 * batch
-        assert peak_bytes(lambda: gl_action(model, None, eta)) <= stack + 32 * batch
+        assert peak_bytes(lambda: gl_action(model, None, eta)) <= 32 * batch
+
+    def test_one_live_forward_stack(self):
+        model = _sources_model(self.SOURCES)
+        batch = 8 * model.n_sources * model.npx * model.npz
+        tracemalloc.start()
+        try:
+            model.solve_forward(np.full(64, 1.1))
+            held = tracemalloc.get_traced_memory()[0]  # one cached stack
+            tracemalloc.reset_peak()
+            model.solve_forward(np.full(64, 1.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The old stack is dropped before the new march allocates its own.
+        assert held > 32 * batch
+        assert peak <= held + 32 * batch
+
+
+def _reference_traces(model, theta):
+    """Plain per-source leapfrog: u+ = d (2u - d u- + dt^2/m (lap u + f)),
+    zero outside the padded grid, traces of u+ at the receivers."""
+    m = np.pad(theta.reshape(model.nx, model.nz), model.pad, mode="edge")
+    d, dt2m = model.damp, model.dt**2 / m
+    w = model.pad
+    panels = []
+    for sx, sz in model.sources:
+        u_prev, u = np.zeros_like(m), np.zeros_like(m)
+        panel = np.empty((model.n_receivers, model.n_t))
+        for n in range(model.n_t):
+            p = np.pad(u, 1)
+            lap = (p[:-2, 1:-1] + p[2:, 1:-1] - 2 * u) / model.dx**2 + (
+                p[1:-1, :-2] + p[1:-1, 2:] - 2 * u
+            ) / model.dz**2
+            f = np.zeros_like(m)
+            f[sx + w, sz + w] = model.wavelet[n]
+            u_prev, u = u, d * (2 * u - d * u_prev + dt2m * (lap + f))
+            for r, (rx, rz) in enumerate(model.receivers):
+                panel[r, n] = u[rx + w, rz + w]
+        panels.append(panel.ravel())
+    return np.concatenate(panels)
+
+
+def _anisotropic_model():
+    """Three sources, dx != dz, receivers on the cells next to the sponge."""
+    n_t, dt = 150, 0.3
+    model = WaveFwiModel(
+        cells=(9, 7), spacing=(1.0, 0.8), n_t=n_t, dt=dt,
+        sources=[(1, 0), (4, 3), (8, 6)],
+        receivers=[(0, 0), (8, 6), (3, 6), (0, 6), (8, 0), (5, 2)],
+        wavelet=ricker_wavelet(n_t, dt, 0.12), sponge_width=3,
+    )
+    m_true = np.full((9, 7), 1.0)
+    m_true[:, 4:] = 1.3
+    model.generate_reference(m_true.ravel())
+    return model
+
+
+class TestKernel:
+    """The folded, ghost-padded stencil against a plain transcription."""
+
+    def test_traces_match_plain_leapfrog(self, rng):
+        model = _anisotropic_model()
+        theta = 1.0 + 0.3 * rng.random(model.param_dim)
+        got = model.solve_forward(theta)
+        want = _reference_traces(model, theta)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_lazy_adjoint_fields_match_materialized(self, rng):
+        model = _anisotropic_model()
+        model.solve_forward(np.full(model.param_dim, 1.1))
+        lam = model.apply_drho_h_transpose_inverse(rng.standard_normal(model.state_dim))
+        assert lam.shape == model.field_shape
+        count = model.propagation_counter
+        fields = np.asarray(lam)
+        assert model.propagation_counter == count + model.n_sources
+        assert fields.shape == model.field_shape
+        lazy = model.apply_dtheta_h_transpose(lam)
+        dense = model.apply_dtheta_h_transpose(fields)
+        assert np.linalg.norm(lazy - dense) <= 1e-12 * np.linalg.norm(dense)
+        # Adjoint fields of a replaced forward solve are refused.
+        model.solve_forward(np.full(model.param_dim, 1.2))
+        with pytest.raises(RuntimeError):
+            model.apply_dtheta_h_transpose(lam)
 
 
 class TestLayout:
