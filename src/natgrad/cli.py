@@ -103,15 +103,14 @@ def cmd_compare(args) -> int:
     if not metrics:
         print("error: no metrics given", file=sys.stderr)
         return 1
-    steps = None
-    if args.steps:
-        steps = [float(s) for s in args.steps.split(",")]
-        if len(steps) != len(metrics):
-            print("error: --steps must match the metric list", file=sys.stderr)
-            return 1
-
-    solvers = [replace(exp.solver, metric=name) for name in metrics]
+    # Every metric name and step is checked before the first run writes anything.
     try:
+        solvers = [replace(exp.solver, metric=name) for name in metrics]
+        if args.steps:
+            steps = [float(s) for s in args.steps.split(",")]
+            if len(steps) != len(metrics):
+                raise ValueError("--steps must match the metric list")
+            solvers = [replace(sv, step0=step) for sv, step in zip(solvers, steps)]
         for solver in solvers:
             solver.metric_kind()
     except ValueError as exc:
@@ -119,9 +118,7 @@ def cmd_compare(args) -> int:
         return 1
 
     rows = []
-    for i, (name, solver) in enumerate(zip(metrics, solvers)):
-        if steps is not None:
-            solver = replace(solver, step0=steps[i])
+    for name, solver in zip(metrics, solvers):
         sub = Experiment(
             model=exp.model, theta0=exp.theta0, solver=solver,
             output_dir=exp.output_dir / name.replace(":", "_"),

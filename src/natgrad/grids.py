@@ -7,7 +7,8 @@ Two stencil families live here:
   metrics; the Laplacian is defined as -G^T G so adjoint identities hold to
   machine precision rather than to discretization order;
 * the central-difference divergence with zero-Dirichlet velocity boundaries,
-  weighted by a power of the density, used by the optimal-transport metric.
+  weighted by a power of the density, used by the optimal-transport metric;
+  its Gram matrix is factored per index-parity block by banded Cholesky.
 
 Grid values are flattened in C order with the x axis slowest (index =
 ix * n_y + iy), matching the Kronecker products used to build operators.
@@ -22,12 +23,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-from .linalg import solve_least_squares_min_norm
-
-# Above this many entries in B^T the rank-deficient (every interior count odd)
-# weighted divergence switches from the dense minimum-norm solve to lsmr.
-DENSE_BT_LIMIT = 20_000
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 
 @dataclass(frozen=True)
@@ -185,68 +181,114 @@ class WeightedDivergence:
     """Density-weighted central-difference divergence B = -[A_x D, A_y D].
 
     D = diag(rho^mobility_exponent); exponent 0.5 gives the optimal-transport
-    operator, 0 the plain divergence. With rho > 0 the cokernel of B is the
-    tensor product of the per-axis kernels of the central-difference matrix,
-    which is one-dimensional for an odd count and trivial for an even one. So
-    B is full row rank exactly when some interior count is even; when every
-    count is odd the rank drops by one and the minimum-norm backend is used.
+    operator, 0 the plain divergence. B B^T couples a point only to the points
+    two apart along one axis, so ordered by index parity (ix mod 2, iy mod 2)
+    it splits exactly into at most four weighted 5-point Laplacians on
+    half-size grids, each factored by banded Cholesky. With rho > 0 the
+    cokernel of B is the product of the per-axis kernels (1, 0, 1, 0, ...) of
+    the central difference: trivial if some interior count is even, else the
+    all-ones field on the even-even sub-lattice, whose block alone is then
+    singular and is solved with that field projected out (minimum norm).
 
-    ``backend`` is "sparse" (LU of B B^T) for full rank, otherwise "dense"
-    (pinv(B), formed once by the pivoted-QR minimum-norm solve) up to
-    DENSE_BT_LIMIT entries of B^T and "lsmr" above. Every action accepts a
-    vector or a block of columns.
+    ``backend`` is always "sparse" (a sparse banded factor). Every action
+    accepts a vector or a block of columns.
     """
 
     grid: Grid
     mobility_exponent: float
-    b: sp.csr_matrix
-    backend: str
-    _gram_lu: spla.SuperLU | None = field(default=None, repr=False)
-    _pinv: np.ndarray | None = field(default=None, repr=False)
+    weights: np.ndarray = field(repr=False)
+    # (flat indices, banded factor, singular?) per parity block, even-even first.
+    _blocks: tuple = field(repr=False)
+
+    backend = "sparse"
 
     @property
     def rank_deficient(self) -> bool:
-        return self.backend != "sparse"
+        return all(n % 2 for n in self.grid.interior_counts)
+
+    @property
+    def b(self) -> sp.csr_matrix:
+        """B assembled as a sparse matrix; the actions never form it."""
+        d = sp.diags(self.weights)
+        return sp.hstack([-(a @ d) for a in axis_central_operators(self.grid)], format="csr")
 
     def apply_pinv(self, zeta) -> np.ndarray:
         """Minimum-norm solution of B y = zeta (the action of pinv(B))."""
-        zeta = np.asarray(zeta, dtype=float)
-        if self.backend == "sparse":
-            return self.b.T @ self._gram_lu.solve(zeta)
-        if self.backend == "dense":
-            return self._pinv @ zeta
-        return self._lsmr(self.b, zeta)
+        return self.apply_bt(self._solve_gram(zeta))
 
     def apply_bt(self, g) -> np.ndarray:
-        """Apply B^T, the matching (negative) weighted gradient."""
-        return self.b.T @ np.asarray(g, dtype=float)
+        """Apply B^T, the matching (negative) weighted gradient, by stencil."""
+        g = np.asarray(g, dtype=float)
+        u = g.reshape(self.grid.interior_counts + g.shape[1:])
+        w = self.weights.reshape(self.grid.interior_counts + (1,) * (g.ndim - 1))
+        parts = []
+        for axis, h in enumerate(self.grid.spacings):
+            # -(A^T g) = (C g) / (2h) with (C g)[i] = g[i+1] - g[i-1].
+            a, diff = np.moveaxis(u, axis, 0), np.zeros_like(u)
+            d = np.moveaxis(diff, axis, 0)
+            d[:-1] = a[1:]
+            d[1:] -= a[:-1]
+            parts.append((diff * (w / (2.0 * h))).reshape(g.shape))
+        return np.concatenate(parts)
 
     def apply_gram_pinv(self, v) -> np.ndarray:
         """Apply pinv(B B^T), equal to pinv(B)^T pinv(B)."""
+        return self._solve_gram(v)
+
+    def project_range(self, g) -> np.ndarray:
+        """Orthogonal projection onto range(B), i.e. B pinv(B) g."""
+        out = np.array(g, dtype=float)
+        if self.rank_deficient:  # the even-even block holds the cokernel
+            out[self._blocks[0][0]] -= out[self._blocks[0][0]].mean(axis=0)
+        return out
+
+    def _solve_gram(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if self.backend == "sparse":
-            return self._gram_lu.solve(v)
-        if self.backend == "dense":
-            return self._pinv.T @ (self._pinv @ v)
-        return self._lsmr(self.b.T, self.apply_pinv(v))
+        out = np.empty_like(v)
+        for idx, factor, singular in self._blocks:
+            r = v[idx] - v[idx].mean(axis=0) if singular else v[idx]
+            x = cho_solve_banded((factor, False), r, check_finite=False)
+            out[idx] = x - x.mean(axis=0) if singular else x
+        return out
 
-    @staticmethod
-    def _lsmr(a: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-        """Minimum-norm least-squares solution of a x = rhs by lsmr."""
 
-        def solve(r):
-            return spla.lsmr(a, r, atol=1e-13, btol=1e-13, maxiter=20000)[0]
-
-        # lsmr takes one right-hand side at a time.
-        if rhs.ndim == 1:
-            return solve(rhs)
-        return np.column_stack([solve(r) for r in rhs.T])
+def _parity_blocks(grid: Grid, q: np.ndarray) -> tuple:
+    """Banded Cholesky factors of B B^T's parity blocks, built from q = D^2."""
+    lead = (2 - grid.dim) * (1,)  # a 1D grid as (1, n): one x point adds nothing
+    counts, spacings = lead + grid.interior_counts, lead + grid.spacings
+    cx, cy = (1.0 / (4.0 * h * h) for h in spacings)
+    q = q.reshape(counts)
+    qp = np.pad(q, 1)
+    diag = cx * (qp[:-2, 1:-1] + qp[2:, 1:-1]) + cy * (qp[1:-1, :-2] + qp[1:-1, 2:])
+    # Coupling of i and i+2 along each axis: -q[i+1] / (4 h^2).
+    slow, fast = cx * q[1:-1, :], cy * q[:, 1:-1]
+    order = np.arange(q.size).reshape(counts)
+    if counts[0] < counts[1]:  # put the short axis fastest
+        order, diag, slow, fast = order.T, diag.T, fast.T, slow.T
+    blocks = []
+    for ps, pf in np.ndindex(*(min(2, n) for n in diag.shape)):
+        d = diag[ps::2, pf::2]
+        ms, mf = d.shape
+        # Upper band storage (Fortran order): row mf holds the diagonal, row
+        # mf-1 the fast neighbour (j-1, j), row 0 the slow one (j-mf, j).
+        ab = np.zeros((mf + 1, ms * mf), order="F")
+        ab[mf] = d.ravel()
+        ab[0, mf:] -= slow[ps::2, pf::2].ravel()
+        ab[mf - 1] -= np.pad(fast[ps::2, pf::2], ((0, 0), (1, 0))).ravel()
+        singular = ps == pf == 0 and all(n % 2 for n in counts)
+        if singular:
+            # Ground node 0 of this graph Laplacian (kernel: ones); on a
+            # consistent right-hand side the solve then leaves node 0 at zero.
+            ab[mf, 0] += ab[mf].max() or 1.0
+        factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+        blocks.append((order[ps::2, pf::2].ravel(), factor, singular))
+    return tuple(blocks)
 
 
 def build_weighted_divergence(
     grid: Grid, rho, mobility_exponent: float = 0.5
 ) -> WeightedDivergence:
-    """Assemble B for the current density and prepare its pseudoinverse backend."""
+    """Factor B B^T for the current density, one banded Cholesky per parity block."""
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (grid.size,):
         raise ValueError(f"rho shape {rho.shape} does not match grid size {grid.size}")
@@ -255,20 +297,11 @@ def build_weighted_divergence(
     if not 0.0 <= mobility_exponent <= 1.0:
         raise ValueError("mobility exponent must lie in [0, 1]")
     weights = rho**mobility_exponent if mobility_exponent != 0.0 else np.ones_like(rho)
-    d = sp.diags(weights)
-    blocks = [-(a @ d) for a in axis_central_operators(grid)]
-    b = sp.hstack(blocks, format="csr") if len(blocks) > 1 else blocks[0].tocsr()
-
-    if any(n % 2 == 0 for n in grid.interior_counts):
-        lu = spla.splu((b @ b.T).tocsc())
-        return WeightedDivergence(grid, mobility_exponent, b, "sparse", lu)
-    backend = "dense" if b.shape[0] * b.shape[1] <= DENSE_BT_LIMIT else "lsmr"
-    warnings.warn(
-        "every interior count is odd: the weighted divergence loses full row "
-        f"rank and the {backend} minimum-norm backend will be used"
-    )
-    if backend == "lsmr":
-        return WeightedDivergence(grid, mobility_exponent, b, backend)
-    # Factor once per density: pinv(B) column by column.
-    pinv = solve_least_squares_min_norm(b.toarray(), np.eye(b.shape[0]))
-    return WeightedDivergence(grid, mobility_exponent, b, backend, _pinv=pinv)
+    blocks = _parity_blocks(grid, weights * weights)
+    wdiv = WeightedDivergence(grid, mobility_exponent, weights, blocks)
+    if wdiv.rank_deficient:
+        warnings.warn(
+            "every interior count is odd: the weighted divergence loses full row "
+            "rank and its pseudoinverse projects out the even sub-lattice constant"
+        )
+    return wdiv

@@ -168,7 +168,7 @@ def _sobolev_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
 
 def _transport_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
     wdiv = build_weighted_divergence(grid, rho, kind.mobility_exponent)
-    project = (lambda g: wdiv.b @ wdiv.apply_pinv(g)) if wdiv.rank_deficient else None
+    project = wdiv.project_range if wdiv.rank_deficient else None
     return _Actions(
         wdiv.apply_pinv, wdiv.apply_bt, wdiv.apply_gram_pinv,
         grid.dim * grid.size, project, wdiv,

@@ -51,8 +51,8 @@ class NgdConfig:
     path: str = "auto"  # auto | explicit | implicit
 
     def __post_init__(self):
-        if self.step0 <= 0.0:
-            raise ValueError("step0 must be positive")
+        if not 0.0 < self.step0 < float("inf"):  # also rejects NaN
+            raise ValueError("step0 must be positive and finite")
         if not 0.0 < self.ls_shrink < 1.0:
             raise ValueError("ls_shrink must lie in (0, 1)")
         if self.damping_lambda < 0.0:

@@ -221,6 +221,14 @@ class TestCompare:
         assert "error:" in capsys.readouterr().err
         assert not (out / "l2").exists()
 
+    @pytest.mark.parametrize("steps", ["0.5,0", "0.5,abc", "0.5,-1", "0.5,nan", "inf,0.5"])
+    def test_bad_step_rejected_before_any_run(self, toy_config, tmp_path, capsys, steps):
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "-c", toy_config, "-m", "l2,gd",
+                         "--steps", steps, "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mismatched_steps_rejected(self, toy_config):
         assert cli.main(["compare", "-c", toy_config, "-m", "gd,l2",
                          "--steps", "0.1"]) == 1

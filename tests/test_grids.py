@@ -157,8 +157,8 @@ class TestWeightedDivergence:
 
     def test_full_rank_when_any_interior_count_is_even(self, rng):
         # The cokernel of B is ker(C_x) (x) ker(C_y), which is trivial as soon
-        # as one axis has an even count: mixed-parity grids are full rank, get
-        # the sparse Gram factorization at every size and never warn.
+        # as one axis has an even count: mixed-parity grids are full rank and
+        # never warn.
         for counts in [(3, 4), (9, 10), (1, 4), (11, 12)]:
             grid = Grid.regular([[0, 1], [0, 1]], counts)
             rho = rng.uniform(0.5, 2.0, grid.size)
@@ -179,13 +179,13 @@ class TestWeightedDivergence:
             )
 
     def test_pinv_on_rank_deficient_matches_svd(self, rng):
-        # Every count odd: dense minimum norm up to DENSE_BT_LIMIT, lsmr above.
-        for counts, backend in (((3, 3), "dense"), ((11, 11), "lsmr")):
+        # Every count odd: the even-even parity block is singular and its null
+        # vector is projected out.
+        for counts in ((3, 3), (11, 11)):
             grid = Grid.regular([[0, 1], [0, 1]], counts)
             rho = rng.uniform(0.5, 2.0, grid.size)
             with pytest.warns(UserWarning):
                 wdiv = build_weighted_divergence(grid, rho)
-            assert wdiv.backend == backend
             zeta = rng.standard_normal(grid.size)
             b_dense = wdiv.b.toarray()
             y_svd = np.linalg.pinv(b_dense) @ zeta
@@ -196,14 +196,12 @@ class TestWeightedDivergence:
                 atol=1e-9 * np.abs(gram_svd).max(),
             )
 
-    def test_dense_backend_factors_once_and_matches_per_call_solve(self, rng):
-        # The dense backend forms pinv(B) at build time; its actions must agree
-        # with a fresh minimum-norm solve per call (the former implementation),
-        # for a vector and for a block of columns.
+    def test_rank_deficient_actions_match_per_call_min_norm_solve(self, rng):
+        # The grounded parity-block factor must agree with a fresh pivoted-QR
+        # minimum-norm solve per call, for a vector and for a block of columns.
         grid = Grid.regular([[0, 1], [0, 1]], [9, 9])
         with pytest.warns(UserWarning):
             wdiv = build_weighted_divergence(grid, rng.uniform(0.5, 2.0, grid.size))
-        assert wdiv.backend == "dense"
         b_dense = wdiv.b.toarray()
         for rhs in (rng.standard_normal(grid.size), rng.standard_normal((grid.size, 3))):
             y = solve_least_squares_min_norm(b_dense, rhs)
@@ -222,7 +220,7 @@ class TestWeightedDivergence:
         )
 
     def test_sparse_backend_agrees_with_dense(self, rng):
-        # 12x12 interior: above the dense threshold, full rank by parity.
+        # 12x12 interior: full rank by parity.
         grid = Grid.regular([[0, 1], [0, 1]], [12, 12])
         rho = rng.uniform(0.5, 2.0, grid.size)
         wdiv = build_weighted_divergence(grid, rho)
@@ -240,6 +238,68 @@ class TestWeightedDivergence:
         lhs = (wdiv.b @ w) @ g
         rhs = w @ wdiv.apply_bt(g)
         assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1.0)
+
+    # Even, mixed, all-odd (up to 31x31), (1, n) and 1D grids, dx != dy.
+    @pytest.mark.parametrize("counts", [
+        (6, 8), (6, 5), (4, 9), (3, 3), (9, 9), (11, 11), (31, 31),
+        (1, 3), (1, 4), (9,), (8,), (1,),
+    ], ids=lambda c: "x".join(map(str, c)))
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
+    def test_parity_block_factor_matches_svd_pinv(self, rng, counts, kappa):
+        grid = Grid.regular([[0.0, 1.0], [0.0, 2.3]][: len(counts)], counts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            wdiv = build_weighted_divergence(grid, rng.uniform(0.5, 2.0, grid.size), kappa)
+        pinv = np.linalg.pinv(wdiv.b.toarray())
+        for rhs in (rng.standard_normal(grid.size), rng.standard_normal((grid.size, 3))):
+            y = pinv @ rhs
+            gram = pinv.T @ y
+            for got, want in ((wdiv.apply_pinv(rhs), y), (wdiv.apply_gram_pinv(rhs), gram)):
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1e-300)
+
+    @staticmethod
+    def _even_sublattice(counts):
+        n = np.zeros(counts)
+        n[(slice(None, None, 2),) * len(counts)] = 1.0
+        return n.ravel()
+
+    def test_even_sublattice_indicator_spans_cokernel(self, rng):
+        for counts in ((3, 3), (9, 11), (1, 5), (7,)):
+            grid = Grid.regular([[0.0, 1.0], [0.0, 1.0]][: len(counts)], counts)
+            n = self._even_sublattice(counts)
+            for _ in range(3):
+                with pytest.warns(UserWarning):
+                    wdiv = build_weighted_divergence(grid, rng.uniform(0.1, 5.0, grid.size))
+                bt_n = wdiv.b.T @ n
+                assert np.linalg.norm(bt_n) <= 1e-14 * np.linalg.norm(wdiv.b.toarray())
+                assert np.linalg.norm(wdiv.apply_bt(n)) == 0.0
+
+    def test_range_projection_matches_b_pinv(self, rng):
+        for counts in ((3, 3), (11, 9), (6, 5), (9,)):
+            grid = Grid.regular([[0.0, 1.0], [0.0, 1.0]][: len(counts)], counts)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                wdiv = build_weighted_divergence(grid, rng.uniform(0.5, 2.0, grid.size))
+            for g in (rng.standard_normal(grid.size), rng.standard_normal((grid.size, 3))):
+                want = wdiv.b @ wdiv.apply_pinv(g)
+                got = wdiv.project_range(g)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(g)
+                if wdiv.rank_deficient:
+                    n = self._even_sublattice(counts)
+                    assert np.linalg.norm(n @ got) <= 1e-13 * np.linalg.norm(g)
+
+    def test_bt_stencil_equals_sparse_transpose(self, rng):
+        for counts in ((6, 5), (1, 4), (9,), (1,)):
+            grid = Grid.regular([[0.0, 1.0], [0.0, 2.3]][: len(counts)], counts)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                wdiv = build_weighted_divergence(grid, rng.uniform(0.5, 2.0, grid.size))
+            for g in (rng.standard_normal(grid.size), rng.standard_normal((grid.size, 3))):
+                want = wdiv.b.T @ g
+                got = wdiv.apply_bt(g)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-14 * max(np.linalg.norm(want), 1e-300)
 
     def test_nonpositive_density_rejected(self, grid_2d):
         rho = np.ones(grid_2d.size)
