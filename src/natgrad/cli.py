@@ -10,7 +10,8 @@ shared model and seed and writes a summary table. `check` runs the model's
 verification oracles (finite-difference gradient, adjoint dot product,
 explicit/implicit direction agreement, information-matrix identity).
 
-Exit codes: 0 success, 1 config/IO error, 2 stagnation before max_iters,
+Exit codes: 0 success, 1 config/IO error, 2 stagnation before max_iters
+(a line search that finds no decrease, or an exactly zero direction),
 3 failed verification check.
 """
 
@@ -73,6 +74,12 @@ def _run_single(exp: Experiment, out_dir: Path) -> OptimizeResult:
         print(
             f"warning: {exp.solver.metric}: {result.cg_unconverged} CG direction "
             f"solve(s) stopped before reaching cg_tol {exp.solver.cg_tol:g}",
+            file=sys.stderr,
+        )
+    if result.zero_direction:
+        print(
+            f"warning: {exp.solver.metric}: the descent direction is exactly zero at "
+            f"iteration {len(result.records)}; the run stopped there",
             file=sys.stderr,
         )
     return result

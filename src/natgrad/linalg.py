@@ -102,10 +102,22 @@ def cg_solve(
     tol: float = 1e-8,
     max_iter: int | None = None,
 ) -> CgReport:
-    """Plain conjugate gradient for a symmetric positive (semi)definite action.
+    """Conjugate gradient with full reorthogonalization for a symmetric positive
+    (semi)definite action.
 
-    Stops when ||A x - b|| <= tol * ||b||. Exhausting max_iter returns the best
-    iterate with converged=False so the caller can decide how to proceed.
+    The normalized residuals (the Lanczos vectors) are kept, and each new
+    residual is orthogonalized against all of them twice (classical
+    Gram-Schmidt) before the direction update, so the basis stays orthogonal
+    in floating point and the solve needs at most n products: it stops once
+    the basis spans R^n. The basis takes (min(max_iter, n) + 1) x n floats.
+
+    The recurrence residual is projected and so drifts from b - A x; the
+    stopping test and the reported residual use a second residual
+    b - sum(alpha A d), over the search directions d, built only from the
+    products actually applied. Stops
+    when that residual is <= tol * ||b||. Exhausting max_iter (default 3n) or
+    n returns the last iterate with converged=False so the caller can decide
+    how to proceed.
     """
     b = np.asarray(b, dtype=float)
     if tol <= 0.0:
@@ -116,25 +128,37 @@ def cg_solve(
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return CgReport(np.zeros(n), 0, 0.0, True)
+    cap = min(max_iter, n)
+    basis = np.empty((cap + 1, n))
+    basis[0] = b / b_norm
     x = np.zeros(n)
-    res = b.copy()
+    res = b.copy()  # recurrence residual, kept orthogonal to the basis
+    applied_res = b.copy()  # b minus the applied products: the stopping residual
     direction = res.copy()
     rs = res @ res
-    rel = np.sqrt(rs) / b_norm
+    rel = 1.0
     iterations = 0
-    while rel > tol and iterations < max_iter:
+    while rel > tol and iterations < cap:
         a_dir = apply_a(direction)
         denom = direction @ a_dir
         if denom <= 0.0:
             # Indefinite or null direction; stop with the current iterate.
             break
         alpha = rs / denom
-        x = x + alpha * direction
-        res = res - alpha * a_dir
-        rs_new = res @ res
-        direction = res + (rs_new / rs) * direction
-        rs = rs_new
-        rel = np.sqrt(rs) / b_norm
+        x += alpha * direction
+        applied_res -= alpha * a_dir
+        rel = np.linalg.norm(applied_res) / b_norm
+        res -= alpha * a_dir
         iterations += 1
+        known = basis[:iterations]
+        for _ in range(2):
+            res -= (known @ res) @ known
+        rs_new = res @ res
+        if rs_new == 0.0:
+            # The Krylov space is exhausted: x solves the system.
+            break
+        basis[iterations] = res / np.sqrt(rs_new)
+        direction *= rs_new / rs
+        direction += res
+        rs = rs_new
     return CgReport(x, iterations, float(rel), bool(rel <= tol))
-

@@ -176,7 +176,6 @@ def direction_implicit(model, metric, grad_theta, cfg: NgdConfig, damping_metric
     regularizer is the identity unless a second metric operator is given.
     """
     grad_theta = np.asarray(grad_theta, dtype=float)
-    p = grad_theta.shape[0]
     lam = cfg.damping_lambda
 
     def apply(eta):
@@ -188,8 +187,7 @@ def direction_implicit(model, metric, grad_theta, cfg: NgdConfig, damping_metric
                 out = out + lam * gl_action(model, damping_metric, eta)
         return out
 
-    max_iter = cfg.cg_max_iter if cfg.cg_max_iter is not None else 3 * p
-    report = cg_solve(apply, -grad_theta, tol=cfg.cg_tol, max_iter=max_iter)
+    report = cg_solve(apply, -grad_theta, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
     return report.solution, report
 
 
@@ -252,6 +250,8 @@ class OptimizeResult:
     stagnated: bool = False
     # Direction CG solves that stopped unconverged, accepted step or not.
     cg_unconverged: int = 0
+    # The run stopped (stagnated) because the direction was exactly zero.
+    zero_direction: bool = False
 
     @property
     def final_loss(self) -> float:
@@ -278,8 +278,9 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
 
     Uses the explicit QR route when the model exposes a Jacobian (unless the
     config forces the matrix-free route), refreshes state-dependent metrics at
-    every iterate, and stops on max_iters, the propagation budget, or a
-    stagnated line search. The trajectory is always returned. ``callback``,
+    every iterate, and stops on max_iters, the propagation budget, a stagnated
+    line search or an exactly zero direction (the last two without a record,
+    flagged ``stagnated``). The trajectory is always returned. ``callback``,
     if given, is invoked as callback(iteration, theta) after each accepted
     step.
     """
@@ -304,6 +305,7 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
 
     records: list[IterationRecord] = []
     stagnated = False
+    zero_direction = False
     cg_unconverged = 0
 
     rho = model.solve_forward(theta)
@@ -370,6 +372,10 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
                     cg_unconverged += 1
 
         grad_norm = float(np.linalg.norm(grad_theta))
+        if not eta.any():
+            # No step can change theta: stop without a record.
+            stagnated = zero_direction = True
+            break
 
         def eval_loss(candidate):
             # Infeasible candidates (e.g. nonpositive medium, CFL violation,
@@ -413,7 +419,8 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
             callback(it, theta)
 
     return OptimizeResult(
-        theta=theta, records=records, stagnated=stagnated, cg_unconverged=cg_unconverged
+        theta=theta, records=records, stagnated=stagnated,
+        cg_unconverged=cg_unconverged, zero_direction=zero_direction,
     )
 
 

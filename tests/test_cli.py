@@ -122,6 +122,25 @@ class TestRun:
         with open(tmp_path / "out" / "trace.csv") as fh:
             assert tuple(next(csv.reader(fh))) == cli.TRACE_COLUMNS
 
+    def test_zero_direction_exits_2_with_one_warning(self, tmp_path, capsys):
+        theta0 = [0.5, 0.7, 0.9, 1.1, 1.3]
+        cfg = write_config(
+            tmp_path / "at_ref.json",
+            {
+                "model": {"kind": "linear-toy", "rows": 20, "cols": 5, "seed": 3,
+                          "theta_true": theta0, "theta0": theta0},
+                "solver": {"metric": "l2", "step0": 1.0, "fixed_step": True,
+                           "max_iters": 6, "seed": 0},
+                "output": {"directory": str(tmp_path / "out")},
+            },
+        )
+        assert cli.main(["run", "-c", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: l2: ") and "exactly zero" in err[0]
+        rows = read_trace(tmp_path / "out" / "trace.csv")
+        assert [r["iter"] for r in rows] == ["0"]
+
     def test_malformed_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,5 +1,7 @@
 """Factorization and solver kernels against independent dense oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,67 @@ class TestCgSolve:
         if rep.converged:
             assert rep.final_relative_residual <= 1e-8
 
+    @staticmethod
+    def rotated_spd(n, cond, seed):
+        """Random orthogonal rotation of the spectrum geomspace(1, cond)."""
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (q * np.geomspace(1.0, cond, n)) @ q.T, rng.standard_normal(n)
+
+    def test_ill_conditioned_within_dimension(self):
+        # Plain CG loses orthogonality here and needs 513 products.
+        n = 60
+        a, b = self.rotated_spd(n, 1e6, seed=0)
+        rep = cg_solve(lambda v: a @ v, b, tol=1e-10, max_iter=10 * n)
+        assert rep.converged and rep.iterations <= n
+        assert np.linalg.norm(a @ rep.solution - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_reported_residual_is_true_residual(self, rng):
+        def true_rel(apply_a, b, x):
+            # Extended precision, so the check does not add its own rounding.
+            r = apply_a(x.astype(np.longdouble)) - b
+            return float(np.linalg.norm(r) / np.linalg.norm(b))
+
+        # Plain CG's recurrence residual claims 1e-10 on the three cond 1e8
+        # systems while the true residual is 4e-10 to 1.2e-9.
+        cases = [self.rotated_spd(n, cond, seed) for n, cond, seed in
+                 ((10, 1e8, 0), (20, 1e8, 2), (30, 1e8, 1), (60, 1e6, 0))]
+        for a, b in cases:
+            rep = cg_solve(lambda v: a @ v, b, tol=1e-10, max_iter=10 * b.size)
+            if rep.converged:
+                assert true_rel(lambda v: a @ v, b, rep.solution) <= 1e-10
+
+        # n = 144, cond 1e8: 1e-10 is out of reach. Once the basis spans R^n
+        # the projected recurrence residual is ~1e-47, so stopping on it would
+        # claim convergence. A diagonal operator applies each product with one
+        # rounding per entry, so any gap left is the solver's own accounting.
+        lam = np.geomspace(1.0, 1e8, 144)
+        b = rng.standard_normal(144)
+        rep = cg_solve(lambda v: lam * v, b, tol=1e-10, max_iter=1440)
+        true = true_rel(lambda v: lam * v, b, rep.solution)
+        assert not rep.converged
+        assert abs(rep.final_relative_residual - true) <= 0.1 * true
+
+    @pytest.mark.parametrize("max_iter", [5, 59, 60, 600])
+    def test_basis_memory_and_exact_termination(self, max_iter):
+        n = 60
+        a, b = self.rotated_spd(n, 1e6, seed=4)
+        products = []
+
+        def apply_a(v):
+            products.append(1)
+            return a @ v
+
+        tracemalloc.start()
+        try:
+            rep = cg_solve(apply_a, b, tol=1e-30, max_iter=max_iter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # At most min(max_iter, n) + 1 basis vectors plus a few working ones.
+        vectors = min(max_iter, n) + 1 + 12
+        assert peak <= vectors * n * 8
+        # tol is out of reach: the solve ends at max_iter or, past n, at
+        # exact termination once the basis spans R^n.
+        assert not rep.converged
+        assert rep.iterations == len(products) == min(max_iter, n)

@@ -372,6 +372,17 @@ class TestOptimize:
         losses = [r.loss for r in res.records]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
+    @pytest.mark.parametrize("metric", ["gd", "l2"])
+    def test_zero_direction_stops_without_record(self, metric):
+        a = np.random.default_rng(5).uniform(0.1, 1.0, size=(12, 3))
+        theta0 = np.array([0.5, 1.0, 1.5])
+        model = LinearToyModel(a, a @ theta0)
+        cfg = NgdConfig(metric=metric, step0=1.0, fixed_step=True, max_iters=5)
+        res = optimize(model, theta0, cfg)
+        assert res.zero_direction and res.stagnated
+        assert len(res.records) == 1
+        np.testing.assert_array_equal(res.theta, theta0)
+
     def test_gd_metric_is_plain_gradient(self, toy_model):
         model, _ = toy_model
         theta = np.full(model.param_dim, 0.7)
