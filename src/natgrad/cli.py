@@ -10,9 +10,9 @@ shared model and seed and writes a summary table. `check` runs the model's
 verification oracles (finite-difference gradient, adjoint dot product,
 explicit/implicit direction agreement, information-matrix identity).
 
-Exit codes: 0 success, 1 config/IO error, 2 stagnation before max_iters
-(a line search that finds no decrease, or an exactly zero direction),
-3 failed verification check.
+Exit codes: 0 success, 1 config/IO error or a route the model cannot take,
+2 stagnation before max_iters (a line search that finds no decrease, or an
+exactly zero direction), 3 failed verification check.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ from .solver import (
     build_metric_for_model,
     direction_explicit,
     direction_implicit,
+    explicit_route,
     gl_action,
-    gradient_adjoint,
     optimize,
+    parameter_gradient,
     projected_gradient_adjoint,
 )
 
@@ -110,7 +111,7 @@ def cmd_compare(args) -> int:
     if not metrics:
         print("error: no metrics given", file=sys.stderr)
         return 1
-    # Every metric name and step is checked before the first run writes anything.
+    # Every metric, step and route is checked before the first run writes anything.
     try:
         solvers = [replace(exp.solver, metric=name) for name in metrics]
         if args.steps:
@@ -119,7 +120,7 @@ def cmd_compare(args) -> int:
                 raise ValueError("--steps must match the metric list")
             solvers = [replace(sv, step0=step) for sv, step in zip(solvers, steps)]
         for solver in solvers:
-            solver.metric_kind()
+            explicit_route(exp.model, solver)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -164,12 +165,9 @@ def cmd_compare(args) -> int:
 def _check_fd_gradient(model, theta0, rng) -> tuple[bool, str]:
     rho = model.solve_forward(theta0)
     _, grad_rho = model.loss_and_grad_rho(rho)
-    if model.has_explicit_jacobian:
-        grad_theta = model.jacobian(theta0).T @ grad_rho
-        tol = 1e-5
-    else:
-        grad_theta = gradient_adjoint(model, grad_rho)
-        tol = 1e-4
+    explicit = model.has_explicit_jacobian
+    grad_theta, _ = parameter_gradient(model, theta0, grad_rho, explicit)
+    tol = 1e-5 if explicit else 1e-4
     idx = rng.choice(model.param_dim, size=min(5, model.param_dim), replace=False)
     h = 1e-5 * max(1.0, float(np.abs(theta0).max()))
     worst = 0.0
@@ -201,20 +199,13 @@ def _check_adjoint_dot(model, theta0, rng) -> tuple[bool, str]:
 def _check_direction_equivalence(model, theta0, metric_name) -> tuple[bool, str]:
     rho = model.solve_forward(theta0)
     _, grad_rho = model.loss_and_grad_rho(rho)
-    kind = MetricKind.parse(metric_name) if metric_name != GD_LABEL else None
-    metric = (
-        build_metric_for_model(
-            model, kind, model.metric_state(rho) if kind and kind.state_dependent else None
-        )
-        if kind is not None
-        else None
-    )
+    metric = build_metric_for_model(model, metric_name, model.metric_state(rho))
     z = assemble_jacobian(model)
     # Damp both routes identically so CG converges on ill-conditioned models;
     # the scale comes from one information-matrix probe.
     probe = np.full(model.param_dim, 1.0 / np.sqrt(model.param_dim))
     lam = 1e-4 * float(np.linalg.norm(gl_action(model, metric, probe)))
-    cfg = NgdConfig(metric=metric_name if kind else "l2", cg_tol=1e-12,
+    cfg = NgdConfig(metric=metric_name, cg_tol=1e-12,
                     cg_max_iter=10 * model.param_dim, damping_lambda=lam)
     eta_explicit = direction_explicit(z, metric, grad_rho, damping_lambda=lam)
     grad_theta = projected_gradient_adjoint(model, metric, grad_rho)
@@ -227,9 +218,9 @@ def _check_direction_equivalence(model, theta0, metric_name) -> tuple[bool, str]
 
 def _check_info_identity(metric_name, rng) -> tuple[bool, str]:
     grid = Grid.index_space([4, 4])
-    kind = MetricKind.parse(metric_name)
     rho = rng.uniform(0.5, 2.0, grid.size)
-    op = MetricOperator(kind, grid, rho if kind.state_dependent else None)
+    # State-free metrics ignore the density.
+    op = MetricOperator(MetricKind.parse(metric_name), grid, rho)
     z = rng.standard_normal((grid.size, 3))
     g = op.info_matrix(z).matrix
     entrywise = np.empty_like(g)
@@ -248,6 +239,7 @@ def cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     model, theta0 = exp.model, exp.theta0
+    metric_name = exp.solver.metric if exp.solver.metric != GD_LABEL else "l2"
     rng = np.random.default_rng(exp.solver.seed)
     checks: list[tuple[str, bool, str]] = []
 
@@ -258,11 +250,9 @@ def cmd_check(args) -> int:
         ok, detail = _check_adjoint_dot(model, theta0, rng)
         checks.append(("adjoint-dot-product", ok, detail))
         if model.param_dim <= 200:
-            name = exp.solver.metric if exp.solver.metric != GD_LABEL else "l2"
-            ok, detail = _check_direction_equivalence(model, theta0, name)
+            ok, detail = _check_direction_equivalence(model, theta0, metric_name)
             checks.append(("direction-equivalence", ok, detail))
 
-    metric_name = exp.solver.metric if exp.solver.metric != GD_LABEL else "l2"
     ok, detail = _check_info_identity(metric_name, rng)
     checks.append(("info-matrix-identity", ok, detail))
 

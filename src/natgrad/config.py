@@ -21,7 +21,7 @@ from .models import (
     WaveFwiModel,
     ricker_wavelet,
 )
-from .solver import NgdConfig
+from .solver import NgdConfig, explicit_route
 
 
 class ConfigError(ValueError):
@@ -179,8 +179,7 @@ def load_experiment(path, seed_override=None, out_override=None) -> Experiment:
         solver_section["seed"] = int(seed_override)
     try:
         solver = NgdConfig(**solver_section)
-        solver.metric_kind()
-        solver.damping_kind()
+        explicit_route(model, solver)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver section: {exc}")
 

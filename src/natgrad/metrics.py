@@ -285,28 +285,24 @@ class BlockMetric(_InfoMatrixMixin):
         block_grid: Grid,
         n_blocks: int,
         densities=None,
-        normalize: bool = True,
     ):
         if isinstance(kind, str):
             kind = MetricKind.parse(kind)
         self.kind = kind
         self.block_grid = block_grid
         self.n_blocks = n_blocks
-        self.normalize = normalize
         self.state_dependent = kind.state_dependent
         self.grid = block_grid
         if kind.state_dependent:
             if densities is None:
                 raise ValueError(f"metric {kind.label()!r} requires panel densities")
             self._blocks = [
-                MetricOperator(kind, block_grid, self._densify(d)) for d in densities
+                MetricOperator(kind, block_grid, normalize_to_density(d))
+                for d in densities
             ]
         else:
             shared = MetricOperator(kind, block_grid)
             self._blocks = [shared] * n_blocks
-
-    def _densify(self, values) -> np.ndarray:
-        return normalize_to_density(values) if self.normalize else np.asarray(values)
 
     @property
     def block_size(self) -> int:
@@ -337,8 +333,7 @@ class BlockMetric(_InfoMatrixMixin):
         if not self.state_dependent:
             return self
         return BlockMetric(
-            self.kind, self.block_grid, self.n_blocks,
-            densities=self._split(state), normalize=self.normalize,
+            self.kind, self.block_grid, self.n_blocks, densities=self._split(state)
         )
 
     def apply_L(self, v) -> np.ndarray:

@@ -1,17 +1,21 @@
 """Descent-direction solvers and the optimization loop.
 
-Two routes to the same direction:
+Every direction solves min || pinv(L^T) grad_rho_f + (L Z) eta ||, damped by
+sqrt(lambda) rows of a regularizer (the identity or another metric's L).
+``direction_rule`` fixes once per run what computes it:
 
-* explicit route: with the Jacobian Z in hand, solve the least-squares
-  problem min || pinv(L^T) grad_rho_f + (L Z) eta || by QR; rank-deficient
-  stacks fall through to the pivoted-QR minimum-norm solve;
-* matrix-free route: evaluate eta -> (L Z)^T (L Z) eta through one linearized
-  forward and one adjoint solve per product, and run conjugate gradient on
-  (lambda * G_reg + G_L) eta = -grad_theta_f.
+    route     approximation  grad_theta     Z source                solve
+    any       metric 'gd'    by route       none                    eta = -grad_theta
+    explicit  none           Z^T grad_rho   model.jacobian          QR
+    explicit  minibatch      Z^T grad_rho   jacobian, sampled rows  QR on those rows
+    explicit  hutchinson     Z^T grad_rho   Hutchinson estimate     QR
+    implicit  none           adjoint solve  none                    CG, projected rhs
+    implicit  hutchinson     adjoint solve  Hutchinson estimate     QR
 
-Damping interpolates toward plain gradient descent; the regularizer defaults
-to the identity but can be another metric's information matrix. Mini-batch
-sketching and the randomized Jacobian estimator are opt-in approximations.
+QR (``direction_explicit``) falls through to a pivoted minimum-norm solve on
+rank-deficient stacks; CG (``direction_implicit``) applies the information
+matrix by one linearized and one adjoint solve per product. ``explicit_route``
+checks what each row needs from the model and the config.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ class NgdConfig:
             raise ValueError("damping_lambda must be nonnegative")
         if self.path not in ("auto", "explicit", "implicit"):
             raise ValueError(f"unknown path {self.path!r}")
+        if self.hutchinson_m is not None and self.hutchinson_m < 1:
+            raise ValueError("hutchinson_m must be at least 1")
 
     def metric_kind(self) -> MetricKind | None:
         return None if self.metric == GD_LABEL else MetricKind.parse(self.metric)
@@ -90,12 +96,6 @@ class SketchMatrix:
     """Row-selection sketch: row i of S picks state entry row_to_column[i]."""
 
     row_to_column: np.ndarray
-
-    def restrict(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v)[self.row_to_column]
-
-    def restrict_rows(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z)[self.row_to_column, :]
 
 
 def sample_sketch(k_prime: int, k: int, rng: np.random.Generator) -> SketchMatrix:
@@ -149,11 +149,9 @@ def projected_gradient_adjoint(model, metric, grad_rho, grad_theta=None) -> np.n
     the raw parameter gradient to CG would solve a different system. When no
     projection is needed the precomputed grad_theta is reused.
     """
-    if metric is None or not getattr(metric, "needs_tangent_projection", False):
-        if grad_theta is not None:
-            return np.asarray(grad_theta, dtype=float)
-        return gradient_adjoint(model, grad_rho)
-    return gradient_adjoint(model, metric.project_state_gradient(grad_rho))
+    if metric is not None and metric.needs_tangent_projection:
+        return gradient_adjoint(model, metric.project_state_gradient(grad_rho))
+    return gradient_adjoint(model, grad_rho) if grad_theta is None else grad_theta
 
 
 def gl_action(model, metric, eta) -> np.ndarray:
@@ -259,61 +257,123 @@ class OptimizeResult:
 
 
 def build_metric_for_model(model, kind, rho=None):
-    """Metric operator on the model's metric domain, refreshed at rho if given."""
+    """Metric operator on the model's metric domain at rho; state-free kinds
+    ignore rho, state-dependent ones require it."""
     if isinstance(kind, str):
         kind = MetricKind.parse(kind)
+    if not kind.state_dependent:
+        rho = None
     layout = getattr(model, "data_layout", None)
-    if layout is not None:
-        densities = None
-        if kind.state_dependent:
-            if rho is None:
-                raise ValueError("state-dependent data metric needs the current data")
-            densities = np.split(np.asarray(rho, float), layout[0])
-        return BlockMetric(kind, model.data_grid, layout[0], densities=densities)
-    return MetricOperator(kind, model.grid, rho if kind.state_dependent else None)
+    if layout is None:
+        return MetricOperator(kind, model.grid, rho)
+    densities = None if rho is None else np.split(np.asarray(rho, float), layout[0])
+    return BlockMetric(kind, model.data_grid, layout[0], densities=densities)
+
+
+def explicit_route(model, cfg: NgdConfig) -> bool:
+    """Check cfg against model; True when it takes the explicit route ('auto'
+    does when the model has a Jacobian). Raises ValueError for a combination
+    the model or an approximation cannot support, before any solve.
+    """
+    kind, damping = cfg.metric_kind(), cfg.damping_kind()
+    auto_explicit = cfg.path == "auto" and model.has_explicit_jacobian
+    explicit = cfg.path == "explicit" or auto_explicit
+    if explicit and not model.has_explicit_jacobian:
+        raise ValueError("explicit path requested but the model has no Jacobian")
+    if not model.has_adjoint_actions and (not explicit or cfg.hutchinson_m is not None):
+        raise ValueError("the implicit path and hutchinson_m need adjoint actions")
+    if cfg.minibatch_size is not None:
+        if not 0 < cfg.minibatch_size <= model.state_dim:
+            raise ValueError(f"minibatch_size must lie in [1, {model.state_dim}]")
+        if not explicit:
+            raise ValueError("mini-batch sketching requires the explicit path")
+        if kind is not None and kind.family not in ("l2", "fisher-rao"):
+            raise ValueError("mini-batch sketching needs l2 or fisher-rao")
+        if damping is not None:
+            raise ValueError("mini-batch sketching does not support damping_metric")
+    return explicit
+
+
+def parameter_gradient(model, theta, grad_rho, explicit: bool):
+    """grad_theta = Z^T grad_rho, with Z itself on the explicit route (else None)."""
+    if explicit:
+        z = model.jacobian(theta)
+        return z.T @ grad_rho, z
+    return gradient_adjoint(model, grad_rho), None
+
+
+def direction_rule(model, cfg: NgdConfig):
+    """The run's direction, chosen once from the model and cfg (module table).
+
+    Returns direction(theta, grad_rho, metric, damping_metric) -> (eta,
+    grad_theta, CgReport or None); raises as ``explicit_route`` does.
+    """
+    explicit = explicit_route(model, cfg)
+    sketch_rng = np.random.default_rng([cfg.seed, 101])
+    hutch_rng = np.random.default_rng([cfg.seed, 202])
+
+    def steepest(theta, grad_rho, metric, damping_metric):
+        grad_theta, _ = parameter_gradient(model, theta, grad_rho, explicit)
+        return -grad_theta, grad_theta, None
+
+    def least_squares(theta, grad_rho, metric, damping_metric):
+        grad_theta, z = parameter_gradient(model, theta, grad_rho, explicit)
+        if cfg.hutchinson_m is not None:
+            z = hutchinson_jacobian(model, cfg.hutchinson_m, hutch_rng)
+        if cfg.minibatch_size is not None:
+            sketch = sample_sketch(cfg.minibatch_size, model.state_dim, sketch_rng)
+            z, grad_rho = z[sketch.row_to_column], grad_rho[sketch.row_to_column]
+            metric = _sketched_metric(metric, sketch)
+        eta = direction_explicit(
+            z, metric, grad_rho, cfg.rank_tol, cfg.damping_lambda, damping_metric
+        )
+        return eta, grad_theta, None
+
+    def conjugate_gradient(theta, grad_rho, metric, damping_metric):
+        grad_theta, _ = parameter_gradient(model, theta, grad_rho, explicit)
+        rhs = projected_gradient_adjoint(model, metric, grad_rho, grad_theta)
+        eta, report = direction_implicit(model, metric, rhs, cfg, damping_metric)
+        return eta, grad_theta, report
+
+    if cfg.metric_kind() is None:
+        return steepest
+    if explicit or cfg.hutchinson_m is not None:
+        return least_squares
+    return conjugate_gradient
 
 
 def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
     """Run the descent loop from theta0 under cfg.
 
-    Uses the explicit QR route when the model exposes a Jacobian (unless the
-    config forces the matrix-free route), refreshes state-dependent metrics at
-    every iterate, and stops on max_iters, the propagation budget, a stagnated
-    line search or an exactly zero direction (the last two without a record,
-    flagged ``stagnated``). The trajectory is always returned. ``callback``,
-    if given, is invoked as callback(iteration, theta) after each accepted
-    step.
+    The direction rule is fixed before the first forward solve. The loop
+    refreshes state-dependent metrics at every iterate and stops on
+    max_iters, the propagation budget, a stagnated line search or an exactly
+    zero direction (the last two without a record, flagged ``stagnated``).
+    The trajectory is always returned. ``callback``, if given, is invoked as
+    callback(iteration, theta) after each accepted step.
     """
+    direction = direction_rule(model, cfg)
     theta = np.asarray(theta0, dtype=float).copy()
-    kind = cfg.metric_kind()
-    use_explicit = cfg.path == "explicit" or (
-        cfg.path == "auto" and model.has_explicit_jacobian
-    )
-    if cfg.path == "explicit" and not model.has_explicit_jacobian:
-        raise ValueError("explicit path requested but the model has no Jacobian")
-    if cfg.minibatch_size is not None and not use_explicit:
-        raise ValueError("mini-batch sketching requires the explicit path")
-    if cfg.minibatch_size is not None and kind is not None and kind.family not in (
-        "l2",
-        "fisher-rao",
-    ):
-        raise ValueError(
-            "mini-batch sketching only supports diagonal metrics (l2, fisher-rao)"
-        )
-    sketch_rng = np.random.default_rng([cfg.seed, 101])
-    hutch_rng = np.random.default_rng([cfg.seed, 202])
-
     records: list[IterationRecord] = []
     stagnated = False
     zero_direction = False
     cg_unconverged = 0
+
+    def eval_loss(candidate):
+        # Infeasible candidates (e.g. nonpositive medium, CFL violation,
+        # blowup) count as rejected trials, not hard failures.
+        try:
+            rho_c = model.solve_forward(candidate)
+        except (ValueError, RuntimeError):
+            return math.inf
+        return model.loss_and_grad_rho(rho_c)[0]
 
     rho = model.solve_forward(theta)
     loss, grad_rho = model.loss_and_grad_rho(rho)
     records.append(
         IterationRecord(0, loss, float("nan"), 0.0, model.propagation_counter, 0.0)
     )
-    metric = _metric_at(model, kind, rho)
+    metric = _metric_at(model, cfg.metric_kind(), rho)
     damping_metric = _metric_at(model, cfg.damping_kind(), rho)
 
     for it in range(1, cfg.max_iters + 1):
@@ -322,69 +382,18 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
             and model.propagation_counter >= cfg.max_propagations
         ):
             break
-        cg = None
         if it > 1:
             metric = _refresh(model, metric, rho)
             damping_metric = _refresh(model, damping_metric, rho)
 
-        if kind is None:
-            # Plain gradient descent.
-            if use_explicit:
-                z = model.jacobian(theta)
-                grad_theta = z.T @ grad_rho
-            else:
-                grad_theta = gradient_adjoint(model, grad_rho)
-            eta = -grad_theta
-        elif use_explicit:
-            z = model.jacobian(theta)
-            grad_theta = z.T @ grad_rho
-            if cfg.hutchinson_m is not None:
-                z = hutchinson_jacobian(model, cfg.hutchinson_m, hutch_rng)
-            if cfg.minibatch_size is not None:
-                sketch = sample_sketch(cfg.minibatch_size, model.state_dim, sketch_rng)
-                z_used = sketch.restrict_rows(z)
-                grad_used = sketch.restrict(grad_rho)
-                sub_metric = _sketched_metric(metric, sketch)
-                eta = direction_explicit(
-                    z_used, sub_metric, grad_used, cfg.rank_tol,
-                    cfg.damping_lambda, None,
-                )
-            else:
-                eta = direction_explicit(
-                    z, metric, grad_rho, cfg.rank_tol,
-                    cfg.damping_lambda, damping_metric,
-                )
-        else:
-            grad_theta = gradient_adjoint(model, grad_rho)
-            if cfg.hutchinson_m is not None:
-                z_est = hutchinson_jacobian(model, cfg.hutchinson_m, hutch_rng)
-                eta = direction_explicit(
-                    z_est, metric, grad_rho, cfg.rank_tol, cfg.damping_lambda, None
-                )
-            else:
-                rhs_grad = projected_gradient_adjoint(
-                    model, metric, grad_rho, grad_theta
-                )
-                eta, cg = direction_implicit(
-                    model, metric, rhs_grad, cfg, damping_metric
-                )
-                if not cg.converged:
-                    cg_unconverged += 1
-
+        eta, grad_theta, cg = direction(theta, grad_rho, metric, damping_metric)
+        if cg is not None and not cg.converged:
+            cg_unconverged += 1
         grad_norm = float(np.linalg.norm(grad_theta))
         if not eta.any():
             # No step can change theta: stop without a record.
             stagnated = zero_direction = True
             break
-
-        def eval_loss(candidate):
-            # Infeasible candidates (e.g. nonpositive medium, CFL violation,
-            # blowup) count as rejected trials, not hard failures.
-            try:
-                rho_c = model.solve_forward(candidate)
-            except (ValueError, RuntimeError):
-                return math.inf
-            return model.loss_and_grad_rho(rho_c)[0]
 
         if cfg.fixed_step:
             tau = cfg.step0

@@ -163,6 +163,29 @@ class TestRun:
             assert "error:" in capsys.readouterr().err
             assert not (tmp_path / name).exists()
 
+    @pytest.mark.parametrize(
+        "config,solver",
+        [
+            ("toy_config", {"metric": "h1", "minibatch_size": 10}),
+            ("mixture_config", {"path": "implicit"}),
+            ("mixture_config", {"hutchinson_m": 10}),
+            ("toy_config", {"minibatch_size": 10, "damping_lambda": 0.1,
+                            "damping_metric": "h1"}),
+            ("toy_config", {"hutchinson_m": 0}),
+        ],
+        ids=["minibatch-h1", "implicit-no-adjoint", "hutchinson-no-adjoint",
+             "minibatch-damping-metric", "hutchinson-no-probes"],
+    )
+    def test_unsupported_route_exits_1(self, request, tmp_path, capsys, config, solver):
+        with open(request.getfixturevalue(config)) as fh:
+            payload = json.load(fh)
+        payload["solver"].update(solver)
+        payload["output"]["directory"] = str(tmp_path / "route_out")
+        cfg = write_config(tmp_path / "route.json", payload)
+        assert cli.main(["run", "-c", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "route_out").exists()
+
     def test_unknown_model_kind_exits_1(self, tmp_path):
         cfg = write_config(
             tmp_path / "unknown.json",
@@ -246,6 +269,16 @@ class TestCompare:
         assert cli.main(["compare", "-c", toy_config, "-m", "l2,gd",
                          "--steps", steps, "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unsupported_route_rejected_before_any_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "sketch.json", {
+            "model": {"kind": "linear-toy", "rows": 20, "cols": 5, "seed": 3},
+            "solver": {"minibatch_size": 10, "seed": 0},
+        })
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "-c", cfg, "-m", "l2,h1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_mismatched_steps_rejected(self, toy_config):

@@ -25,6 +25,15 @@ from natgrad.solver import (
 )
 
 ALL_METRICS = ["l2", "fisher-rao", "h1", "h-1", "hdot1", "hdot-1", "w2"]
+APPROXIMATIONS = {
+    "plain": {},
+    "minibatch": {"minibatch_size": 30},
+    "hutchinson": {"hutchinson_m": 400},
+}
+# Sketching needs the explicit route and a diagonal metric.
+ROUTE_METRICS = ["gd", "l2", "fisher-rao", "h1"]
+REJECTED_ROUTES = {(m, "implicit", "minibatch") for m in ROUTE_METRICS}
+REJECTED_ROUTES.add(("h1", "explicit", "minibatch"))
 
 
 class TestDirectionExplicit:
@@ -136,10 +145,7 @@ class TestDirectionImplicit:
         _, grad_rho = model.loss_and_grad_rho(rho)
         z = assemble_jacobian(model)
         for name in ALL_METRICS:
-            kind = MetricKind.parse(name)
-            metric = build_metric_for_model(
-                model, kind, model.metric_state(rho) if kind.state_dependent else None
-            )
+            metric = build_metric_for_model(model, name, model.metric_state(rho))
             eta_explicit = direction_explicit(z, metric, grad_rho)
             rhs = projected_gradient_adjoint(model, metric, grad_rho)
             cfg = NgdConfig(metric=name, cg_tol=1e-13, cg_max_iter=300)
@@ -344,6 +350,63 @@ class TestOptimize:
             res = optimize(model, theta0, replace(cfg, **route))
             assert {(r.cg_iterations, r.cg_converged) for r in res.records} == {(None, None)}
             assert res.cg_unconverged == 0
+
+    @pytest.mark.parametrize(
+        "metric,path,approximation",
+        itertools.product(ROUTE_METRICS, ["explicit", "implicit"], APPROXIMATIONS),
+    )
+    def test_route_matrix(self, toy_model, metric, path, approximation):
+        model, _ = toy_model
+        cfg = NgdConfig(metric=metric, path=path, step0=1.0, max_iters=4, seed=3,
+                        cg_tol=1e-10, **APPROXIMATIONS[approximation])
+        theta0 = np.full(model.param_dim, 0.7)
+        if (metric, path, approximation) in REJECTED_ROUTES:
+            with pytest.raises(ValueError):
+                optimize(model, theta0, cfg)
+            assert model.propagation_counter == 0
+            return
+        res = optimize(model, theta0, cfg)
+        assert len(res.records) > 1 and res.records[-1].loss < res.records[0].loss
+        ran_cg = metric != "gd" and path == "implicit" and approximation == "plain"
+        for record in res.records[1:]:
+            assert (record.cg_iterations is not None) == ran_cg
+            assert (record.cg_converged is not None) == ran_cg
+
+    def test_hutchinson_damping_metric_same_steps_on_both_routes(self, toy_model):
+        # Both routes feed the same estimate to the same QR solve, damping
+        # metric included.
+        model, _ = toy_model
+        theta0 = np.full(model.param_dim, 0.7)
+        thetas = {}
+        for path in ("explicit", "implicit"):
+            cfg = NgdConfig(
+                metric="l2", hutchinson_m=200, damping_lambda=0.5, damping_metric="h1",
+                step0=0.5, fixed_step=True, max_iters=3, seed=2, path=path,
+            )
+            thetas[path] = optimize(model, theta0, cfg).theta
+        diff = thetas["implicit"] - thetas["explicit"]
+        rel = np.linalg.norm(diff) / np.linalg.norm(thetas["explicit"] - theta0)
+        assert rel < 1e-8, f"{rel:.1e}"
+
+    def test_unsupported_models_rejected_before_any_solve(self, toy_model):
+        model, _ = toy_model
+        theta0 = np.full(model.param_dim, 0.7)
+        mixture = GaussianMixtureModel.from_reference_mixture(
+            Grid.regular([[0, 1], [0, 1]], [4, 4]),
+            [dict(weight=1.0, mean=(0.5, 0.5), cov=((0.1, 0.0), (0.0, 0.1)))],
+            ["c0.mean.0"],
+            [dict(weight=1.0, mean=(0.4, 0.5), cov=((0.1, 0.0), (0.0, 0.1)))],
+        )
+        cases = [
+            (mixture, np.array([0.5]), dict(path="implicit")),
+            (mixture, np.array([0.5]), dict(hutchinson_m=10)),
+            (model, theta0, dict(minibatch_size=20, damping_metric="h1")),
+            (model, theta0, dict(minibatch_size=model.state_dim + 1)),
+        ]
+        for m, theta, extra in cases:
+            with pytest.raises(ValueError):
+                optimize(m, theta, NgdConfig(metric="l2", **extra))
+            assert m.propagation_counter == 0, extra
 
     def test_minibatch_rejects_grid_metrics(self, toy_model):
         model, _ = toy_model
