@@ -18,12 +18,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
+
+# LAPACK's banded Cholesky solve, called directly: scipy's cho_solve_banded
+# wrapper costs several times the solve itself on small blocks.
+_pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -137,23 +141,29 @@ def neumann_gradient(grid: Grid) -> sp.csr_matrix:
 
 
 class DifferentialOperatorSet:
-    """Neumann gradient/Laplacian with cached elliptic factorizations.
+    """Neumann gradient/Laplacian with elliptic factorizations built on first use.
 
     The Laplacian is the literal -G^T G, so <G u, w> = <u, G^T w> holds to
     machine precision and G 1 = 0 exactly. The deflated Poisson solve uses a
-    sparse KKT system enforcing a zero-mean solution.
+    sparse KKT system enforcing a zero-mean solution. Each factorization is
+    built by the first solve that needs it and kept, so a metric pays only
+    for the one it uses.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.grad_neumann = neumann_gradient(grid)
-        gtg = (self.grad_neumann.T @ self.grad_neumann).tocsc()
-        self.laplacian_neumann = (-gtg).tocsr()
-        k = grid.size
-        self._h1_lu = spla.splu((sp.identity(k, format="csc") + gtg).tocsc())
-        ones = sp.csc_matrix(np.ones((k, 1)))
-        kkt = sp.bmat([[gtg, ones], [ones.T, None]], format="csc")
-        self._poisson_lu = spla.splu(kkt)
+        self._gtg = (self.grad_neumann.T @ self.grad_neumann).tocsc()
+        self.laplacian_neumann = (-self._gtg).tocsr()
+
+    @cached_property
+    def _h1_lu(self):
+        return spla.splu((sp.identity(self.grid.size, format="csc") + self._gtg).tocsc())
+
+    @cached_property
+    def _poisson_lu(self):
+        ones = sp.csc_matrix(np.ones((self.grid.size, 1)))
+        return spla.splu(sp.bmat([[self._gtg, ones], [ones.T, None]], format="csc"))
 
     @property
     def edge_count(self) -> int:
@@ -247,7 +257,10 @@ class WeightedDivergence:
         out = np.empty_like(v)
         for idx, factor, singular in self._blocks:
             r = v[idx] - v[idx].mean(axis=0) if singular else v[idx]
-            x = cho_solve_banded((factor, False), r, check_finite=False)
+            # r is a fresh copy (fancy indexing), so the solve may overwrite it.
+            x, info = _pbtrs(factor, r, lower=False, overwrite_b=True)
+            if info != 0:
+                raise ValueError(f"banded solve failed: pbtrs info {info}")
             out[idx] = x - x.mean(axis=0) if singular else x
         return out
 

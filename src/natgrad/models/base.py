@@ -54,6 +54,10 @@ class ForwardModel:
         # Parameters of the cached forward solve; None when nothing is cached.
         self._cache_theta = None
 
+    def _is_cached(self, theta) -> bool:
+        """True when the cached forward solve was made at exactly theta."""
+        return self._cache_theta is not None and np.array_equal(theta, self._cache_theta)
+
     def reset_accounting(self) -> None:
         """Zero the propagation counter and drop the cached forward solve, so
         the next run starts from scratch and pays for its first forward."""

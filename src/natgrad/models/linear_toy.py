@@ -47,7 +47,7 @@ class LinearToyModel(ForwardModel):
 
     def solve_forward(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        if self._cache_theta is not None and np.array_equal(theta, self._cache_theta):
+        if self._is_cached(theta):
             return self._cache_rho.copy()
         self.propagation_counter += 1
         self._cache_theta = theta.copy()

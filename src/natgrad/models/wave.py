@@ -340,7 +340,7 @@ class WaveFwiModel(ForwardModel):
 
     def solve_forward(self, theta) -> np.ndarray:
         theta = self._check_theta(theta)
-        if self._cache_theta is not None and np.array_equal(theta, self._cache_theta):
+        if self._is_cached(theta):
             return self._cache_traces.copy()
         # Drop the old cache first: one live stack, and a march that fails
         # leaves no cache behind.

@@ -374,7 +374,9 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
         IterationRecord(0, loss, float("nan"), 0.0, model.propagation_counter, 0.0)
     )
     metric = _metric_at(model, cfg.metric_kind(), rho)
-    damping_metric = _metric_at(model, cfg.damping_kind(), rho)
+    # Steepest descent ignores damping: build and refresh no regularizer.
+    damping_kind = None if metric is None else cfg.damping_kind()
+    damping_metric = _metric_at(model, damping_kind, rho)
 
     for it in range(1, cfg.max_iters + 1):
         if (

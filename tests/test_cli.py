@@ -200,6 +200,28 @@ class TestRun:
         b = (tmp_path / "b" / "trace.csv").read_bytes()
         assert a == b
 
+    def test_gd_builds_no_damping_metric(self, toy_config, tmp_path, monkeypatch):
+        # Steepest descent ignores damping, so it must not build (or refresh)
+        # the regularizer it would never apply.
+        from natgrad import solver
+
+        calls = []
+        original = solver.build_metric_for_model
+        monkeypatch.setattr(solver, "build_metric_for_model",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+        with open(toy_config) as fh:
+            payload = json.load(fh)
+        payload["solver"].update(metric="gd", step0=0.5)
+        plain = write_config(tmp_path / "gd.json", payload)
+        payload["solver"].update(damping_lambda=0.5, damping_metric="fisher-rao")
+        damped = write_config(tmp_path / "gd_damped.json", payload)
+        for cfg, out in ((plain, "plain"), (damped, "damped")):
+            assert cli.main(["run", "-c", cfg, "--out", str(tmp_path / out)]) in (0, 2)
+        assert calls == []
+        a = (tmp_path / "plain" / "trace.csv").read_bytes()
+        b = (tmp_path / "damped" / "trace.csv").read_bytes()
+        assert a == b
+
     def test_seed_override_changes_sketch_run(self, tmp_path):
         cfg = write_config(
             tmp_path / "sk.json",

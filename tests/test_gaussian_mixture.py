@@ -5,6 +5,7 @@ import pytest
 
 from natgrad.grids import Grid
 from natgrad.models import GaussianMixtureModel
+from natgrad.models import gaussian_mixture
 from natgrad.models.gaussian_mixture import parse_free_parameter
 
 COV = ((0.6, 0.0), (0.0, 0.6))
@@ -119,6 +120,114 @@ class TestJacobian:
             comps,
         )
         np.testing.assert_allclose(z[:, 0], lone.density(np.array([1.0])), atol=1e-13)
+
+
+def einsum_density_and_jacobian(model, theta):
+    """The density and Jacobian as first written: covariance inverse and
+    determinant per evaluation, a three-operand einsum for the quadratic form."""
+
+    def component(points, mean, cov):
+        inv = np.linalg.inv(cov)
+        det = np.linalg.det(cov)
+        diff = points - mean
+        quad = np.einsum("ni,ij,nj->n", diff, inv, diff)
+        return np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))
+
+    weights = [c.weight for c in model.components]
+    means = [np.asarray(c.mean, dtype=float).copy() for c in model.components]
+    covs = [np.asarray(c.cov, dtype=float) for c in model.components]
+    for value, (comp, kind, axis) in zip(theta, model.free):
+        if kind == "weight":
+            weights[comp] = value
+        else:
+            means[comp][axis] = value
+    points = model.grid.points()
+    rho = np.zeros(model.grid.size)
+    for w, mu, cov in zip(weights, means, covs):
+        rho += w * component(points, mu, cov)
+    z = np.empty((model.grid.size, model.param_dim))
+    for j, (comp, kind, axis) in enumerate(model.free):
+        dens = component(points, means[comp], covs[comp])
+        if kind == "weight":
+            z[:, j] = dens
+        else:
+            inv = np.linalg.inv(covs[comp])
+            diff = points - means[comp]
+            z[:, j] = weights[comp] * dens * (diff @ inv[:, axis])
+    return rho, z
+
+
+def random_mixture(rng, free, n_components=3):
+    """Mixture with random non-diagonal SPD covariances on a 72x72 grid."""
+    grid = Grid.regular([[-2.75, 7.25], [-2.75, 7.25]], (72, 72))
+    comps = []
+    for _ in range(n_components):
+        a = rng.standard_normal((2, 2))
+        cov = a @ a.T + 0.3 * np.eye(2)
+        cov = 0.5 * (cov + cov.T)
+        comps.append(dict(weight=float(rng.uniform(0.1, 1.0)),
+                          mean=tuple(rng.uniform(0.0, 4.0, 2)),
+                          cov=tuple(map(tuple, cov))))
+    return GaussianMixtureModel.from_reference_mixture(grid, comps, free, comps[::-1])
+
+
+FREE_ALL_KINDS = ["c0.weight", "c0.mean.0", "c0.mean.1", "c1.mean.1", "c2.weight"]
+
+
+class TestSharedDensities:
+    def test_bit_identical_to_einsum_transcription(self, rng):
+        for _ in range(5):
+            model = random_mixture(rng, FREE_ALL_KINDS)
+            theta = model.theta0() + 0.3 * rng.standard_normal(model.param_dim)
+            rho = model.solve_forward(theta)
+            want_rho, want_z = einsum_density_and_jacobian(model, theta)
+            assert np.array_equal(rho, want_rho)
+            assert np.array_equal(model.density(theta), want_rho)
+            assert np.array_equal(model.jacobian(theta), want_z)  # cached theta
+            other = theta + 0.1
+            want_rho, want_z = einsum_density_and_jacobian(model, other)
+            assert np.array_equal(model.jacobian(other), want_z)  # uncached theta
+            assert np.array_equal(model.density(other), want_rho)
+
+    def test_reference_bit_identical_to_einsum_transcription(self, rng):
+        model = random_mixture(rng, ["c0.weight"])
+        ref = GaussianMixtureModel(model.grid, model.components[::-1], ["c0.weight"],
+                                   np.zeros(model.grid.size))
+        want, _ = einsum_density_and_jacobian(ref, ref.theta0())
+        assert np.array_equal(model.reference, want)
+
+    def test_jacobian_reuses_forward_densities(self, rng, monkeypatch):
+        model = random_mixture(rng, FREE_ALL_KINDS)
+        calls = []
+        original = gaussian_mixture._component_density
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(gaussian_mixture, "_component_density", counting)
+        theta = model.theta0() + 0.2
+        model.solve_forward(theta)
+        assert len(calls) == 3  # one per component
+        before = model.propagation_counter
+        calls.clear()
+        model.jacobian(theta)
+        assert len(calls) == 0 and model.propagation_counter == before
+        # Elsewhere each freed component (c0, c1, c2) is evaluated once.
+        model.jacobian(theta + 0.1)
+        assert len(calls) == 3 and model.propagation_counter == before
+
+    def test_reset_accounting_drops_shared_densities(self, rng, monkeypatch):
+        model = random_mixture(rng, ["c1.mean.0"])
+        theta = model.theta0()
+        model.solve_forward(theta)
+        model.reset_accounting()
+        calls = []
+        original = gaussian_mixture._component_density
+        monkeypatch.setattr(gaussian_mixture, "_component_density",
+                            lambda *a: calls.append(1) or original(*a))
+        model.jacobian(theta)
+        assert len(calls) == 1
 
 
 class TestLossAndGrads:

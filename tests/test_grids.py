@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 
 from natgrad.grids import (
+    DifferentialOperatorSet,
     Grid,
     axis_central_operators,
     build_operator_set,
@@ -14,6 +16,7 @@ from natgrad.grids import (
     neumann_gradient,
 )
 from natgrad.linalg import qr_column_pivoted, solve_least_squares_min_norm
+from natgrad.metrics import build_metric
 
 
 class TestCentralDifference:
@@ -104,6 +107,26 @@ class TestEllipticInverses:
         assert abs(w.mean()) <= 1e-12
         back = ops.grad_neumann.T @ (ops.grad_neumann @ w)
         np.testing.assert_allclose(back, v - v.mean(), atol=1e-10)
+
+    @pytest.mark.parametrize("name, unused", [
+        ("h1", "_poisson_lu"), ("h-1", "_poisson_lu"),
+        ("hdot1", "_h1_lu"), ("hdot-1", "_h1_lu"),
+    ])
+    def test_metric_factors_only_what_it_solves(self, rng, monkeypatch, name, unused):
+        # A fresh operator set, as in a fresh process: the cached one for a
+        # shared grid may already hold both factors.
+        grid = Grid.regular([[0.0, 1.0], [0.0, 1.0]], [7, 5])
+        ops = DifferentialOperatorSet(grid)
+        assert "_h1_lu" not in vars(ops) and "_poisson_lu" not in vars(ops)
+        monkeypatch.setattr("natgrad.metrics.build_operator_set", lambda g: ops)
+        metric = build_metric(name, grid)
+        v = rng.standard_normal(grid.size)
+        metric.apply_L(v)
+        metric.apply_Lt_pinv(v)
+        metric.apply_LtL(v)
+        metric.apply_L_matrix(rng.standard_normal((grid.size, 2)))
+        used = {"_h1_lu", "_poisson_lu"} - {unused}
+        assert unused not in vars(ops) and used <= vars(ops).keys()
 
 
 class TestWeightedDivergence:
@@ -300,6 +323,21 @@ class TestWeightedDivergence:
                 got = wdiv.apply_bt(g)
                 assert got.shape == want.shape
                 assert np.linalg.norm(got - want) <= 1e-14 * max(np.linalg.norm(want), 1e-300)
+
+    def test_gram_solve_equals_scipy_banded_solve(self, rng):
+        # The direct LAPACK call is the routine cho_solve_banded wraps.
+        for counts in ((6, 8), (9, 9), (1, 4), (7,)):
+            grid = Grid.regular([[0.0, 1.0], [0.0, 2.3]][: len(counts)], counts)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                wdiv = build_weighted_divergence(grid, rng.uniform(0.5, 2.0, grid.size))
+            for v in (rng.standard_normal(grid.size), rng.standard_normal((grid.size, 3))):
+                want = np.empty_like(v)
+                for idx, factor, singular in wdiv._blocks:
+                    r = v[idx] - v[idx].mean(axis=0) if singular else v[idx]
+                    x = cho_solve_banded((factor, False), r, check_finite=False)
+                    want[idx] = x - x.mean(axis=0) if singular else x
+                assert np.array_equal(wdiv.apply_gram_pinv(v), want)
 
     def test_nonpositive_density_rejected(self, grid_2d):
         rho = np.ones(grid_2d.size)
