@@ -229,17 +229,19 @@ class WeightedDivergence:
     def apply_bt(self, g) -> np.ndarray:
         """Apply B^T, the matching (negative) weighted gradient, by stencil."""
         g = np.asarray(g, dtype=float)
-        u = g.reshape(self.grid.interior_counts + g.shape[1:])
-        w = self.weights.reshape(self.grid.interior_counts + (1,) * (g.ndim - 1))
-        parts = []
+        counts = self.grid.interior_counts
+        u = g.reshape(counts + g.shape[1:])
+        w = self.weights.reshape(counts + (1,) * (g.ndim - 1))
+        out = np.empty((len(counts),) + u.shape)
         for axis, h in enumerate(self.grid.spacings):
-            # -(A^T g) = (C g) / (2h) with (C g)[i] = g[i+1] - g[i-1].
-            a, diff = np.moveaxis(u, axis, 0), np.zeros_like(u)
-            d = np.moveaxis(diff, axis, 0)
-            d[:-1] = a[1:]
-            d[1:] -= a[:-1]
-            parts.append((diff * (w / (2.0 * h))).reshape(g.shape))
-        return np.concatenate(parts)
+            # -(A^T g) = (C g) / (2h) with (C g)[i] = g[i+1] - g[i-1], written
+            # in place into this axis's half of the output.
+            head, d = (slice(None),) * axis, out[axis]
+            d[head + (slice(None, -1),)] = u[head + (slice(1, None),)]
+            d[head + (-1,)] = 0.0
+            d[head + (slice(1, None),)] -= u[head + (slice(None, -1),)]
+            d *= w / (2.0 * h)
+        return out.reshape((-1,) + g.shape[1:])
 
     def apply_gram_pinv(self, v) -> np.ndarray:
         """Apply pinv(B B^T), equal to pinv(B)^T pinv(B)."""

@@ -24,10 +24,10 @@ The observed state is the stack of receiver traces over sources, one
 (n_receivers x n_time) panel per source, flattened receiver-major. Constraint
 fields carry a leading source axis, (n_sources, n_t, npx, npz).
 
-Kernel layout: every solve marches all sources as one flat buffer shaped
-(n_sources, npx + 2, npz + 2), whose one-cell ghost ring is zero, so the
-five-point neighbours of a cell are the flat offsets -1, +1 (z) and -W, +W
-(x), W = npz + 2. With dt2m = dt^2 / m and r = dx^2 / dz^2, the step
+Kernel layout: a group of sources marches as one flat buffer shaped
+(n_group_sources, npx + 2, npz + 2), whose one-cell ghost ring is zero, so
+the five-point neighbours of a cell are the flat offsets -1, +1 (z) and -W,
++W (x), W = npz + 2. With dt2m = dt^2 / m and r = dx^2 / dz^2, the step
 folds into per-cell coefficients built once per model:
 
     c = cb b + cx (r (b[-1] + b[+1]) + b[-W] + b[+W]) - dd a + cs f,
@@ -40,16 +40,55 @@ is their literal transpose. The forward cache keeps only w, time-major in the
 same layout; the Born source and the adjoint correlation are formed one step
 at a time inside the linearized and the reverse solves, so neither stores
 more than per-step buffers.
+
+Source groups: sources are independent in every march, so the model splits
+them into contiguous groups that march at the same time, group 0 in the
+calling process and each other group in a forked worker process that holds
+its own forward cache. Every cell's arithmetic is the same in any batch, so
+the results do not depend on the split: traces are concatenated in source
+order and per-source correlations are summed over sources in order.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+import multiprocessing
+import os
+import signal
+import time
+import weakref
 from typing import NamedTuple
 
 import numpy as np
 
 from ..grids import Grid
 from .base import ForwardModel, least_squares_misfit
+
+# Fewest ghost-padded cells a source group marches. A leapfrog step costs a
+# fixed 7-11 us plus 4.7-5.5 ns per cell (three single-process sweeps of one
+# linearized plus one reverse march, 576 to 15,376 cells, 2-core VM, BLAS
+# threads 1); the two are equal at 1,240-2,270 cells. Below that a group
+# mostly pays per-step overhead, so each group gets at least 2,500 cells. Two
+# groups against one, same sweep: 1.25-1.52x as fast from 900 to 5,184 cells
+# per group, 0.73x at 576; at 1,156 (one 12x12 source each) 1.02-1.32x.
+MIN_GROUP_CELLS = 2_500
+
+
+# A process waiting on a pipe polls it for up to this long before it blocks.
+# On a virtual machine a CPU left idle goes back to the host, and waking it
+# again can take milliseconds: after 20 ms idle, a pipe round trip between
+# two processes took 0.4 ms in the median and 6 ms at p90 (2-core VM).
+SPIN_S = 0.05
+
+
+def _wait(conn) -> None:
+    """Return once conn has data or is closed, polling for up to SPIN_S first."""
+    deadline = time.perf_counter() + SPIN_S
+    while time.perf_counter() < deadline:
+        if conn.poll():
+            return
+    conn.poll(None)
 
 
 def ricker_wavelet(n_t: int, dt: float, peak_freq: float, delay: float | None = None):
@@ -59,6 +98,22 @@ def ricker_wavelet(n_t: int, dt: float, peak_freq: float, delay: float | None = 
     t = dt * np.arange(n_t) - delay
     arg = (np.pi * peak_freq * t) ** 2
     return (1.0 - 2.0 * arg) * np.exp(-arg)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def source_group_count(n_sources: int, padded_cells: int) -> int:
+    """How many source groups march at once: one per usable CPU, at most one
+    per source, and each with at least MIN_GROUP_CELLS padded cells. Without
+    ``fork`` every source marches in the calling process."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return max(1, min(usable_cpus(), n_sources, padded_cells // MIN_GROUP_CELLS))
 
 
 class _Stencil(NamedTuple):
@@ -73,6 +128,343 @@ def _interior(stack, batch) -> np.ndarray:
     """View of a time-major (n_t, flat batch) stack as (n_sources, n_t, npx,
     npz) fields: the ghost ring is dropped and the source axis moved first."""
     return stack.reshape(-1, *batch)[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
+
+
+class _SourceGroup:
+    """The leapfrog kernel of sources[first:stop], marched as one flat batch,
+    and the batch's forward cache: the stencil and the u_tt stack.
+
+    Every method takes one array (or None) and returns an array (or None),
+    so it can run in the calling process or in a worker alike. It charges no
+    propagations; the model does. Methods other than ``forward`` and
+    ``reference`` read the cached forward solve.
+    """
+
+    def __init__(self, model: WaveFwiModel, first: int, stop: int):
+        self.first, self.stop = first, stop
+        self.n_sources = stop - first
+        self.n_t, self.dt, self.dx, self.dz = model.n_t, model.dt, model.dx, model.dz
+        self.wavelet = model.wavelet
+        self.grid_shape = (model.npx, model.npz)  # the sponge-padded grid
+        self._damp, self._pad_flat = model.damp, model._pad_flat
+
+        w = model.pad
+        rec = np.asarray(model.receivers, dtype=int)
+        src = np.asarray(model.sources[first:stop], dtype=int)
+        # Ghost-padded flat layout; see the module docstring.
+        self._batch = (len(src), model.npx + 2, model.npz + 2)
+        self._size = int(np.prod(self._batch))
+        self._row = model.npz + 2
+        self._core = slice(self._row, self._size - self._row)
+        # Core-range indices of every (source, receiver) pair, source-major,
+        # and of each field's own source.
+        field = np.arange(len(src))[:, None]
+        self._rec_core = np.ravel_multi_index(
+            (field, rec[None, :, 0] + w + 1, rec[None, :, 1] + w + 1), self._batch
+        ).ravel() - self._row
+        self._src_core = np.ravel_multi_index(
+            (field[:, 0], src[:, 0] + w + 1, src[:, 1] + w + 1), self._batch
+        ) - self._row
+        # Model-independent fields: -d^2, and the weights of c, b and a in
+        # u_tt = (c / d - 2 b + d a) / dt^2.
+        dt2 = self.dt**2
+        self._ratio = self.dx**2 / self.dz**2
+        self._neg_dd, self._inv_d_dt2, self._d_dt2 = (
+            self._padded(g)[self._core]
+            for g in (-(self._damp * self._damp), 1.0 / (self._damp * dt2), self._damp / dt2)
+        )
+        self.stencil = self.u_tt = None
+
+    def _padded(self, field) -> np.ndarray:
+        """An (npx, npz) field in every source's block of a flat batch, with
+        a zero ghost ring."""
+        out = np.zeros(self._batch)
+        out[:, 1:-1, 1:-1] = field
+        return out.reshape(-1)
+
+    def _stencil(self, theta) -> _Stencil:
+        """The leapfrog coefficients of the module docstring at theta."""
+        dt2m = self.dt**2 / theta[self._pad_flat].reshape(self.grid_shape)
+        cs = self._damp * dt2m
+        kx, kz = 1.0 / self.dx**2, 1.0 / self.dz**2
+        cb = self._damp * (2.0 - dt2m * (2.0 * kx + 2.0 * kz))
+        return _Stencil(*(self._padded(g)[self._core] for g in (cb, cs * kx, cs)))
+
+    # --- marches ---------------------------------------------------------------
+    def _views(self, buf) -> tuple[np.ndarray, ...]:
+        """Core range of a flat batch buffer, then its z-1, z+1, x-1, x+1
+        neighbours: five contiguous views of equal length."""
+        n, w = self._size, self._row
+        return (buf[w:n - w], buf[w - 1:n - w - 1], buf[w + 1:n - w + 1],
+                buf[:n - 2 * w], buf[2 * w:])
+
+    def _forward_loop(self, stencil, inject, u_tt=None) -> np.ndarray:
+        """March the leapfrog for every source of the group at once; returns
+        the traces as a flat data vector (one receiver-major panel per source).
+
+        inject(n, c, t) adds cs * f^n to c, the core range of the new field
+        (t is a free core-sized buffer). If u_tt is given, the damped second
+        time derivative of every step is written to its row n.
+        """
+        cb, cx, _ = stencil
+        a, b, c = (self._views(np.zeros(self._size)) for _ in range(3))
+        t = np.empty_like(cb)
+        traces = np.empty((self.n_t, self._rec_core.size))
+        if u_tt is not None:
+            u_core, two_dt2 = u_tt[:, self._core], 2.0 / self.dt**2
+        for n in range(self.n_t):
+            b0, bzm, bzp, bxm, bxp = b
+            a0, c0 = a[0], c[0]
+            # c = cb b + cx (r (z-neighbours) + x-neighbours) - dd a + cs f.
+            np.multiply(cb, b0, out=c0)
+            np.add(bzm, bzp, out=t)
+            if self._ratio != 1.0:
+                t *= self._ratio
+            t += bxm
+            t += bxp
+            t *= cx
+            c0 += t
+            np.multiply(self._neg_dd, a0, out=t)
+            c0 += t
+            inject(n, c0, t)
+            traces[n] = c0[self._rec_core]
+            if u_tt is not None:
+                w = u_core[n]
+                np.multiply(self._inv_d_dt2, c0, out=w)
+                np.multiply(b0, two_dt2, out=t)
+                w -= t
+                np.multiply(self._d_dt2, a0, out=t)
+                w += t
+            a, b, c = b, c, a
+        return traces.T.ravel()
+
+    def _reverse_loop(self, data, correlate=False, stack=None):
+        """Exact transpose of the trace-recording forward map at the cached
+        stencil, marched backward in time for every source of the group.
+
+        The adjoint field of step n is w = cs * cbar = dx^2 * cx * cbar,
+        cbar being the adjoint of the step's new field; the loop carries
+        w / dx^2. With correlate, returns the zero-lag correlation
+        sum_n w^n u_tt^n as a flat batch; with stack given, writes w^n / dx^2
+        to the core range of its row n.
+        """
+        cb, cx, _ = self.stencil
+        abar, bbar = np.zeros(cb.size), np.zeros(cb.size)
+        w0, wzm, wzp, wxm, wxp = self._views(np.zeros(self._size))
+        t = np.empty_like(cb)
+        if correlate:
+            u_core, acc = self.u_tt[:, self._core], np.zeros(self._size)
+            acc_core = acc[self._core]
+        steps = data.reshape(-1, self.n_t).T.copy()  # row n: every trace at step n
+        for n in range(self.n_t - 1, -1, -1):
+            cbar = bbar
+            cbar[self._rec_core] += steps[n]
+            np.multiply(cx, cbar, out=w0)
+            if correlate:
+                np.multiply(w0, u_core[n], out=t)
+                acc_core += t
+            if stack is not None:
+                stack[n, self._core] = w0
+            # new_b = abar + cb cbar + transposed neighbour sums of w;
+            # new_a = -dd cbar.
+            np.multiply(cb, cbar, out=t)
+            abar += t
+            np.add(wzm, wzp, out=t)
+            if self._ratio != 1.0:
+                t *= self._ratio
+            t += wxm
+            t += wxp
+            abar += t
+            np.multiply(self._neg_dd, cbar, out=cbar)
+            abar, bbar = cbar, abar
+        if stack is not None:
+            stack *= self.dx**2
+        return acc * self.dx**2 if correlate else None
+
+    def _record(self, stencil, u_tt=None) -> np.ndarray:
+        """Flattened traces of every source's point-source solve."""
+        src = self._src_core
+        terms = np.outer(self.wavelet, stencil.cs[src])  # row n: cs * wavelet[n]
+
+        def inject(n, c, t):
+            c[src] += terms[n]
+
+        traces = self._forward_loop(stencil, inject, u_tt)
+        if not np.all(np.isfinite(traces)):
+            raise RuntimeError(
+                "wave solve blew up (non-finite traces); check the CFL margin"
+            )
+        return traces
+
+    # --- the group's share of each model action ---------------------------------
+    def forward(self, theta) -> np.ndarray:
+        """Traces at theta; keeps the stencil and u_tt stack as the cache. The
+        old stack is dropped first, and a failed march keeps no cache."""
+        self.drop(None)
+        stencil = self._stencil(theta)
+        u_tt = np.zeros((self.n_t, self._size))
+        traces = self._record(stencil, u_tt)
+        self.stencil, self.u_tt = stencil, u_tt
+        return traces
+
+    def reference(self, theta) -> np.ndarray:
+        """Traces at theta, storing no wavefields and leaving the cache alone."""
+        return self._record(self._stencil(theta))
+
+    def drop(self, _) -> None:
+        self.stencil = self.u_tt = None
+
+    def born(self, eta) -> np.ndarray:
+        """Linearized traces for the Born source eta * u_tt, eta an (npx, npz)
+        perturbation, formed one time step at a time."""
+        ceta = self.stencil.cs * self._padded(eta)[self._core]
+        u_core = self.u_tt[:, self._core]
+
+        def inject(n, c, t):
+            np.multiply(ceta, u_core[n], out=t)
+            c += t
+
+        return self._forward_loop(self.stencil, inject)
+
+    def drive(self, rhs) -> np.ndarray:
+        """Linearized traces for (n_sources, n_t, npx, npz) source fields."""
+        f = np.zeros(self._batch)
+        f_in, f_core = f[:, 1:-1, 1:-1], f.reshape(-1)[self._core]
+        cs = self.stencil.cs
+
+        def inject(n, c, t):
+            f_in[...] = rhs[:, n]
+            np.multiply(cs, f_core, out=t)
+            c += t
+
+        return self._forward_loop(self.stencil, inject)
+
+    def reverse(self, data) -> np.ndarray:
+        """Per-source (n_sources, npx, npz) zero-lag correlation of the
+        adjoint fields for the group's traces with u_tt."""
+        acc = self._reverse_loop(data, correlate=True)
+        return acc.reshape(self._batch)[:, 1:-1, 1:-1]
+
+    def adjoint_fields(self, data) -> np.ndarray:
+        """The (n_sources, n_t, npx, npz) adjoint fields for the group's traces."""
+        stack = np.zeros((self.n_t, self._size))
+        self._reverse_loop(data, stack=stack)
+        return _interior(stack, self._batch)
+
+    def born_fields(self, eta) -> np.ndarray:
+        """The (n_sources, n_t, npx, npz) Born source fields eta * u_tt."""
+        return _interior(self._padded(eta) * self.u_tt, self._batch)
+
+    def correlate(self, lam) -> np.ndarray:
+        """Zero-lag correlation of (n_sources, n_t, npx, npz) fields with
+        u_tt, summed over the group's sources."""
+        return np.einsum("stij,stij->ij", lam, _interior(self.u_tt, self._batch))
+
+
+def _serve(group, inbuf, outbuf, conn, caller_end) -> None:
+    """A worker's loop: run each group method the caller names on the array
+    in ``inbuf``, leave the result in ``outbuf`` and reply with its shape
+    (or the exception raised), until the caller sends None or goes away."""
+    # The caller's end was inherited across the fork; while it is open here,
+    # recv would never see EOF after the caller dies.
+    caller_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
+    while True:
+        try:
+            _wait(conn)
+            command = conn.recv()
+        except EOFError:
+            return
+        if command is None:
+            return
+        name, shape = command
+        arg = None if shape is None else inbuf[:math.prod(shape)].reshape(shape)
+        try:
+            result = getattr(group, name)(arg)
+        except Exception as exc:
+            conn.send(exc)
+            continue
+        if result is not None:
+            outbuf[:result.size].reshape(result.shape)[...] = result
+        conn.send(None if result is None else result.shape)
+
+
+class _Worker:
+    """A source group marching in a forked daemon process.
+
+    Arrays pass both ways through two anonymous shared buffers mapped before
+    the fork, each as large as the group's (n_sources, n_t, npx, npz) field
+    stack (pages are only backed once written). The pipe carries only a
+    method name and an array shape, or the exception the method raised.
+    """
+
+    def __init__(self, group: _SourceGroup):
+        nbytes = 8 * group.n_sources * group.n_t * math.prod(group.grid_shape)
+        self._in, self._out = (
+            np.frombuffer(mmap.mmap(-1, nbytes), dtype=float) for _ in range(2)
+        )
+        # fork, not spawn: the child inherits the group and the buffers
+        # without pickling, and it runs only numpy ufuncs and indexing, never
+        # BLAS, so no lock held by a parent thread is ever needed there.
+        context = multiprocessing.get_context("fork")
+        self._conn, child_end = context.Pipe()
+        self.process = context.Process(
+            target=_serve, args=(group, self._in, self._out, child_end, self._conn),
+            name=f"natgrad-wave-sources-{group.first}-{group.stop}", daemon=True,
+        )
+        self.process.start()
+        child_end.close()
+
+    def submit(self, name: str, arg) -> None:
+        shape = None
+        if arg is not None:
+            shape = arg.shape
+            self._in[:arg.size].reshape(shape)[...] = arg
+        self._conn.send((name, shape))
+
+    def result(self):
+        """The submitted method's result, or the exception it raised."""
+        try:
+            _wait(self._conn)
+            reply = self._conn.recv()
+        except EOFError:
+            raise RuntimeError(
+                f"wave worker {self.process.name} exited "
+                f"(exit code {self.process.exitcode})"
+            ) from None
+        if reply is None or isinstance(reply, Exception):
+            return reply
+        return self._out[:math.prod(reply)].reshape(reply).copy()
+
+    def close(self) -> None:
+        try:
+            self._conn.send(None)
+        except OSError:  # the worker is already gone
+            pass
+        self._conn.close()
+        self.process.join(timeout=10)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+
+
+def _close_workers(workers) -> None:
+    for worker in workers:
+        worker.close()
+
+
+def _joined(parts: list) -> np.ndarray:
+    """Group results joined along the source axis; one group's as it is, so
+    a single group copies nothing."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _attempt(method, arg):
+    """method(arg), or the exception it raised."""
+    try:
+        return method(arg)
+    except Exception as exc:
+        return exc
 
 
 class WaveFwiModel(ForwardModel):
@@ -126,32 +518,17 @@ class WaveFwiModel(ForwardModel):
             # Scatter in the adjoint uses plain fancy indexing.
             raise ValueError("receiver locations must be distinct")
 
-        # Ghost-padded flat layout; see the module docstring.
-        self._batch = (len(src), self.npx + 2, self.npz + 2)
-        self._size = int(np.prod(self._batch))
-        self._row = self.npz + 2
-        self._core = slice(self._row, self._size - self._row)
-        # Core-range indices of every (source, receiver) pair, source-major,
-        # and of each field's own source.
-        field = np.arange(len(src))[:, None]
-        self._rec_core = np.ravel_multi_index(
-            (field, rec[None, :, 0] + w + 1, rec[None, :, 1] + w + 1), self._batch
-        ).ravel() - self._row
-        self._src_core = np.ravel_multi_index(
-            (field[:, 0], src[:, 0] + w + 1, src[:, 1] + w + 1), self._batch
-        ) - self._row
-        # Model-independent fields: -d^2, and the weights of c, b and a in
-        # u_tt = (c / d - 2 b + d a) / dt^2.
-        dt2 = self.dt**2
-        self._ratio = self.dx**2 / self.dz**2
-        self._neg_dd, self._inv_d_dt2, self._d_dt2 = (
-            self._padded(g)[self._core]
-            for g in (-(self.damp * self.damp), 1.0 / (self.damp * dt2), self.damp / dt2)
-        )
+        padded_cells = len(src) * (self.npx + 2) * (self.npz + 2)
+        bounds = np.linspace(0, len(src), source_group_count(len(src), padded_cells) + 1)
+        bounds = bounds.round().astype(int)
+        self._groups = [
+            _SourceGroup(self, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+        # Workers for groups 1.. are forked on the first charged solve.
+        self._workers = []
+        self._close = None
 
         self.reference = None if reference is None else np.asarray(reference, float)
-        self._cache_stencil = None
-        self._cache_u_tt = None
         self._cache_traces = None
 
     # --- layout -----------------------------------------------------------
@@ -162,6 +539,11 @@ class WaveFwiModel(ForwardModel):
     @property
     def n_receivers(self) -> int:
         return len(self.receivers)
+
+    @property
+    def n_groups(self) -> int:
+        """Source groups that march at once (see ``source_group_count``)."""
+        return len(self._groups)
 
     @property
     def data_layout(self) -> tuple[int, int, int]:
@@ -207,159 +589,88 @@ class WaveFwiModel(ForwardModel):
         np.add.at(out, self._pad_flat, field.ravel())
         return out
 
-    def _padded(self, field) -> np.ndarray:
-        """An (npx, npz) field in every source's block of a flat batch, with
-        a zero ghost ring."""
-        out = np.zeros(self._batch)
-        out[:, 1:-1, 1:-1] = field
-        return out.reshape(-1)
+    # --- source groups ---------------------------------------------------------
+    def _by_source(self, array) -> list:
+        """The parts of an array with a leading source axis, one per group."""
+        return [array[g.first:g.stop] for g in self._groups]
 
-    def _stencil(self, theta) -> _Stencil:
-        """The leapfrog coefficients of the module docstring at theta."""
-        dt2m = self.dt**2 / self._pad_model(theta)
-        cs = self.damp * dt2m
-        kx, kz = 1.0 / self.dx**2, 1.0 / self.dz**2
-        cb = self.damp * (2.0 - dt2m * (2.0 * kx + 2.0 * kz))
-        return _Stencil(*(self._padded(g)[self._core] for g in (cb, cs * kx, cs)))
+    def _run(self, name: str, args: list) -> list:
+        """Call group method ``name`` on every group at once, with args[g]
+        for group g; returns their results in source order.
 
-    # --- core linear solves ---------------------------------------------------
-    def _views(self, buf) -> tuple[np.ndarray, ...]:
-        """Core range of a flat batch buffer, then its z-1, z+1, x-1, x+1
-        neighbours: five contiguous views of equal length."""
-        n, w = self._size, self._row
-        return (buf[w:n - w], buf[w - 1:n - w - 1], buf[w + 1:n - w + 1],
-                buf[:n - 2 * w], buf[2 * w:])
-
-    def _forward_loop(self, stencil, inject, u_tt=None) -> np.ndarray:
-        """March the leapfrog for every source at once; returns the traces
-        as the flat data vector (one receiver-major panel per source).
-
-        inject(n, c, t) adds cs * f^n to c, the core range of the new field
-        (t is a free core-sized buffer). If u_tt is given, the damped second
-        time derivative of every step is written to its row n.
+        Group 0 runs here while the workers run theirs. Every reply is read
+        before the first group's exception is raised, so the pipes stay in
+        step.
         """
-        cb, cx, _ = stencil
-        a, b, c = (self._views(np.zeros(self._size)) for _ in range(3))
-        t = np.empty_like(cb)
-        traces = np.empty((self.n_t, self._rec_core.size))
-        if u_tt is not None:
-            u_core, two_dt2 = u_tt[:, self._core], 2.0 / self.dt**2
-        for n in range(self.n_t):
-            b0, bzm, bzp, bxm, bxp = b
-            a0, c0 = a[0], c[0]
-            # c = cb b + cx (r (z-neighbours) + x-neighbours) - dd a + cs f.
-            np.multiply(cb, b0, out=c0)
-            np.add(bzm, bzp, out=t)
-            if self._ratio != 1.0:
-                t *= self._ratio
-            t += bxm
-            t += bxp
-            t *= cx
-            c0 += t
-            np.multiply(self._neg_dd, a0, out=t)
-            c0 += t
-            inject(n, c0, t)
-            traces[n] = c0[self._rec_core]
-            if u_tt is not None:
-                w = u_core[n]
-                np.multiply(self._inv_d_dt2, c0, out=w)
-                np.multiply(b0, two_dt2, out=t)
-                w -= t
-                np.multiply(self._d_dt2, a0, out=t)
-                w += t
-            a, b, c = b, c, a
-        self.propagation_counter += self.n_sources
-        return traces.T.ravel()
+        if len(self._groups) > 1 and not self._workers:
+            self._workers = [_Worker(g) for g in self._groups[1:]]
+            self._close = weakref.finalize(self, _close_workers, self._workers)
+        try:
+            for worker, arg in zip(self._workers, args[1:]):
+                worker.submit(name, arg)
+            results = [_attempt(getattr(self._groups[0], name), args[0])]
+            results += [worker.result() for worker in self._workers]
+        except BaseException:
+            # A reply may be left unread (an interrupt) or a worker lost.
+            self._stop_workers()
+            raise
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+        return results
 
-    def _reverse_loop(self, stencil, data, u_tt=None, stack=None):
-        """Exact transpose of the trace-recording forward map, marched
-        backward in time for every source at once.
+    def _march(self, name: str, args: list) -> list:
+        """``_run`` for a method that marches every source once; charged one
+        propagation per source, also when it raises."""
+        try:
+            return self._run(name, args)
+        finally:
+            self.propagation_counter += self.n_sources
 
-        The adjoint field of step n is w = cs * cbar = dx^2 * cx * cbar,
-        cbar being the adjoint of the step's new field; the loop carries
-        w / dx^2. With u_tt given, returns the zero-lag correlation
-        sum_n w^n u_tt^n as a flat batch; with stack given, writes w^n / dx^2
-        to the core range of its row n.
-        """
-        cb, cx, _ = stencil
-        abar, bbar = np.zeros(cb.size), np.zeros(cb.size)
-        w0, wzm, wzp, wxm, wxp = self._views(np.zeros(self._size))
-        t = np.empty_like(cb)
-        if u_tt is not None:
-            u_core, acc = u_tt[:, self._core], np.zeros(self._size)
-            acc_core = acc[self._core]
-        steps = data.reshape(-1, self.n_t).T.copy()  # row n: every trace at step n
-        for n in range(self.n_t - 1, -1, -1):
-            cbar = bbar
-            cbar[self._rec_core] += steps[n]
-            np.multiply(cx, cbar, out=w0)
-            if u_tt is not None:
-                np.multiply(w0, u_core[n], out=t)
-                acc_core += t
-            if stack is not None:
-                stack[n, self._core] = w0
-            # new_b = abar + cb cbar + transposed neighbour sums of w;
-            # new_a = -dd cbar.
-            np.multiply(cb, cbar, out=t)
-            abar += t
-            np.add(wzm, wzp, out=t)
-            if self._ratio != 1.0:
-                t *= self._ratio
-            t += wxm
-            t += wxp
-            abar += t
-            np.multiply(self._neg_dd, cbar, out=cbar)
-            abar, bbar = cbar, abar
-        self.propagation_counter += self.n_sources
-        if stack is not None:
-            stack *= self.dx**2
-        return acc * self.dx**2 if u_tt is not None else None
+    def _stop_workers(self) -> None:
+        """Stop the workers, with their caches, and forget the cache here; the
+        next charged solve forks new ones."""
+        if self._workers:
+            self._close()
+            self._workers = []
+        self._cache_theta = self._cache_traces = None
+        self._groups[0].drop(None)
 
-    def _adjoint_fields(self, stencil, data) -> np.ndarray:
-        """Re-march a reverse solve, storing its (n_sources, n_t, npx, npz)
-        adjoint fields."""
-        stack = np.zeros((self.n_t, self._size))
-        self._reverse_loop(stencil, data, stack=stack)
-        return _interior(stack, self._batch)
+    def _drop_stacks(self) -> None:
+        if self._workers:
+            self._run("drop", [None] * self.n_groups)
+        else:
+            self._groups[0].drop(None)
+
+    def reset_accounting(self) -> None:
+        super().reset_accounting()
+        self._cache_traces = None
+        self._drop_stacks()
 
     # --- forward map -----------------------------------------------------------
-    def _record(self, stencil, u_tt=None) -> np.ndarray:
-        """Flattened traces of every source's point-source solve."""
-        src = self._src_core
-        terms = np.outer(self.wavelet, stencil.cs[src])  # row n: cs * wavelet[n]
-
-        def inject(n, c, t):
-            c[src] += terms[n]
-
-        traces = self._forward_loop(stencil, inject, u_tt)
-        if not np.all(np.isfinite(traces)):
-            raise RuntimeError(
-                "wave solve blew up (non-finite traces); check the CFL margin"
-            )
-        return traces
-
     def solve_forward(self, theta) -> np.ndarray:
         theta = self._check_theta(theta)
         if self._is_cached(theta):
             return self._cache_traces.copy()
-        # Drop the old cache first: one live stack, and a march that fails
-        # leaves no cache behind.
-        self._cache_theta = self._cache_stencil = self._cache_u_tt = self._cache_traces = None
-        stencil = self._stencil(theta)
-        u_tt = np.zeros((self.n_t, self._size))
-        traces = self._record(stencil, u_tt)
-        self._cache_theta = theta.copy()
-        self._cache_stencil, self._cache_u_tt, self._cache_traces = stencil, u_tt, traces
+        # Each group drops its old stack before it marches: one live stack
+        # per group. A march that fails anywhere leaves no cache anywhere.
+        self._cache_theta = self._cache_traces = None
+        try:
+            traces = _joined(self._march("forward", [theta] * self.n_groups))
+        except Exception:
+            self._drop_stacks()
+            raise
+        self._cache_theta, self._cache_traces = theta.copy(), traces
         return traces.copy()
 
     def generate_reference(self, theta_true) -> np.ndarray:
         """Record observed data from a ground-truth model; not charged as cost.
 
-        The march stores no wavefields and leaves the forward cache alone.
+        Every source marches here as one batch: no worker is started. The
+        march stores no wavefields and leaves the forward cache alone.
         """
-        counter = self.propagation_counter
-        self.reference = self._record(self._stencil(self._check_theta(theta_true)))
-        self.propagation_counter = counter
+        batch = _SourceGroup(self, 0, self.n_sources)
+        self.reference = batch.reference(self._check_theta(theta_true))
         return self.reference
 
     def loss_and_grad_rho(self, rho):
@@ -368,11 +679,15 @@ class WaveFwiModel(ForwardModel):
         return least_squares_misfit(rho, self.reference)
 
     # --- constraint actions ------------------------------------------------------
-    def _require_cache(self) -> tuple[_Stencil, np.ndarray]:
-        """The cached stencil and u_tt stack; raises if no forward is cached."""
+    def _require_cache(self, lazy=None) -> None:
+        """Raise unless a forward solve is cached and the lazy fields, if
+        given, belong to it."""
         if self._cache_theta is None:
             raise RuntimeError("forward wavefields not cached; run solve_forward first")
-        return self._cache_stencil, self._cache_u_tt
+        if lazy is not None and lazy.theta is not self._cache_theta:
+            raise RuntimeError(
+                f"{type(lazy).__name__} belongs to another forward solve"
+            )
 
     def apply_drho_h_inverse(self, rhs_fields) -> np.ndarray:
         """Linearized forward: (n_sources, n_t, npx, npz) sources to traces.
@@ -380,43 +695,32 @@ class WaveFwiModel(ForwardModel):
         A BornSource is expanded one time step at a time; any other
         array-like of that shape is read as it is.
         """
-        stencil, _ = self._require_cache()
         if isinstance(rhs_fields, BornSource):
-            ceta = stencil.cs * rhs_fields.eta[self._core]
-            u_core = rhs_fields.u_tt[:, self._core]
-
-            def inject(n, c, t):
-                np.multiply(ceta, u_core[n], out=t)
-                c += t
+            self._require_cache(rhs_fields)
+            name, args = "born", [rhs_fields.eta] * self.n_groups
         else:
+            self._require_cache()
             rhs = np.asarray(rhs_fields, dtype=float)
             if rhs.shape != self.field_shape:
                 raise ValueError(f"source fields must have shape {self.field_shape}")
-            f = np.zeros(self._batch)
-            f_in, f_core = f[:, 1:-1, 1:-1], f.reshape(-1)[self._core]
-
-            def inject(n, c, t):
-                f_in[...] = rhs[:, n]
-                np.multiply(stencil.cs, f_core, out=t)
-                c += t
-
-        return self._forward_loop(stencil, inject)
+            name, args = "drive", self._by_source(rhs)
+        return _joined(self._march(name, args))
 
     def apply_drho_h_transpose_inverse(self, data_rhs) -> AdjointFields:
         """Reverse-time solve: trace-space input to adjoint fields, shaped
         (n_sources, n_t, npx, npz) and held as their correlation with u_tt."""
-        stencil, u_tt = self._require_cache()
+        self._require_cache()
         data = np.array(data_rhs, dtype=float)
         if data.shape != (self.state_dim,):
             raise ValueError(f"data vector must have length {self.state_dim}")
-        correlation = self._reverse_loop(stencil, data, u_tt=u_tt)
-        return AdjointFields(self, stencil, data, correlation)
+        panels = self._by_source(data.reshape(self.n_sources, -1))
+        correlation = _joined(self._march("reverse", [p.ravel() for p in panels]))
+        return AdjointFields(self, self._cache_theta, data, correlation)
 
     def apply_dtheta_h(self, eta) -> BornSource:
         """Model perturbation to the Born source fields eta * u_tt."""
-        _, u_tt = self._require_cache()
-        eta_pad = self._pad_model(np.asarray(eta, dtype=float))
-        return BornSource(self._padded(eta_pad), u_tt, self._batch)
+        self._require_cache()
+        return BornSource(self, self._cache_theta, self._pad_model(np.asarray(eta, dtype=float)))
 
     def apply_dtheta_h_transpose(self, lam_fields) -> np.ndarray:
         """Zero-lag correlation of adjoint fields with u_tt, summed over sources.
@@ -424,53 +728,64 @@ class WaveFwiModel(ForwardModel):
         AdjointFields carry it from their reverse solve; any other array-like
         of the field shape is correlated here.
         """
-        stencil, u_tt = self._require_cache()
         if isinstance(lam_fields, AdjointFields):
-            if lam_fields.stencil is not stencil:
-                raise RuntimeError("adjoint fields belong to another forward solve")
-            acc = lam_fields.correlation.reshape(self._batch)[:, 1:-1, 1:-1].sum(axis=0)
+            self._require_cache(lam_fields)
+            acc = lam_fields.correlation.sum(axis=0)
         else:
+            self._require_cache()
             lam = np.asarray(lam_fields, dtype=float)
             if lam.shape != self.field_shape:
                 raise ValueError(f"adjoint fields must have shape {self.field_shape}")
-            acc = np.einsum("stij,stij->ij", lam, _interior(u_tt, self._batch))
+            acc = np.sum(self._run("correlate", self._by_source(lam)), axis=0)
         return self._pad_transpose(acc)
+
+    def _materialize(self, lazy) -> np.ndarray:
+        """The (n_sources, n_t, npx, npz) stack of a lazy BornSource or
+        AdjointFields; the latter re-marches its reverse solve."""
+        self._require_cache(lazy)
+        if isinstance(lazy, BornSource):
+            return _joined(self._run("born_fields", [lazy.eta] * self.n_groups))
+        panels = self._by_source(lazy.data.reshape(self.n_sources, -1))
+        return _joined(self._march("adjoint_fields", [p.ravel() for p in panels]))
 
 
 class BornSource:
     """The Born source fields eta * u_tt of every source, never materialized.
 
-    eta is flat in the kernel layout and u_tt the cached stack. The
-    linearized solve forms each time step's slice as it marches. Negation
-    flips the stored perturbation, which is exact, and ``np.asarray`` builds
-    the full (n_sources, n_t, npx, npz) stack.
+    eta is the (npx, npz) padded model perturbation and theta the model's
+    cached parameters at creation; the source is valid while that forward
+    solve is cached. The linearized solve forms each time step's slice as it
+    marches. Negation flips the stored perturbation, which is exact, and
+    ``np.asarray`` builds the full (n_sources, n_t, npx, npz) stack.
     """
 
-    def __init__(self, eta, u_tt, batch):
+    def __init__(self, model, theta, eta):
+        self.model = model
+        self.theta = theta
         self.eta = eta
-        self.u_tt = u_tt
-        self.batch = batch
 
     def __neg__(self) -> BornSource:
-        return BornSource(-self.eta, self.u_tt, self.batch)
+        return BornSource(self.model, self.theta, -self.eta)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(_interior(self.eta * self.u_tt, self.batch), dtype=dtype)
+        return np.asarray(self.model._materialize(self), dtype=dtype)
 
 
 class AdjointFields:
-    """Adjoint fields of one reverse solve, kept as their zero-lag correlation
-    with u_tt (every source, flat in the kernel layout), which the solve
+    """Adjoint fields of one reverse solve, kept as their per-source zero-lag
+    correlation with u_tt, (n_sources, npx, npz), which the solve
     accumulated.
 
-    ``apply_dtheta_h_transpose`` reads the correlation. ``shape`` is the field
-    shape; ``np.asarray`` (and iteration, over sources) re-marches the reverse
-    solve storing every step, charged as one propagation per source.
+    ``apply_dtheta_h_transpose`` sums the correlation over sources. ``shape``
+    is the field shape; ``np.asarray`` (and iteration, over sources)
+    re-marches the reverse solve storing every step, charged as one
+    propagation per source. Both need the forward solve of their creation
+    (parameters ``theta``) to be the cached one.
     """
 
-    def __init__(self, model, stencil, data, correlation):
+    def __init__(self, model, theta, data, correlation):
         self.model = model
-        self.stencil = stencil
+        self.theta = theta
         self.data = data
         self.correlation = correlation
 
@@ -479,7 +794,7 @@ class AdjointFields:
         return self.model.field_shape
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(self.model._adjoint_fields(self.stencil, self.data), dtype=dtype)
+        return np.asarray(self.model._materialize(self), dtype=dtype)
 
     def __iter__(self):
         return iter(np.asarray(self))

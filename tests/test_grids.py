@@ -324,6 +324,30 @@ class TestWeightedDivergence:
                 assert got.shape == want.shape
                 assert np.linalg.norm(got - want) <= 1e-14 * max(np.linalg.norm(want), 1e-300)
 
+    @staticmethod
+    def _bt_by_moveaxis(wdiv, g):
+        """The earlier apply_bt, one zeroed temporary per axis, concatenated."""
+        u = g.reshape(wdiv.grid.interior_counts + g.shape[1:])
+        w = wdiv.weights.reshape(wdiv.grid.interior_counts + (1,) * (g.ndim - 1))
+        parts = []
+        for axis, h in enumerate(wdiv.grid.spacings):
+            a, diff = np.moveaxis(u, axis, 0), np.zeros_like(u)
+            d = np.moveaxis(diff, axis, 0)
+            d[:-1] = a[1:]
+            d[1:] -= a[:-1]
+            parts.append((diff * (w / (2.0 * h))).reshape(g.shape))
+        return np.concatenate(parts)
+
+    def test_bt_in_place_stencil_is_bit_identical(self, rng):
+        # The in-place stencil keeps the operation order of each element.
+        for counts in ((12, 160), (6, 5), (1, 4), (9,), (1,)):
+            grid = Grid.regular([[0.0, 1.0], [0.0, 2.3]][: len(counts)], counts)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                wdiv = build_weighted_divergence(grid, rng.uniform(0.5, 2.0, grid.size))
+            for g in (rng.standard_normal(grid.size), rng.standard_normal((grid.size, 144))):
+                assert np.array_equal(wdiv.apply_bt(g), self._bt_by_moveaxis(wdiv, g))
+
     def test_gram_solve_equals_scipy_banded_solve(self, rng):
         # The direct LAPACK call is the routine cho_solve_banded wraps.
         for counts in ((6, 8), (9, 9), (1, 4), (7,)):

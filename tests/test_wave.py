@@ -1,12 +1,17 @@
 """Wave model: exact transposability, gradients, linearity, symmetry."""
 
+import gc
+import json
+import multiprocessing
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from natgrad.models import WaveFwiModel, ricker_wavelet
-from natgrad.solver import assemble_jacobian, gl_action, gradient_adjoint
+from natgrad import cli
+from natgrad.metrics import MetricKind
+from natgrad.models import WaveFwiModel, ricker_wavelet, wave
+from natgrad.solver import assemble_jacobian, build_metric_for_model, gl_action, gradient_adjoint
 
 from conftest import make_wave_model
 
@@ -90,9 +95,6 @@ class TestAdjointness:
         assert abs(left - right) <= 1e-12 * max(abs(left), 1.0)
 
     def test_gl_action_symmetry(self, wave_model, rng):
-        from natgrad.metrics import MetricKind
-        from natgrad.solver import build_metric_for_model
-
         model, _ = wave_model
         rho = model.solve_forward(np.full(model.param_dim, 1.1))
         metric = build_metric_for_model(model, MetricKind.parse("h1"))
@@ -199,6 +201,7 @@ class TestBatchedSources:
     def test_gl_action_working_memory_is_one_stack(self, rng):
         # The one stack is the cached u_tt; gl_action itself allocates none.
         model = _sources_model(self.SOURCES)
+        assert model.n_groups == 1  # every stack is in this process
         model.solve_forward(np.full(64, 1.1))
         eta = rng.standard_normal(64)
         batch = 8 * model.n_sources * model.npx * model.npz
@@ -220,6 +223,7 @@ class TestBatchedSources:
 
     def test_one_live_forward_stack(self):
         model = _sources_model(self.SOURCES)
+        assert model.n_groups == 1  # every stack is in this process
         batch = 8 * model.n_sources * model.npx * model.npz
         tracemalloc.start()
         try:
@@ -316,3 +320,146 @@ class TestLayout:
                 sources=[(3, 0)], receivers=[(0, 0), (0, 0)],
                 wavelet=np.zeros(10),
             )
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count the source-group rule sees."""
+    return lambda n: monkeypatch.setattr(wave, "usable_cpus", lambda: n)
+
+
+def _split_model(n_t=80):
+    """Three sources, dx != dz, 5,796 padded cells: two groups on two CPUs."""
+    nx, nz = 24, 20
+    model = WaveFwiModel(
+        cells=(nx, nz), spacing=(1.0, 0.8), n_t=n_t, dt=0.3,
+        sources=[(2, 0), (11, 5), (21, 17)],
+        receivers=[(ix, 0) for ix in range(nx)] + [(5, nz - 1), (nx - 1, 9)],
+        wavelet=ricker_wavelet(n_t, 0.3, 0.12),
+    )
+    m_true = np.full((nx, nz), 1.0)
+    m_true[:, nz // 2:] = 1.3
+    model.generate_reference(m_true.ravel())
+    return model
+
+
+class TestSourceGroups:
+    """Sources split into groups, group 0 here and the rest in forked workers."""
+
+    def test_group_count_rule(self, cpus, monkeypatch):
+        fwi, wave12 = 4 * 52 * 52, 2 * 34 * 34  # padded cells of the benchmark models
+        cpus(1)
+        assert wave.source_group_count(4, fwi) == 1
+        cpus(2)
+        assert wave.source_group_count(2, wave12) == 1
+        assert wave.source_group_count(4, fwi) == 2
+        assert make_wave_model(12, 12, 160, n_sources=2)[0].n_groups == 1
+        cpus(64)
+        for n_sources in range(1, 6):
+            assert wave.source_group_count(n_sources, 10**8) == n_sources
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert wave.source_group_count(4, fwi) == 1
+
+    def test_two_groups_match_one_bit_for_bit(self, cpus, rng):
+        cpus(1)
+        one = _split_model()
+        cpus(2)
+        two = _split_model()
+        assert (one.n_groups, two.n_groups) == (1, 2)
+        assert not two._workers  # set-up forks nothing
+        theta = 1.0 + 0.2 * rng.random(one.param_dim)
+        eta = rng.standard_normal(one.param_dim)
+        fields = rng.standard_normal(one.field_shape)
+
+        def outputs(model):
+            rho = model.solve_forward(theta)
+            _, grad_rho = model.loss_and_grad_rho(rho)
+            metric = build_metric_for_model(model, MetricKind.parse("w2"), model.metric_state(rho))
+            lam = model.apply_drho_h_transpose_inverse(grad_rho)
+            return {
+                "reference": model.reference,
+                "traces": rho,
+                "gradient": gradient_adjoint(model, grad_rho),
+                "gl_action": gl_action(model, metric, eta),
+                "gl_action_l2": gl_action(model, None, eta),
+                "adjoint_fields": np.asarray(lam),
+                "born_source": np.asarray(-model.apply_dtheta_h(eta)),
+                "linearized_from_fields": model.apply_drho_h_inverse(fields),
+                "propagations": model.propagation_counter,
+            }
+
+        want, got = outputs(one), outputs(two)
+        assert len(two._workers) == 1
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+        # A correlation of plain fields is summed per group, then over groups.
+        dense_one = one.apply_dtheta_h_transpose(fields)
+        dense_two = two.apply_dtheta_h_transpose(fields)
+        assert np.linalg.norm(dense_two - dense_one) <= 1e-13 * np.linalg.norm(dense_one)
+
+    def test_worker_stops_when_model_is_deleted(self, cpus):
+        cpus(2)
+        model = _split_model(n_t=20)
+        model.solve_forward(np.full(model.param_dim, 1.1))
+        process = model._workers[0].process
+        assert process.is_alive()
+        del model
+        gc.collect()
+        process.join(timeout=10)
+        assert not process.is_alive()
+
+    def test_no_worker_outlives_a_cli_run(self, cpus, monkeypatch, tmp_path):
+        cpus(2)
+        processes = []
+        start = wave._Worker.__init__
+
+        def recorded(worker, group):
+            start(worker, group)
+            processes.append(worker.process)
+
+        monkeypatch.setattr(wave._Worker, "__init__", recorded)
+        config = tmp_path / "wave.json"
+        config.write_text(json.dumps({
+            "model": {
+                "kind": "wave-fwi", "cells": [24, 20], "spacing": [1.0, 0.8],
+                "nt": 40, "dt": 0.3, "sources": {"count": 3, "row": 0},
+                "wavelet": {"peak_freq": 0.12},
+                "true_model": {"layered": {"background": 1.0, "layers": [[10, 1.3]]}},
+                "initial_model": {"constant": 1.1},
+            },
+            "solver": {"metric": "l2", "step0": 1.0, "max_iters": 2,
+                       "cg_max_iter": 3, "damping_lambda": 1e-4, "seed": 0},
+        }))
+        assert cli.main(["run", "-c", str(config), "--out", str(tmp_path / "out")]) in (0, 2)
+        assert len(processes) == 1
+        assert not processes[0].is_alive()
+
+    def test_worker_error_reaches_caller_and_leaves_no_cache(self, cpus, monkeypatch, rng):
+        cpus(2)
+        poisoned = 1.25
+        stencil = wave._SourceGroup._stencil
+
+        def poison(group, theta):
+            # Non-finite coefficients for the worker's sources only, at one
+            # model; set before the fork, so the worker inherits it.
+            s = stencil(group, theta)
+            if group.first > 0 and theta[0] == poisoned:
+                s = s._replace(cb=np.full_like(s.cb, np.nan))
+            return s
+
+        monkeypatch.setattr(wave._SourceGroup, "_stencil", poison)
+        model = _split_model(n_t=30)
+        good = np.full(model.param_dim, 1.1)
+        want = model.solve_forward(good)
+        count = model.propagation_counter
+        with pytest.raises(RuntimeError, match="non-finite traces"):
+            model.solve_forward(np.full(model.param_dim, poisoned))
+        assert model.propagation_counter == count + model.n_sources
+        assert model._cache_theta is None and model._groups[0].u_tt is None
+        with pytest.raises(RuntimeError, match="not cached"):
+            model.apply_dtheta_h(np.ones(model.param_dim))
+        worker = model._workers[0]
+        worker.submit("born_fields", np.ones((model.npx, model.npz)))
+        assert isinstance(worker.result(), TypeError)  # the worker kept no stack
+        # The pipe is still in step: the next solve marches and agrees.
+        assert np.array_equal(model.solve_forward(good), want)
