@@ -32,12 +32,19 @@ class PivotedQRFactors:
 
 @dataclass(frozen=True)
 class CgReport:
-    """Outcome of a conjugate-gradient solve."""
+    """Outcome of a conjugate-gradient solve.
+
+    ``model_decrease`` is the change -1/2 b^T x of the quadratic model
+    1/2 x^T A x - b^T x from x = 0 to the returned iterate (negative when the
+    model decreases). CG iterates from zero satisfy x^T A x = b^T x, so it
+    costs no product.
+    """
 
     solution: np.ndarray
     iterations: int
     final_relative_residual: float
     converged: bool
+    model_decrease: float
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -127,7 +134,7 @@ def cg_solve(
         max_iter = 3 * n
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
-        return CgReport(np.zeros(n), 0, 0.0, True)
+        return CgReport(np.zeros(n), 0, 0.0, True, 0.0)
     cap = min(max_iter, n)
     basis = np.empty((cap + 1, n))
     basis[0] = b / b_norm
@@ -161,4 +168,4 @@ def cg_solve(
         direction *= rs_new / rs
         direction += res
         rs = rs_new
-    return CgReport(x, iterations, float(rel), bool(rel <= tol))
+    return CgReport(x, iterations, float(rel), bool(rel <= tol), -0.5 * float(b @ x))

@@ -32,6 +32,10 @@ exposes whichever Jacobian access it has:
 Every model tracks ``propagation_counter``: one unit per forward, adjoint, or
 linearized-forward solve (per source for the wave model, whose batched solves
 march every source at once), the cost unit used in convergence histories.
+The wave model's ``receiver_jacobian`` is charged the same way: it marches
+one reverse solve per receiver, n_sources receivers per batched march, so
+ceil(n_receivers / n_sources) * n_sources propagations instead of one
+linearized solve per parameter.
 ``reset_accounting()`` zeroes it together with the forward cache.
 """
 

@@ -739,6 +739,51 @@ class WaveFwiModel(ForwardModel):
             acc = np.sum(self._run("correlate", self._by_source(lam)), axis=0)
         return self._pad_transpose(acc)
 
+    def receiver_jacobian(self) -> np.ndarray:
+        """Dense (state_dim, param_dim) Jacobian at the cached forward solve,
+        from one reverse march per receiver.
+
+        The leapfrog is linear and time-invariant from a zero state, so the
+        adjoint fields of a unit impulse at receiver r and step T - 1 are r's
+        Green's function: their step T - 1 - k is the response at r to a unit
+        source k steps earlier. Row (s, r, t) of Z is then minus the causal
+        convolution of that function with source s's u_tt up to step t,
+        summed over each parameter's padded cells. The receivers take the
+        source slots of each reverse march in turn, so a march charges
+        n_sources propagations as usual; u_tt is read from the cache. The
+        convolutions run as FFT products, summed over a parameter's cells
+        before the inverse transform, so each (source, receiver) pair needs
+        only param_dim inverse transforms.
+        """
+        self._require_cache()
+        n_s, n_r, n_t, p = self.n_sources, self.n_receivers, self.n_t, self.param_dim
+        order = np.argsort(self._pad_flat, kind="stable")
+        starts = np.searchsorted(self._pad_flat[order], np.arange(p))
+        n_fft = 2 * n_t  # no wrap-around in the first n_t samples
+
+        def spectra(fields) -> np.ndarray:
+            """(n, n_t, npx, npz) fields to (n, freq, cell) spectra, the
+            cells ordered by the parameter they replicate."""
+            series = fields.reshape(len(fields), n_t, -1)[:, :, order]
+            return np.fft.rfft(series, n_fft, axis=1)
+
+        ones = np.ones((self.npx, self.npz))  # born_fields(1) is u_tt itself
+        u_hat = spectra(_joined(self._run("born_fields", [ones] * self.n_groups)))
+        z = np.empty((n_s, n_r, n_t, p))
+        for first in range(0, n_r, n_s):
+            stop = min(first + n_s, n_r)
+            impulses = np.zeros((n_s, n_r, n_t))
+            impulses[np.arange(stop - first), np.arange(first, stop), -1] = 1.0
+            panels = self._by_source(impulses.reshape(n_s, -1))
+            green = _joined(self._march("adjoint_fields", [q.ravel() for q in panels]))
+            g_hat = spectra(green[:stop - first, ::-1])
+            del green
+            for k in range(stop - first):
+                # (source, freq, parameter) for receiver first + k, then time.
+                y_hat = np.add.reduceat(u_hat * g_hat[k], starts, axis=2)
+                z[:, first + k] = -np.fft.irfft(y_hat, n_fft, axis=1)[:, :n_t]
+        return z.reshape(self.state_dim, p)
+
     def _materialize(self, lazy) -> np.ndarray:
         """The (n_sources, n_t, npx, npz) stack of a lazy BornSource or
         AdjointFields; the latter re-marches its reverse solve."""

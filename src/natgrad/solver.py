@@ -89,6 +89,9 @@ class IterationRecord:
     # Outcome of the direction's CG solve; None on the routes without one.
     cg_iterations: int | None = None
     cg_converged: bool | None = None
+    # The CG solve's change of the quadratic model, -1/2 b^T eta (not in
+    # trace.csv).
+    cg_model_decrease: float | None = None
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,11 @@ def direction_implicit(model, metric, grad_theta, cfg: NgdConfig, damping_metric
 
 
 def assemble_jacobian(model) -> np.ndarray:
-    """Column-by-column Jacobian from the constraint actions (test oracle)."""
+    """Dense Jacobian at the cached forward solve, for the check oracles: the
+    model's ``receiver_jacobian`` where it has one, else column by column from
+    the constraint actions (one linearized solve per parameter)."""
+    if hasattr(model, "receiver_jacobian"):
+        return model.receiver_jacobian()
     p = model.param_dim
     cols = []
     for j in range(p):
@@ -424,6 +431,7 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
                 model.propagation_counter, float(np.linalg.norm(eta)),
                 None if cg is None else cg.iterations,
                 None if cg is None else cg.converged,
+                None if cg is None else cg.model_decrease,
             )
         )
         if callback is not None:

@@ -182,6 +182,19 @@ class TestCgSolve:
         assert not rep.converged
         assert abs(rep.final_relative_residual - true) <= 0.1 * true
 
+    @pytest.mark.parametrize("max_iter", [1, 10, 40, 60])
+    def test_model_decrease_is_the_quadratic_at_the_iterate(self, max_iter):
+        # CG iterates from zero satisfy x^T A x = b^T x, so -1/2 b^T x is the
+        # quadratic model 1/2 x^T A x - b^T x; truncated and converged alike.
+        a, b = self.rotated_spd(60, 1e6, seed=0)
+        rep = cg_solve(lambda v: a @ v, b, tol=1e-30, max_iter=max_iter)
+        x = rep.solution
+        quadratic = 0.5 * x @ a @ x - b @ x
+        assert rep.iterations == max_iter
+        assert quadratic < 0.0
+        assert abs(rep.model_decrease - quadratic) <= 1e-10 * abs(quadratic)
+        assert cg_solve(lambda v: a @ v, np.zeros(60)).model_decrease == 0.0
+
     @pytest.mark.parametrize("max_iter", [5, 59, 60, 600])
     def test_basis_memory_and_exact_termination(self, max_iter):
         n = 60

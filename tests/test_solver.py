@@ -344,11 +344,13 @@ class TestOptimize:
                         cg_tol=1e-12, cg_max_iter=1, path="implicit")
         res = optimize(model, theta0, cfg)
         assert [(r.cg_iterations, r.cg_converged) for r in res.records[1:]] == [(1, False)] * 3
+        assert all(r.cg_model_decrease < 0.0 for r in res.records[1:])
         assert res.cg_unconverged == 3
         # Routes without a CG solve leave the fields unset.
         for route in (dict(path="explicit"), dict(metric="gd", path="implicit")):
             res = optimize(model, theta0, replace(cfg, **route))
             assert {(r.cg_iterations, r.cg_converged) for r in res.records} == {(None, None)}
+            assert {r.cg_model_decrease for r in res.records} == {None}
             assert res.cg_unconverged == 0
 
     @pytest.mark.parametrize(

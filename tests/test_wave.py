@@ -263,13 +263,14 @@ def _reference_traces(model, theta):
     return np.concatenate(panels)
 
 
-def _anisotropic_model():
-    """Three sources, dx != dz, receivers on the cells next to the sponge."""
+def _anisotropic_model(extra_receivers=()):
+    """Three sources, dx != dz, receivers on the cells next to the sponge
+    (and any extra ones given)."""
     n_t, dt = 150, 0.3
     model = WaveFwiModel(
         cells=(9, 7), spacing=(1.0, 0.8), n_t=n_t, dt=dt,
         sources=[(1, 0), (4, 3), (8, 6)],
-        receivers=[(0, 0), (8, 6), (3, 6), (0, 6), (8, 0), (5, 2)],
+        receivers=[(0, 0), (8, 6), (3, 6), (0, 6), (8, 0), (5, 2), *extra_receivers],
         wavelet=ricker_wavelet(n_t, dt, 0.12), sponge_width=3,
     )
     m_true = np.full((9, 7), 1.0)
@@ -463,3 +464,64 @@ class TestSourceGroups:
         assert isinstance(worker.result(), TypeError)  # the worker kept no stack
         # The pipe is still in step: the next solve marches and agrees.
         assert np.array_equal(model.solve_forward(good), want)
+
+
+def _column_jacobian(model) -> np.ndarray:
+    """One linearized solve per parameter: the Jacobian column by column."""
+    columns = []
+    for j in range(model.param_dim):
+        e = np.zeros(model.param_dim)
+        e[j] = 1.0
+        columns.append(model.apply_drho_h_inverse(-model.apply_dtheta_h(e)))
+    return np.stack(columns, axis=1)
+
+
+class TestReceiverJacobian:
+    """The Jacobian from one reverse march per receiver."""
+
+    @pytest.mark.parametrize("build, n_groups", [
+        # The check benchmark's model: 2 sources, 12 receivers.
+        (lambda: make_wave_model(12, 12, 160, n_sources=2)[0], 1),
+        # dx != dz, receivers off the top row, 7 receivers over 3 source slots.
+        (lambda: _anisotropic_model(extra_receivers=[(2, 4)]), 1),
+        # Two source groups, 26 receivers over 3 source slots.
+        (lambda: _split_model(n_t=40), 2),
+    ], ids=["wave12", "anisotropic", "two_groups"])
+    def test_matches_column_loop_and_charges_per_receiver(self, build, n_groups, cpus, rng):
+        cpus(2)
+        model = build()
+        assert model.n_groups == n_groups
+        model.solve_forward(1.0 + 0.2 * rng.random(model.param_dim))
+        count = model.propagation_counter
+        z = model.receiver_jacobian()
+        marches = -(-model.n_receivers // model.n_sources)
+        assert model.propagation_counter == count + marches * model.n_sources
+        want = _column_jacobian(model)
+        assert z.shape == want.shape == (model.state_dim, model.param_dim)
+        assert np.abs(z - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_assemble_jacobian_uses_it(self):
+        model = _anisotropic_model()
+        model.solve_forward(np.full(model.param_dim, 1.1))
+        count = model.propagation_counter
+        assemble_jacobian(model)
+        assert model.propagation_counter == count + 2 * model.n_sources
+
+    def test_requires_cached_forward(self):
+        model = _anisotropic_model()
+        with pytest.raises(RuntimeError, match="not cached"):
+            model.receiver_jacobian()
+
+    def test_leaves_cache_intact(self, rng):
+        model = _anisotropic_model(extra_receivers=[(2, 4)])
+        model.solve_forward(np.full(model.param_dim, 1.1))
+        eta = rng.standard_normal(model.param_dim)
+        before = gl_action(model, None, eta)
+        model.receiver_jacobian()
+        assert np.array_equal(gl_action(model, None, eta), before)
+
+    def test_wave_model_stays_matrix_free(self):
+        # has_explicit_jacobian looks for ``jacobian``; FWI's path 'auto'
+        # must stay on the CG route.
+        model, _ = make_wave_model()
+        assert not model.has_explicit_jacobian
