@@ -8,7 +8,7 @@ the field-by-field schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -145,12 +145,7 @@ _BUILDERS = {
     "wave-fwi": _build_wave,
 }
 
-_SOLVER_KEYS = {
-    "metric", "damping_lambda", "damping_metric", "cg_tol", "cg_max_iter",
-    "rank_tol", "step0", "ls_shrink", "ls_max_halvings", "sufficient_decrease",
-    "fixed_step", "max_iters", "max_propagations", "minibatch_size",
-    "hutchinson_m", "seed", "path",
-}
+_SOLVER_KEYS = {f.name for f in fields(NgdConfig)}
 
 
 def load_experiment(path, seed_override=None, out_override=None) -> Experiment:

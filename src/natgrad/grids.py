@@ -5,7 +5,8 @@ Two stencil families live here:
 * a staggered zero-Neumann gradient (forward differences onto interior edges)
   whose negative transpose is the matching divergence, used by the Sobolev
   metrics; the Laplacian is defined as -G^T G so adjoint identities hold to
-  machine precision rather than to discretization order;
+  machine precision rather than to discretization order, and its elliptic
+  solves are exact in the DCT-II eigenbasis, with no factorization;
 * the central-difference divergence with zero-Dirichlet velocity boundaries,
   weighted by a power of the density, used by the optimal-transport metric;
   its Gram matrix is factored per index-parity block by banded Cholesky.
@@ -18,15 +19,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import cholesky_banded, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
-# LAPACK's banded Cholesky solve, called directly: scipy's cho_solve_banded
-# wrapper costs several times the solve itself on small blocks.
+# LAPACK's banded Cholesky factorization and solve, called directly: scipy's
+# cholesky_banded and cho_solve_banded wrappers cost several times the LAPACK
+# call itself on small blocks.
+_pbtrf = get_lapack_funcs("pbtrf", dtype=np.float64)
 _pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
@@ -96,88 +98,81 @@ def central_difference_matrix(n: int) -> sp.csr_matrix:
     """Central difference matrix with zero-Dirichlet boundary: +1 super, -1 sub."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return sp.csr_matrix((1, 1))
     ones = np.ones(n - 1)
     return sp.diags([ones, -ones], [1, -1], shape=(n, n)).tocsr()
 
 
-def forward_difference_matrix(n: int) -> sp.csr_matrix:
-    """Forward difference onto the n-1 interior edges of n cell centers."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return sp.csr_matrix((0, 1))
-    ones = np.ones(n - 1)
-    return sp.diags([-ones, ones], [0, 1], shape=(n - 1, n)).tocsr()
+def _per_axis(grid: Grid, matrix, scale: float) -> list[sp.csr_matrix]:
+    """The 1D operator matrix(n) * scale / h along each axis of the grid."""
+    counts, ops = grid.interior_counts, []
+    for axis, (n, h) in enumerate(zip(counts, grid.spacings)):
+        factors = [sp.identity(m, format="csr") for m in counts]
+        factors[axis] = (scale / h) * matrix(n)
+        ops.append(factors[0] if grid.dim == 1 else sp.kron(*factors, format="csr"))
+    return ops
 
 
 def axis_central_operators(grid: Grid) -> tuple[sp.csr_matrix, ...]:
     """Central-difference derivative along each axis, scaled by 1/(2h)."""
-    counts = grid.interior_counts
-    if grid.dim == 1:
-        return ((1.0 / (2.0 * grid.spacings[0])) * central_difference_matrix(counts[0]),)
-    c_x = central_difference_matrix(counts[0])
-    c_y = central_difference_matrix(counts[1])
-    i_x = sp.identity(counts[0], format="csr")
-    i_y = sp.identity(counts[1], format="csr")
-    a_x = (1.0 / (2.0 * grid.spacings[0])) * sp.kron(c_x, i_y, format="csr")
-    a_y = (1.0 / (2.0 * grid.spacings[1])) * sp.kron(i_x, c_y, format="csr")
-    return (a_x, a_y)
+    return tuple(_per_axis(grid, central_difference_matrix, 0.5))
 
 
 def neumann_gradient(grid: Grid) -> sp.csr_matrix:
-    """Staggered gradient (edges x k) with exactly the constants in its kernel."""
-    counts = grid.interior_counts
-    if grid.dim == 1:
-        return (1.0 / grid.spacings[0]) * forward_difference_matrix(counts[0])
-    d_x = forward_difference_matrix(counts[0])
-    d_y = forward_difference_matrix(counts[1])
-    i_x = sp.identity(counts[0], format="csr")
-    i_y = sp.identity(counts[1], format="csr")
-    g_x = (1.0 / grid.spacings[0]) * sp.kron(d_x, i_y, format="csr")
-    g_y = (1.0 / grid.spacings[1]) * sp.kron(i_x, d_y, format="csr")
-    return sp.vstack([g_x, g_y], format="csr")
+    """Staggered gradient (edges x k) with exactly the constants in its kernel:
+    per axis, forward differences onto the n-1 interior edges of n centres."""
+    def forward(n):
+        ones = np.ones(n - 1)
+        return sp.diags([-ones, ones], [0, 1], shape=(n - 1, n))
+    return sp.vstack(_per_axis(grid, forward, 1.0), format="csr")
 
 
 class DifferentialOperatorSet:
-    """Neumann gradient/Laplacian with elliptic factorizations built on first use.
+    """Neumann gradient/Laplacian with exact elliptic solves in the DCT basis.
 
     The Laplacian is the literal -G^T G, so <G u, w> = <u, G^T w> holds to
-    machine precision and G 1 = 0 exactly. The deflated Poisson solve uses a
-    sparse KKT system enforcing a zero-mean solution. Each factorization is
-    built by the first solve that needs it and kept, so a metric pays only
-    for the one it uses.
+    machine precision and G 1 = 0 exactly. The orthonormal DCT-II (row k:
+    cos(pi k (j + 1/2) / n), normalized) diagonalizes each axis's G^T G with
+    eigenvalues (2 - 2 cos(pi k / n)) / h^2, and a 2D grid sums the two axes'
+    values. So both solves transform, scale and transform back with one dense
+    DCT-II matrix per axis: nothing is factored.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.grad_neumann = neumann_gradient(grid)
-        self._gtg = (self.grad_neumann.T @ self.grad_neumann).tocsc()
-        self.laplacian_neumann = (-self._gtg).tocsr()
-
-    @cached_property
-    def _h1_lu(self):
-        return spla.splu((sp.identity(self.grid.size, format="csc") + self._gtg).tocsc())
-
-    @cached_property
-    def _poisson_lu(self):
-        ones = sp.csc_matrix(np.ones((self.grid.size, 1)))
-        return spla.splu(sp.bmat([[self._gtg, ones], [ones.T, None]], format="csc"))
+        self.laplacian_neumann = (-(self.grad_neumann.T @ self.grad_neumann)).tocsr()
+        lead = (2 - grid.dim) * (1,)  # a 1D grid as (1, n): one x point adds nothing
+        self._shape = lead + grid.interior_counts
+        self._dct, lam = [], 0.0
+        for n, h in zip(self._shape, lead + grid.spacings):
+            k = np.arange(n)
+            dct = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k, k + 0.5) / n)
+            dct[0] = np.sqrt(1.0 / n)
+            self._dct.append(dct)
+            lam = np.add.outer(lam, (2.0 - 2.0 * np.cos(np.pi * k / n)) / (h * h))
+        self._h1_scale = 1.0 / (1.0 + lam)
+        lam[0, 0] = np.inf  # the constant mode, dropped
+        self._poisson_scale = 1.0 / lam
 
     @property
     def edge_count(self) -> int:
         return self.grad_neumann.shape[0]
 
     def solve_h1(self, v: np.ndarray) -> np.ndarray:
-        """Solve (I + G^T G) w = v."""
-        return self._h1_lu.solve(np.asarray(v, dtype=float))
+        """Solve (I + G^T G) w = v, for a vector or each column of a block."""
+        return self._spectral_solve(v, self._h1_scale)
 
     def solve_poisson_deflated(self, v: np.ndarray) -> np.ndarray:
         """Solve G^T G w = v - mean(v) with mean(w) = 0, column by column."""
+        return self._spectral_solve(v, self._poisson_scale)
+
+    def _spectral_solve(self, v, scale) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        rhs = np.concatenate([v, np.zeros((1,) + v.shape[1:])])
-        return self._poisson_lu.solve(rhs)[:-1]
+        (cx, cy), u = self._dct, v.reshape(self._shape + (-1,))  # columns last
+        # Along x as one product over the flattened rest, along y batched.
+        u = np.matmul(cy, (cx @ u.reshape(len(cx), -1)).reshape(u.shape))
+        u = np.matmul(cy.T, u * scale[..., None])
+        return (cx.T @ u.reshape(len(cx), -1)).reshape(v.shape)
 
 
 @lru_cache(maxsize=32)
@@ -267,36 +262,51 @@ class WeightedDivergence:
         return out
 
 
-def _parity_blocks(grid: Grid, q: np.ndarray) -> tuple:
-    """Banded Cholesky factors of B B^T's parity blocks, built from q = D^2."""
+@lru_cache(maxsize=32)
+def _parity_layout(grid: Grid) -> tuple:
+    """The grid-only part of the parity split: the counts as 2D, the axis
+    scales 1/(4 h^2), whether the axes swap to put the short one fastest, and
+    per parity block its slice, shape, flat indices and whether it is singular."""
     lead = (2 - grid.dim) * (1,)  # a 1D grid as (1, n): one x point adds nothing
     counts, spacings = lead + grid.interior_counts, lead + grid.spacings
-    cx, cy = (1.0 / (4.0 * h * h) for h in spacings)
+    swap = counts[0] < counts[1]
+    order = np.arange(grid.size).reshape(counts)
+    order = order.T if swap else order
+    blocks = []
+    for ps, pf in np.ndindex(*(min(2, n) for n in order.shape)):
+        idx = order[ps::2, pf::2]
+        singular = ps == pf == 0 and all(n % 2 for n in counts)
+        blocks.append((np.s_[ps::2, pf::2], idx.shape, idx.ravel(), singular))
+    return counts, tuple(1.0 / (4.0 * h * h) for h in spacings), swap, tuple(blocks)
+
+
+def _parity_blocks(grid: Grid, q: np.ndarray) -> tuple:
+    """Banded Cholesky factors of B B^T's parity blocks, built from q = D^2."""
+    counts, (cx, cy), swap, layout = _parity_layout(grid)
     q = q.reshape(counts)
     qp = np.pad(q, 1)
     diag = cx * (qp[:-2, 1:-1] + qp[2:, 1:-1]) + cy * (qp[1:-1, :-2] + qp[1:-1, 2:])
     # Coupling of i and i+2 along each axis: -q[i+1] / (4 h^2).
     slow, fast = cx * q[1:-1, :], cy * q[:, 1:-1]
-    order = np.arange(q.size).reshape(counts)
-    if counts[0] < counts[1]:  # put the short axis fastest
-        order, diag, slow, fast = order.T, diag.T, fast.T, slow.T
+    if swap:  # the short axis fastest
+        diag, slow, fast = diag.T, fast.T, slow.T
     blocks = []
-    for ps, pf in np.ndindex(*(min(2, n) for n in diag.shape)):
-        d = diag[ps::2, pf::2]
-        ms, mf = d.shape
-        # Upper band storage (Fortran order): row mf holds the diagonal, row
-        # mf-1 the fast neighbour (j-1, j), row 0 the slow one (j-mf, j).
-        ab = np.zeros((mf + 1, ms * mf), order="F")
-        ab[mf] = d.ravel()
-        ab[0, mf:] -= slow[ps::2, pf::2].ravel()
-        ab[mf - 1] -= np.pad(fast[ps::2, pf::2], ((0, 0), (1, 0))).ravel()
-        singular = ps == pf == 0 and all(n % 2 for n in counts)
+    for sl, (ms, mf), idx, singular in layout:
+        # Upper band storage ab, written as its C-order transpose
+        # band[j, k, row] = ab[row, j mf + k]: row mf holds the diagonal,
+        # row mf-1 the fast neighbour (j-1, j), row 0 the slow one (j-mf, j).
+        band = np.zeros((ms, mf, mf + 1))
+        band[..., mf] = diag[sl]
+        band[1:, :, 0] -= slow[sl]
+        band[:, 1:, mf - 1] -= fast[sl]
         if singular:
             # Ground node 0 of this graph Laplacian (kernel: ones); on a
             # consistent right-hand side the solve then leaves node 0 at zero.
-            ab[mf, 0] += ab[mf].max() or 1.0
-        factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-        blocks.append((order[ps::2, pf::2].ravel(), factor, singular))
+            band[0, 0, mf] += diag[sl].max() or 1.0
+        factor, info = _pbtrf(band.reshape(ms * mf, mf + 1).T, lower=0, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"banded Cholesky failed: pbtrf info {info}")
+        blocks.append((idx, factor, singular))
     return tuple(blocks)
 
 

@@ -65,7 +65,7 @@ def qr_column_pivoted(a, tol: float = 1e-10) -> PivotedQRFactors:
     a = _as_matrix(a)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    q, r, perm = sla.qr(a, mode="economic", pivoting=True)
+    q, r, perm = sla.qr(a, mode="economic", pivoting=True, check_finite=False)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         rank = 0
@@ -89,6 +89,8 @@ def solve_least_squares_min_norm(a, b, tol: float = 1e-10) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs shape {b.shape} does not match matrix {a.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("rhs entries must be finite")
     piv = qr_column_pivoted(a, tol=tol)
     r = piv.numerical_rank
     if r == 0:
@@ -96,8 +98,8 @@ def solve_least_squares_min_norm(a, b, tol: float = 1e-10) -> np.ndarray:
         return np.zeros((a.shape[1],) + b.shape[1:])
     qt_b = piv.q[:, :r].T @ b
     r_trunc = piv.r[:r, :]
-    q1, r1 = sla.qr(r_trunc.T, mode="economic")
-    x_perm = q1 @ sla.solve_triangular(r1.T, qt_b, lower=True)
+    q1, r1 = sla.qr(r_trunc.T, mode="economic", check_finite=False)  # a is checked
+    x_perm = q1 @ sla.solve_triangular(r1.T, qt_b, lower=True, check_finite=False)
     x = np.empty((a.shape[1],) + b.shape[1:])
     x[piv.permutation] = x_perm
     return x

@@ -36,6 +36,12 @@ from .grids import (
 )
 
 _FAMILIES = ("l2", "fisher-rao", "sobolev", "wasserstein")
+# Metric names in configs and on the command line: (family, order, homogeneous).
+_NAMED = {
+    "l2": ("l2",), "fisher-rao": ("fisher-rao",), "w2": ("wasserstein",),
+    "h1": ("sobolev", 1), "h-1": ("sobolev", -1),
+    "hdot1": ("sobolev", 1, True), "hdot-1": ("sobolev", -1, True),
+}
 
 
 @dataclass(frozen=True)
@@ -63,23 +69,11 @@ class MetricKind:
     def parse(text: str) -> "MetricKind":
         """Parse the metric names used in configs and on the command line."""
         t = text.strip().lower()
-        if t == "l2":
-            return MetricKind("l2")
-        if t == "fisher-rao":
-            return MetricKind("fisher-rao")
-        if t == "h1":
-            return MetricKind("sobolev", order=1)
-        if t == "h-1":
-            return MetricKind("sobolev", order=-1)
-        if t == "hdot1":
-            return MetricKind("sobolev", order=1, homogeneous=True)
-        if t == "hdot-1":
-            return MetricKind("sobolev", order=-1, homogeneous=True)
-        if t == "w2":
-            return MetricKind("wasserstein")
         if t.startswith("w2:k="):
             return MetricKind("wasserstein", mobility_exponent=float(t[5:]))
-        raise ValueError(f"unknown metric name {text!r}")
+        if t not in _NAMED:
+            raise ValueError(f"unknown metric name {text!r}")
+        return MetricKind(*_NAMED[t])
 
     def label(self) -> str:
         if self.family == "sobolev":

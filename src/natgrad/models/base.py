@@ -82,7 +82,8 @@ class ForwardModel:
         raise NotImplementedError
 
     def loss_and_grad_rho(self, rho) -> tuple[float, np.ndarray]:
-        raise NotImplementedError
+        """Least-squares misfit against the model's ``reference`` state."""
+        return least_squares_misfit(rho, self.reference)
 
     def metric_state(self, rho) -> np.ndarray:
         """The state the metric weights should be refreshed with."""

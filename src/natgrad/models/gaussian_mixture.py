@@ -9,11 +9,12 @@ so the explicit QR route applies directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..grids import Grid
-from .base import ForwardModel, least_squares_misfit
+from .base import ForwardModel
 
 
 @dataclass(frozen=True)
@@ -29,11 +30,6 @@ class GaussianComponent:
         if np.any(np.linalg.eigvalsh(c) <= 0.0):
             raise ValueError("covariance must be positive definite")
         return c
-
-
-def _factored(cov) -> tuple[np.ndarray, float]:
-    """(inverse, determinant) of a validated covariance matrix."""
-    return np.linalg.inv(cov), np.linalg.det(cov)
 
 
 def _component_density(points, mean, inv, det) -> np.ndarray:
@@ -81,7 +77,8 @@ class GaussianMixtureModel(ForwardModel):
         if np.any(weights < 0.0):
             raise ValueError("component weights must be nonnegative")
         # Validated and factored once: every density evaluation reuses them.
-        self._factors = [_factored(c.cov_matrix()) for c in self.components]
+        covs = [c.cov_matrix() for c in self.components]
+        self._factors = [(np.linalg.inv(c), np.linalg.det(c)) for c in covs]
         self.free = [
             parse_free_parameter(f) if isinstance(f, str) else tuple(f) for f in free
         ]
@@ -99,20 +96,21 @@ class GaussianMixtureModel(ForwardModel):
         # jacobian().
         self._cache_dens = None
 
+    @cached_property
+    def _fixed_dens(self) -> dict:
+        """Densities of the components no free parameter references; they never change."""
+        freed = {c for c, _, _ in self.free}
+        return {
+            c: _component_density(self._points, np.asarray(comp.mean, float), *self._factors[c])
+            for c, comp in enumerate(self.components) if c not in freed
+        }
+
     @classmethod
     def from_reference_mixture(cls, grid, model_components, free, reference_components):
-        """Sample the reference density from another mixture on the same grid."""
-        ref = [
-            c if isinstance(c, GaussianComponent) else GaussianComponent(**c)
-            for c in reference_components
-        ]
-        pts = grid.points()
-        rho_star = np.zeros(grid.size)
-        for c in ref:
-            rho_star += c.weight * _component_density(
-                pts, np.asarray(c.mean, float), *_factored(c.cov_matrix())
-            )
-        return cls(grid, model_components, free, rho_star)
+        """Sample the reference density from another mixture on the same grid:
+        the density of a model of that mixture with nothing freed."""
+        reference = cls(grid, reference_components, [], np.zeros(grid.size))
+        return cls(grid, model_components, free, reference.density([]))
 
     @property
     def state_dim(self) -> int:
@@ -145,9 +143,10 @@ class GaussianMixtureModel(ForwardModel):
         return weights, means
 
     def _densities(self, means, comps) -> dict:
-        """Normal density of each listed component, evaluated once."""
+        """Normal density of each listed component; fixed ones are reused."""
         return {
-            c: _component_density(self._points, means[c], *self._factors[c])
+            c: self._fixed_dens[c] if c in self._fixed_dens
+            else _component_density(self._points, means[c], *self._factors[c])
             for c in comps
         }
 
@@ -193,9 +192,6 @@ class GaussianMixtureModel(ForwardModel):
                 diff = self._points - means[comp]
                 z[:, j] = weights[comp] * dens[comp] * (diff @ inv[:, axis])
         return z
-
-    def loss_and_grad_rho(self, rho):
-        return least_squares_misfit(rho, self.reference)
 
     def loss_and_grads(self, theta):
         """(loss, grad wrt state, grad wrt parameters) at theta."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..grids import Grid
-from .base import ForwardModel, least_squares_misfit
+from .base import ForwardModel
 
 
 class LinearToyModel(ForwardModel):
@@ -53,9 +53,6 @@ class LinearToyModel(ForwardModel):
         self._cache_theta = theta.copy()
         self._cache_rho = self.a @ theta
         return self._cache_rho.copy()
-
-    def loss_and_grad_rho(self, rho):
-        return least_squares_misfit(rho, self.reference)
 
     # --- explicit route ---------------------------------------------------
     def jacobian(self, theta) -> np.ndarray:

@@ -217,6 +217,20 @@ class TestSharedDensities:
         model.jacobian(theta + 0.1)
         assert len(calls) == 3 and model.propagation_counter == before
 
+    def test_fixed_component_evaluated_once(self, rng, monkeypatch):
+        # No free parameter references c1, so its density never changes.
+        model = random_mixture(rng, ["c0.mean.0", "c2.weight"])
+        calls = []
+        original = gaussian_mixture._component_density
+        monkeypatch.setattr(gaussian_mixture, "_component_density",
+                            lambda *a: calls.append(1) or original(*a))
+        for step in range(3):
+            theta = model.theta0() + 0.1 * step
+            want_rho, want_z = einsum_density_and_jacobian(model, theta)
+            assert np.array_equal(model.solve_forward(theta), want_rho)
+            assert np.array_equal(model.jacobian(theta), want_z)
+        assert len(calls) == 1 + 3 * 2  # c1 once; c0 and c2 at every forward solve
+
     def test_reset_accounting_drops_shared_densities(self, rng, monkeypatch):
         model = random_mixture(rng, ["c1.mean.0"])
         theta = model.theta0()

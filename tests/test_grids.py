@@ -4,11 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from natgrad.grids import (
     DifferentialOperatorSet,
     Grid,
+    _parity_blocks,
     axis_central_operators,
     build_operator_set,
     build_weighted_divergence,
@@ -108,25 +109,71 @@ class TestEllipticInverses:
         back = ops.grad_neumann.T @ (ops.grad_neumann @ w)
         np.testing.assert_allclose(back, v - v.mean(), atol=1e-10)
 
-    @pytest.mark.parametrize("name, unused", [
-        ("h1", "_poisson_lu"), ("h-1", "_poisson_lu"),
-        ("hdot1", "_h1_lu"), ("hdot-1", "_h1_lu"),
-    ])
-    def test_metric_factors_only_what_it_solves(self, rng, monkeypatch, name, unused):
-        # A fresh operator set, as in a fresh process: the cached one for a
-        # shared grid may already hold both factors.
-        grid = Grid.regular([[0.0, 1.0], [0.0, 1.0]], [7, 5])
+    # 1D, 2D odd and even, non-square with anisotropic spacing, the 30x300
+    # index-space data panel, and n = 1 axes (G^T G has a zero axis there).
+    SPECTRAL_GRIDS = [
+        Grid.regular([[0.0, 1.0]], [9]),
+        Grid.regular([[0.0, 1.0], [0.0, 1.0]], [7, 9]),
+        Grid.regular([[0.0, 1.0], [0.0, 1.0]], [8, 6]),
+        Grid.regular([[0.0, 1.0], [-1.0, 4.0]], [5, 12]),
+        Grid.index_space([30, 300]),
+        Grid.regular([[0.0, 1.0], [0.0, 2.0]], [1, 6]),
+        Grid.index_space([1]),
+    ]
+
+    @pytest.mark.parametrize(
+        "grid", SPECTRAL_GRIDS, ids=lambda g: "x".join(map(str, g.interior_counts))
+    )
+    @pytest.mark.parametrize("cols", [None, 3], ids=["vector", "block"])
+    def test_spectral_solves_match_assembled_gram(self, rng, grid, cols):
         ops = DifferentialOperatorSet(grid)
-        assert "_h1_lu" not in vars(ops) and "_poisson_lu" not in vars(ops)
-        monkeypatch.setattr("natgrad.metrics.build_operator_set", lambda g: ops)
+        g = ops.grad_neumann
+        gtg = g.T @ g  # assembled sparse G^T G
+        v = rng.standard_normal(grid.size if cols is None else (grid.size, cols))
+        w = ops.solve_h1(v)
+        assert w.shape == v.shape
+        assert np.linalg.norm(w + gtg @ w - v) <= 1e-12 * np.linalg.norm(v)
+        w = ops.solve_poisson_deflated(v)
+        assert w.shape == v.shape
+        rhs = v - v.mean(axis=0)
+        assert np.linalg.norm(gtg @ w - rhs) <= 1e-12 * np.linalg.norm(v)
+        assert np.abs(w.mean(axis=0)).max() <= 1e-12 * max(np.abs(w).max(), 1.0)
+        if grid.size <= 100:  # the solutions themselves, against dense ones
+            dense = gtg.toarray()
+            ref = np.linalg.solve(np.eye(grid.size) + dense, v)
+            tol = 1e-12 * np.abs(ref).max()
+            np.testing.assert_allclose(ops.solve_h1(v), ref, rtol=0, atol=tol)
+            ref = np.linalg.pinv(dense) @ v
+            tol = 1e-12 * max(np.abs(ref).max(), 1.0)
+            np.testing.assert_allclose(w, ref, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("name", ["h1", "h-1", "hdot1", "hdot-1"])
+    def test_metric_factors_nothing(self, rng, monkeypatch, name):
+        # Every dense and sparse factorization entry point raises; building a
+        # fresh operator set (as in a fresh process) and applying every
+        # action of the metric must not reach one.
+        import scipy.linalg
+        import scipy.sparse.linalg
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Sobolev metric called a factorization")
+
+        for mod, names in (
+            (scipy.sparse.linalg, ("splu", "spilu", "factorized", "spsolve")),
+            (scipy.linalg, ("lu_factor", "cho_factor", "cholesky", "cholesky_banded", "solve")),
+        ):
+            for fn in names:
+                monkeypatch.setattr(mod, fn, forbidden)
+        monkeypatch.setattr("natgrad.grids._pbtrf", forbidden)
+        grid = Grid.regular([[0.0, 1.0], [0.0, 1.0]], [7, 5])
+        monkeypatch.setattr(
+            "natgrad.metrics.build_operator_set", lambda g: DifferentialOperatorSet(g)
+        )
         metric = build_metric(name, grid)
         v = rng.standard_normal(grid.size)
-        metric.apply_L(v)
-        metric.apply_Lt_pinv(v)
-        metric.apply_LtL(v)
-        metric.apply_L_matrix(rng.standard_normal((grid.size, 2)))
-        used = {"_h1_lu", "_poisson_lu"} - {unused}
-        assert unused not in vars(ops) and used <= vars(ops).keys()
+        for out in (metric.apply_L(v), metric.apply_Lt_pinv(v), metric.apply_LtL(v),
+                    metric.apply_L_matrix(rng.standard_normal((grid.size, 2)))):
+            assert np.all(np.isfinite(out))
 
 
 class TestWeightedDivergence:
@@ -362,6 +409,45 @@ class TestWeightedDivergence:
                     x = cho_solve_banded((factor, False), r, check_finite=False)
                     want[idx] = x - x.mean(axis=0) if singular else x
                 assert np.array_equal(wdiv.apply_gram_pinv(v), want)
+
+    @staticmethod
+    def _factors_by_padding(grid, q):
+        """The earlier per-block band build: np.pad, then cholesky_banded."""
+        lead = (2 - grid.dim) * (1,)
+        counts, spacings = lead + grid.interior_counts, lead + grid.spacings
+        cx, cy = (1.0 / (4.0 * h * h) for h in spacings)
+        q = q.reshape(counts)
+        qp = np.pad(q, 1)
+        diag = cx * (qp[:-2, 1:-1] + qp[2:, 1:-1]) + cy * (qp[1:-1, :-2] + qp[1:-1, 2:])
+        slow, fast = cx * q[1:-1, :], cy * q[:, 1:-1]
+        if counts[0] < counts[1]:
+            diag, slow, fast = diag.T, fast.T, slow.T
+        factors = []
+        for ps, pf in np.ndindex(*(min(2, n) for n in diag.shape)):
+            d = diag[ps::2, pf::2]
+            ms, mf = d.shape
+            ab = np.zeros((mf + 1, ms * mf), order="F")
+            ab[mf] = d.ravel()
+            ab[0, mf:] -= slow[ps::2, pf::2].ravel()
+            ab[mf - 1] -= np.pad(fast[ps::2, pf::2], ((0, 0), (1, 0))).ravel()
+            if ps == pf == 0 and all(n % 2 for n in counts):
+                ab[mf, 0] += ab[mf].max() or 1.0
+            factors.append(cholesky_banded(ab, check_finite=False))
+        return factors
+
+    # The FWI panel sizes (30x300 and the rank-deficient 31x301), the mixture
+    # grid, and small, (1, n) and 1D grids.
+    @pytest.mark.parametrize("counts", [
+        (72, 72), (30, 300), (31, 301), (300, 30), (7, 9), (1, 5), (2, 1), (9,), (1,),
+    ], ids=lambda c: "x".join(map(str, c)))
+    def test_parity_factors_are_bit_identical_to_padded_build(self, rng, counts):
+        grid = Grid.regular([[0.0, 1.0], [0.0, 2.3]][: len(counts)], counts)
+        q = rng.uniform(0.25, 4.0, grid.size)
+        blocks = _parity_blocks(grid, q)
+        want = self._factors_by_padding(grid, q)
+        assert len(blocks) == len(want)
+        for (_, factor, _), ref in zip(blocks, want):
+            assert np.array_equal(factor, ref)
 
     def test_nonpositive_density_rejected(self, grid_2d):
         rho = np.ones(grid_2d.size)
