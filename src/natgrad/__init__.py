@@ -9,7 +9,7 @@ from .linalg import (
     qr_column_pivoted,
     solve_least_squares_min_norm,
 )
-from .metrics import BlockMetric, MetricKind, MetricOperator, build_metric
+from .metrics import MetricKind, MetricOperator, build_metric
 from .models import (
     GaussianComponent,
     GaussianMixtureModel,
@@ -42,7 +42,6 @@ __all__ = [
     "cg_solve",
     "qr_column_pivoted",
     "solve_least_squares_min_norm",
-    "BlockMetric",
     "MetricKind",
     "MetricOperator",
     "build_metric",

@@ -89,41 +89,17 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    @property
-    def cell_area(self) -> float:
-        return float(np.prod(self.spacings))
-
-
-def central_difference_matrix(n: int) -> sp.csr_matrix:
-    """Central difference matrix with zero-Dirichlet boundary: +1 super, -1 sub."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ones = np.ones(n - 1)
-    return sp.diags([ones, -ones], [1, -1], shape=(n, n)).tocsr()
-
-
-def _per_axis(grid: Grid, matrix, scale: float) -> list[sp.csr_matrix]:
-    """The 1D operator matrix(n) * scale / h along each axis of the grid."""
-    counts, ops = grid.interior_counts, []
-    for axis, (n, h) in enumerate(zip(counts, grid.spacings)):
-        factors = [sp.identity(m, format="csr") for m in counts]
-        factors[axis] = (scale / h) * matrix(n)
-        ops.append(factors[0] if grid.dim == 1 else sp.kron(*factors, format="csr"))
-    return ops
-
-
-def axis_central_operators(grid: Grid) -> tuple[sp.csr_matrix, ...]:
-    """Central-difference derivative along each axis, scaled by 1/(2h)."""
-    return tuple(_per_axis(grid, central_difference_matrix, 0.5))
-
 
 def neumann_gradient(grid: Grid) -> sp.csr_matrix:
     """Staggered gradient (edges x k) with exactly the constants in its kernel:
     per axis, forward differences onto the n-1 interior edges of n centres."""
-    def forward(n):
+    counts, ops = grid.interior_counts, []
+    for axis, (n, h) in enumerate(zip(counts, grid.spacings)):
         ones = np.ones(n - 1)
-        return sp.diags([-ones, ones], [0, 1], shape=(n - 1, n))
-    return sp.vstack(_per_axis(grid, forward, 1.0), format="csr")
+        factors = [sp.identity(m, format="csr") for m in counts]
+        factors[axis] = (1.0 / h) * sp.diags([-ones, ones], [0, 1], shape=(n - 1, n))
+        ops.append(factors[0] if grid.dim == 1 else sp.kron(*factors, format="csr"))
+    return sp.vstack(ops, format="csr")
 
 
 class DifferentialOperatorSet:
@@ -210,12 +186,6 @@ class WeightedDivergence:
     @property
     def rank_deficient(self) -> bool:
         return all(n % 2 for n in self.grid.interior_counts)
-
-    @property
-    def b(self) -> sp.csr_matrix:
-        """B assembled as a sparse matrix; the actions never form it."""
-        d = sp.diags(self.weights)
-        return sp.hstack([-(a @ d) for a in axis_central_operators(self.grid)], format="csr")
 
     def apply_pinv(self, zeta) -> np.ndarray:
         """Minimum-norm solution of B y = zeta (the action of pinv(B))."""

@@ -85,9 +85,9 @@ def solve_least_squares_min_norm(a, b, tol: float = 1e-10) -> np.ndarray:
     returned solution is the minimum-norm minimizer (equal to pinv(a) @ b).
     A zero (or numerically rank-0) matrix yields the zero vector with a warning.
     """
-    a = _as_matrix(a)
+    a = np.asarray(a, dtype=float)  # qr_column_pivoted validates it
     b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+    if b.ndim not in (1, 2) or b.shape[:1] != a.shape[:1]:
         raise ValueError(f"rhs shape {b.shape} does not match matrix {a.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs entries must be finite")

@@ -19,6 +19,12 @@ with G the staggered Neumann gradient and B the density-weighted
 central-difference divergence. Fisher-Rao and the transport metric depend on
 the current density and must be refreshed every iteration; refreshing returns
 a new operator, so operators stay immutable.
+
+One class, ``MetricOperator``, covers every model: it acts on ``panels``
+copies of one grid, with L block diagonal over them. The model says which
+grid and how many panels (``metric_domain``: one grid for the mixture and
+the toy, one receiver x time panel per source for the wave model) and which
+density weights them (``metric_state``).
 """
 
 from __future__ import annotations
@@ -28,12 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grids import (
-    Grid,
-    WeightedDivergence,
-    build_operator_set,
-    build_weighted_divergence,
-)
+from .grids import Grid, build_operator_set, build_weighted_divergence
 
 _FAMILIES = ("l2", "fisher-rao", "sobolev", "wasserstein")
 # Metric names in configs and on the command line: (family, order, homogeneous).
@@ -103,7 +104,6 @@ class _Actions(NamedTuple):
     LtL: Callable[[np.ndarray], np.ndarray]
     row_dim: int
     project: Callable[[np.ndarray], np.ndarray] | None = None
-    divergence: WeightedDivergence | None = None
 
 
 def _identity(v):
@@ -165,7 +165,7 @@ def _transport_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
     project = wdiv.project_range if wdiv.rank_deficient else None
     return _Actions(
         wdiv.apply_pinv, wdiv.apply_bt, wdiv.apply_gram_pinv,
-        grid.dim * grid.size, project, wdiv,
+        grid.dim * grid.size, project,
     )
 
 
@@ -177,8 +177,81 @@ _ACTIONS = {
 }
 
 
-class _InfoMatrixMixin:
-    """Information-matrix assembly shared by single-grid and per-panel metrics."""
+class MetricOperator:
+    """The (L, pinv(L^T)) action pair for one metric on ``panels`` copies of
+    a grid.
+
+    The state is the concatenation of ``panels`` vectors on ``grid`` (a
+    single grid is one panel), and L is block diagonal over them. A
+    state-dependent metric weights each panel by its own slice of ``rho``; a
+    state-free one shares one set of actions across every panel. Every action
+    takes a state vector or a (k, p) block of state columns.
+    """
+
+    def __init__(self, kind: MetricKind, grid: Grid, rho: np.ndarray | None = None,
+                 panels: int = 1):
+        build = _ACTIONS[kind.family]
+        if kind.state_dependent:
+            if rho is None:
+                raise ValueError(f"metric {kind.label()!r} requires a density")
+            rho = np.asarray(rho, dtype=float)
+            if np.any(rho <= 0.0):
+                raise ValueError("density must be strictly positive")
+            actions = [build(kind, grid, r) for r in np.split(rho, panels)]
+        else:
+            rho = None
+            actions = [build(kind, grid, None)] * panels
+        self.kind = kind
+        self.grid = grid
+        self.rho = rho
+        self.panels = panels
+        self.state_dependent = kind.state_dependent
+        self._actions = actions
+        self.row_dim = sum(a.row_dim for a in actions)
+        # Whether L^T drops directions depends on the kind and the grid only,
+        # so every panel agrees.
+        self.needs_tangent_projection = actions[0].project is not None
+
+    def _map(self, action: str, v) -> np.ndarray:
+        """Apply one action panel by panel and stack the results."""
+        v = np.asarray(v, dtype=float)
+        if self.panels == 1:
+            return getattr(self._actions[0], action)(v)
+        expected = self.panels * self.grid.size
+        if v.ndim not in (1, 2) or v.shape[0] != expected:
+            raise ValueError(f"state shape {v.shape} does not start with {expected}")
+        parts = np.split(v, self.panels)
+        return np.concatenate([getattr(a, action)(p) for a, p in zip(self._actions, parts)])
+
+    def refresh(self, rho) -> "MetricOperator":
+        """Return an operator rebuilt at the new density (self if state-free)."""
+        if not self.state_dependent:
+            return self
+        return MetricOperator(self.kind, self.grid, rho, self.panels)
+
+    def apply_L(self, v) -> np.ndarray:
+        return self._map("L", v)
+
+    def apply_Lt_pinv(self, grad) -> np.ndarray:
+        return self._map("Lt_pinv", grad)
+
+    def apply_LtL(self, v) -> np.ndarray:
+        """Apply L^T L in one shot (exact closed forms, no stacking)."""
+        return self._map("LtL", v)
+
+    def project_state_gradient(self, g) -> np.ndarray:
+        """Project onto range(L^T): the component of the state gradient the
+        metric can see. Only the homogeneous Sobolev metrics (constants are
+        dropped) and a rank-deficient transport divergence project; the
+        matrix-free route must feed Z^T applied to this projection to agree
+        with the least-squares formulation."""
+        if not self.needs_tangent_projection:
+            return np.asarray(g, dtype=float)
+        return self._map("project", g)
+
+    def apply_L_matrix(self, z) -> np.ndarray:
+        """Apply L to a (k, p) matrix as one block."""
+        return self.apply_L(z)
 
     def info_matrix(self, z) -> InfoMatrix:
         """Assemble (L Z)^T (L Z), symmetrized."""
@@ -187,160 +260,12 @@ class _InfoMatrixMixin:
         return InfoMatrix(matrix=0.5 * (g + g.T), kind=self.kind)
 
 
-class MetricOperator(_InfoMatrixMixin):
-    """The (L, pinv(L^T)) action pair for one metric on one grid.
-
-    Every action takes a state vector or a (k, p) block of state columns.
-    """
-
-    def __init__(self, kind: MetricKind, grid: Grid, rho: np.ndarray | None = None):
-        if kind.state_dependent:
-            if rho is None:
-                raise ValueError(f"metric {kind.label()!r} requires a density")
-            rho = np.asarray(rho, dtype=float)
-            if np.any(rho <= 0.0):
-                raise ValueError("density must be strictly positive")
-        self.kind = kind
-        self.grid = grid
-        self.rho = rho
-        self.state_dependent = kind.state_dependent
-        self._actions = _ACTIONS[kind.family](kind, grid, rho)
-        self.row_dim = self._actions.row_dim
-        self.needs_tangent_projection = self._actions.project is not None
-        self.weighted_divergence = self._actions.divergence
-
-    def refresh(self, rho) -> "MetricOperator":
-        """Return an operator rebuilt at the new density (self if state-free)."""
-        if not self.state_dependent:
-            return self
-        return MetricOperator(self.kind, self.grid, rho)
-
-    def apply_L(self, v) -> np.ndarray:
-        return self._actions.L(np.asarray(v, dtype=float))
-
-    def apply_Lt_pinv(self, grad) -> np.ndarray:
-        return self._actions.Lt_pinv(np.asarray(grad, dtype=float))
-
-    def apply_LtL(self, v) -> np.ndarray:
-        """Apply L^T L in one shot (exact closed forms, no stacking)."""
-        return self._actions.LtL(np.asarray(v, dtype=float))
-
-    def project_state_gradient(self, g) -> np.ndarray:
-        """Project onto range(L^T): the component of the state gradient the
-        metric can see. Only the homogeneous Sobolev metrics (constants are
-        dropped) and a rank-deficient transport divergence project; the
-        matrix-free route must feed Z^T applied to this projection to agree
-        with the least-squares formulation."""
-        g = np.asarray(g, dtype=float)
-        if not self.needs_tangent_projection:
-            return g
-        return self._actions.project(g)
-
-    def apply_L_matrix(self, z) -> np.ndarray:
-        """Apply L to a (k, p) matrix as one block."""
-        return self.apply_L(z)
+# The benchmark tracer still patches methods by this name; the alias goes
+# once it reads spans instead (ROADMAP item 3).
+BlockMetric = MetricOperator
 
 
 def build_metric(kind: MetricKind | str, grid: Grid, rho=None) -> MetricOperator:
     if isinstance(kind, str):
         kind = MetricKind.parse(kind)
     return MetricOperator(kind, grid, rho)
-
-
-def normalize_to_density(values, floor_fraction: float = 0.1) -> np.ndarray:
-    """Affine shift-and-scale of arbitrary data onto a strictly positive density.
-
-    Shifts by -min + floor_fraction * (max - min), then scales to mean one
-    (unit total mass under the unweighted quadrature, where each sample has
-    unit cell measure). Mean-one rather than sum-one keeps density-weighted
-    operators on the same scale as their unweighted counterparts regardless of
-    the panel size. Flat inputs map to the uniform density.
-    """
-    v = np.asarray(values, dtype=float)
-    spread = float(v.max() - v.min())
-    if spread <= 1e-300:
-        return np.ones(v.shape)
-    shifted = v - v.min() + floor_fraction * spread
-    return shifted * (v.size / shifted.sum())
-
-
-class BlockMetric(_InfoMatrixMixin):
-    """One metric applied per data panel, summed into a single operator.
-
-    Used for multi-source data: the state vector is the concatenation of
-    n_blocks panels, each living on ``block_grid``. State-dependent metrics
-    weight each panel by its own normalized density; state-free metrics share
-    a single underlying operator across panels.
-    """
-
-    def __init__(
-        self,
-        kind: MetricKind | str,
-        block_grid: Grid,
-        n_blocks: int,
-        densities=None,
-    ):
-        if isinstance(kind, str):
-            kind = MetricKind.parse(kind)
-        self.kind = kind
-        self.block_grid = block_grid
-        self.n_blocks = n_blocks
-        self.state_dependent = kind.state_dependent
-        self.grid = block_grid
-        if kind.state_dependent:
-            if densities is None:
-                raise ValueError(f"metric {kind.label()!r} requires panel densities")
-            self._blocks = [
-                MetricOperator(kind, block_grid, normalize_to_density(d))
-                for d in densities
-            ]
-        else:
-            shared = MetricOperator(kind, block_grid)
-            self._blocks = [shared] * n_blocks
-
-    @property
-    def block_size(self) -> int:
-        return self.block_grid.size
-
-    @property
-    def row_dim(self) -> int:
-        return sum(b.row_dim for b in self._blocks)
-
-    @property
-    def needs_tangent_projection(self) -> bool:
-        return any(b.needs_tangent_projection for b in self._blocks)
-
-    def _split(self, v) -> list[np.ndarray]:
-        """Panels of a state vector or of a block of state columns."""
-        v = np.asarray(v, dtype=float)
-        expected = self.n_blocks * self.block_size
-        if v.ndim not in (1, 2) or v.shape[0] != expected:
-            raise ValueError(f"state shape {v.shape} does not start with {expected}")
-        return np.split(v, self.n_blocks)
-
-    def _map(self, action, v) -> np.ndarray:
-        """Apply a MetricOperator action panel by panel and stack the results."""
-        panels = self._split(v)
-        return np.concatenate([action(b, p) for b, p in zip(self._blocks, panels)])
-
-    def refresh(self, state) -> "BlockMetric":
-        if not self.state_dependent:
-            return self
-        return BlockMetric(
-            self.kind, self.block_grid, self.n_blocks, densities=self._split(state)
-        )
-
-    def apply_L(self, v) -> np.ndarray:
-        return self._map(MetricOperator.apply_L, v)
-
-    def apply_Lt_pinv(self, grad) -> np.ndarray:
-        return self._map(MetricOperator.apply_Lt_pinv, grad)
-
-    def apply_LtL(self, v) -> np.ndarray:
-        return self._map(MetricOperator.apply_LtL, v)
-
-    def project_state_gradient(self, g) -> np.ndarray:
-        return self._map(MetricOperator.project_state_gradient, g)
-
-    def apply_L_matrix(self, z) -> np.ndarray:
-        return self._map(MetricOperator.apply_L_matrix, z)

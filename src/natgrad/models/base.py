@@ -37,6 +37,13 @@ one reverse solve per receiver, n_sources receivers per batched march, so
 ceil(n_receivers / n_sources) * n_sources propagations instead of one
 linearized solve per parameter.
 ``reset_accounting()`` zeroes it together with the forward cache.
+
+Metrics see the state through ``metric_domain``, (grid, panels): the state
+is ``panels`` copies of ``grid`` concatenated (``self.grid`` once by
+default; one receiver x time panel per source for the wave model), and
+``metric_state(rho)``, the positive density that weights Fisher-Rao and
+transport metrics (rho itself by default; the wave model normalizes each
+trace panel, since traces change sign).
 """
 
 from __future__ import annotations
@@ -85,8 +92,13 @@ class ForwardModel:
         """Least-squares misfit against the model's ``reference`` state."""
         return least_squares_misfit(rho, self.reference)
 
+    @property
+    def metric_domain(self):
+        """(grid, panels): the metric acts on ``panels`` copies of ``grid``."""
+        return self.grid, 1
+
     def metric_state(self, rho) -> np.ndarray:
-        """The state the metric weights should be refreshed with."""
+        """The density that state-dependent metrics are weighted with."""
         return np.asarray(rho, dtype=float)
 
     # --- capability probes ------------------------------------------------

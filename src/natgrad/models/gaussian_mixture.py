@@ -120,14 +120,6 @@ class GaussianMixtureModel(ForwardModel):
     def param_dim(self) -> int:
         return len(self.free)
 
-    def theta0(self) -> np.ndarray:
-        """Current values of the free parameters."""
-        out = np.empty(self.param_dim)
-        for i, (comp, kind, axis) in enumerate(self.free):
-            c = self.components[comp]
-            out[i] = c.weight if kind == "weight" else c.mean[axis]
-        return out
-
     def _resolved(self, theta):
         """Per-component weights and means with theta substituted."""
         theta = np.asarray(theta, dtype=float)
@@ -192,10 +184,3 @@ class GaussianMixtureModel(ForwardModel):
                 diff = self._points - means[comp]
                 z[:, j] = weights[comp] * dens[comp] * (diff @ inv[:, axis])
         return z
-
-    def loss_and_grads(self, theta):
-        """(loss, grad wrt state, grad wrt parameters) at theta."""
-        rho = self.density(theta)
-        loss, grad_rho = self.loss_and_grad_rho(rho)
-        grad_theta = self.jacobian(theta).T @ grad_rho
-        return loss, grad_rho, grad_theta

@@ -107,6 +107,23 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def normalize_to_density(values, floor_fraction: float = 0.1) -> np.ndarray:
+    """Affine shift-and-scale of arbitrary data onto a strictly positive density.
+
+    Shifts by -min + floor_fraction * (max - min), then scales to mean one
+    (unit total mass under the unweighted quadrature, where each sample has
+    unit cell measure). Mean-one rather than sum-one keeps density-weighted
+    operators on the same scale as their unweighted counterparts regardless of
+    the panel size. Flat inputs map to the uniform density.
+    """
+    v = np.asarray(values, dtype=float)
+    spread = float(v.max() - v.min())
+    if spread <= 1e-300:
+        return np.ones(v.shape)
+    shifted = v - v.min() + floor_fraction * spread
+    return shifted * (v.size / shifted.sum())
+
+
 def source_group_count(n_sources: int, padded_cells: int) -> int:
     """How many source groups march at once: one per usable CPU, at most one
     per source, and each with at least MIN_GROUP_CELLS padded cells. Without
@@ -546,18 +563,20 @@ class WaveFwiModel(ForwardModel):
         return len(self._groups)
 
     @property
-    def data_layout(self) -> tuple[int, int, int]:
-        return (self.n_sources, self.n_receivers, self.n_t)
-
-    @property
     def field_shape(self) -> tuple[int, int, int, int]:
         """Shape of the constraint fields: one space-time stack per source."""
         return (self.n_sources, self.n_t, self.npx, self.npz)
 
     @property
-    def data_grid(self) -> Grid:
-        """Receiver x time panel on which data-space metrics act."""
-        return Grid.index_space([self.n_receivers, self.n_t])
+    def metric_domain(self) -> tuple[Grid, int]:
+        """One receiver x time panel per source."""
+        return Grid.index_space([self.n_receivers, self.n_t]), self.n_sources
+
+    def metric_state(self, rho) -> np.ndarray:
+        """Each source's trace panel mapped onto a density by
+        ``normalize_to_density``."""
+        panels = np.split(np.asarray(rho, dtype=float), self.n_sources)
+        return np.concatenate([normalize_to_density(p) for p in panels])
 
     @property
     def state_dim(self) -> int:

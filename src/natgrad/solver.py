@@ -27,7 +27,7 @@ import numpy as np
 
 from .grids import Grid
 from .linalg import cg_solve, solve_least_squares_min_norm
-from .metrics import BlockMetric, MetricKind, MetricOperator
+from .metrics import MetricKind, MetricOperator
 
 GD_LABEL = "gd"
 
@@ -94,19 +94,12 @@ class IterationRecord:
     cg_model_decrease: float | None = None
 
 
-@dataclass(frozen=True)
-class SketchMatrix:
-    """Row-selection sketch: row i of S picks state entry row_to_column[i]."""
-
-    row_to_column: np.ndarray
-
-
-def sample_sketch(k_prime: int, k: int, rng: np.random.Generator) -> SketchMatrix:
-    """Sample k' distinct state rows without replacement; S S^T = I exactly."""
+def sample_sketch(k_prime: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of k' distinct state rows, sampled without replacement: the
+    row-selection sketch S with S S^T = I exactly."""
     if k_prime > k:
         raise ValueError(f"sketch size {k_prime} exceeds state size {k}")
-    idx = rng.choice(k, size=k_prime, replace=False)
-    return SketchMatrix(row_to_column=idx)
+    return rng.choice(k, size=k_prime, replace=False)
 
 
 def direction_explicit(
@@ -268,13 +261,8 @@ def build_metric_for_model(model, kind, rho=None):
     ignore rho, state-dependent ones require it."""
     if isinstance(kind, str):
         kind = MetricKind.parse(kind)
-    if not kind.state_dependent:
-        rho = None
-    layout = getattr(model, "data_layout", None)
-    if layout is None:
-        return MetricOperator(kind, model.grid, rho)
-    densities = None if rho is None else np.split(np.asarray(rho, float), layout[0])
-    return BlockMetric(kind, model.data_grid, layout[0], densities=densities)
+    grid, panels = model.metric_domain
+    return MetricOperator(kind, grid, rho, panels)
 
 
 def explicit_route(model, cfg: NgdConfig) -> bool:
@@ -328,9 +316,9 @@ def direction_rule(model, cfg: NgdConfig):
         if cfg.hutchinson_m is not None:
             z = hutchinson_jacobian(model, cfg.hutchinson_m, hutch_rng)
         if cfg.minibatch_size is not None:
-            sketch = sample_sketch(cfg.minibatch_size, model.state_dim, sketch_rng)
-            z, grad_rho = z[sketch.row_to_column], grad_rho[sketch.row_to_column]
-            metric = _sketched_metric(metric, sketch)
+            idx = sample_sketch(cfg.minibatch_size, model.state_dim, sketch_rng)
+            z, grad_rho = z[idx], grad_rho[idx]
+            metric = _sketched_metric(metric, idx)
         eta = direction_explicit(
             z, metric, grad_rho, cfg.rank_tol, cfg.damping_lambda, damping_metric
         )
@@ -457,9 +445,8 @@ def _refresh(model, metric, rho):
     return metric.refresh(model.metric_state(rho))
 
 
-def _sketched_metric(metric, sketch: SketchMatrix):
+def _sketched_metric(metric, idx):
     """Restriction of a diagonal metric to the sketched rows (None for l2)."""
     if metric is None or metric.kind.family == "l2":
         return None
-    idx = sketch.row_to_column
     return MetricOperator(metric.kind, Grid.index_space([idx.size]), metric.rho[idx])

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
+from assembled_operators import (
+    axis_central_operators,
+    central_difference_matrix,
+    divergence_matrix,
+)
 from natgrad.grids import (
     DifferentialOperatorSet,
     Grid,
     _parity_blocks,
-    axis_central_operators,
     build_operator_set,
     build_weighted_divergence,
-    central_difference_matrix,
     neumann_gradient,
 )
 from natgrad.linalg import qr_column_pivoted, solve_least_squares_min_norm
@@ -184,13 +187,15 @@ class TestWeightedDivergence:
         import scipy.sparse as sp
 
         plain = -sp.hstack([a_x, a_y]).toarray()
-        np.testing.assert_allclose(wdiv.b.toarray(), plain, atol=0)
+        np.testing.assert_allclose(divergence_matrix(wdiv).toarray(), plain, atol=0)
 
     def test_zero_mobility_ignores_density(self, grid_2d, rng):
         rho = rng.uniform(0.5, 3.0, grid_2d.size)
         wdiv0 = build_weighted_divergence(grid_2d, rho, mobility_exponent=0.0)
         wdiv1 = build_weighted_divergence(grid_2d, np.ones(grid_2d.size), 0.0)
-        np.testing.assert_allclose(wdiv0.b.toarray(), wdiv1.b.toarray(), atol=0)
+        np.testing.assert_allclose(
+            divergence_matrix(wdiv0).toarray(), divergence_matrix(wdiv1).toarray(), atol=0
+        )
 
     def test_full_rank_on_even_interior_counts(self, rng):
         # With strictly positive density, even interior counts (an odd number
@@ -200,7 +205,7 @@ class TestWeightedDivergence:
             grid = Grid.regular([[0, 1], [0, 1]], [m, m])
             rho = rng.uniform(0.5, 2.0, grid.size)
             wdiv = build_weighted_divergence(grid, rho)
-            piv = qr_column_pivoted(wdiv.b.toarray().T, tol=1e-10)
+            piv = qr_column_pivoted(divergence_matrix(wdiv).toarray().T, tol=1e-10)
             assert piv.numerical_rank == grid.size
             assert not wdiv.rank_deficient
 
@@ -210,7 +215,7 @@ class TestWeightedDivergence:
             rho = rng.uniform(0.5, 2.0, grid.size)
             with pytest.warns(UserWarning):
                 wdiv = build_weighted_divergence(grid, rho)
-            piv = qr_column_pivoted(wdiv.b.toarray().T, tol=1e-10)
+            piv = qr_column_pivoted(divergence_matrix(wdiv).toarray().T, tol=1e-10)
             assert piv.numerical_rank == grid.size - 1
             assert wdiv.rank_deficient
 
@@ -219,8 +224,8 @@ class TestWeightedDivergence:
         wdiv = build_weighted_divergence(grid_2d, rho)
         zeta = rng.standard_normal(grid_2d.size)
         y = wdiv.apply_pinv(zeta)
-        assert np.linalg.norm(wdiv.b @ y - zeta) <= 1e-10 * np.linalg.norm(zeta)
-        b_dense = wdiv.b.toarray()
+        b_dense = divergence_matrix(wdiv).toarray()
+        assert np.linalg.norm(b_dense @ y - zeta) <= 1e-10 * np.linalg.norm(zeta)
         _, _, vt = np.linalg.svd(b_dense)
         null_basis = vt[grid_2d.size :, :]
         assert np.linalg.norm(null_basis @ y) <= 1e-10 * np.linalg.norm(y)
@@ -237,7 +242,7 @@ class TestWeightedDivergence:
                 wdiv = build_weighted_divergence(grid, rho)
             assert not wdiv.rank_deficient
             assert wdiv.backend == "sparse"
-            b_dense = wdiv.b.toarray()
+            b_dense = divergence_matrix(wdiv).toarray()
             assert qr_column_pivoted(b_dense.T, tol=1e-10).numerical_rank == grid.size
             zeta = rng.standard_normal(grid.size)
             np.testing.assert_allclose(
@@ -257,7 +262,7 @@ class TestWeightedDivergence:
             with pytest.warns(UserWarning):
                 wdiv = build_weighted_divergence(grid, rho)
             zeta = rng.standard_normal(grid.size)
-            b_dense = wdiv.b.toarray()
+            b_dense = divergence_matrix(wdiv).toarray()
             y_svd = np.linalg.pinv(b_dense) @ zeta
             np.testing.assert_allclose(wdiv.apply_pinv(zeta), y_svd, atol=1e-9)
             gram_svd = np.linalg.pinv(b_dense @ b_dense.T) @ zeta
@@ -272,7 +277,7 @@ class TestWeightedDivergence:
         grid = Grid.regular([[0, 1], [0, 1]], [9, 9])
         with pytest.warns(UserWarning):
             wdiv = build_weighted_divergence(grid, rng.uniform(0.5, 2.0, grid.size))
-        b_dense = wdiv.b.toarray()
+        b_dense = divergence_matrix(wdiv).toarray()
         for rhs in (rng.standard_normal(grid.size), rng.standard_normal((grid.size, 3))):
             y = solve_least_squares_min_norm(b_dense, rhs)
             gram = solve_least_squares_min_norm(b_dense.T, y)
@@ -284,7 +289,8 @@ class TestWeightedDivergence:
         rho = rng.uniform(0.5, 2.0, grid_2d.size)
         wdiv = build_weighted_divergence(grid_2d, rho)
         v = rng.standard_normal(grid_2d.size)
-        gram = (wdiv.b @ wdiv.b.T).toarray()
+        b = divergence_matrix(wdiv)
+        gram = (b @ b.T).toarray()
         np.testing.assert_allclose(
             wdiv.apply_gram_pinv(v), np.linalg.pinv(gram) @ v, atol=1e-10
         )
@@ -297,7 +303,7 @@ class TestWeightedDivergence:
         assert wdiv.backend == "sparse"
         zeta = rng.standard_normal(grid.size)
         y = wdiv.apply_pinv(zeta)
-        y_svd = np.linalg.pinv(wdiv.b.toarray()) @ zeta
+        y_svd = np.linalg.pinv(divergence_matrix(wdiv).toarray()) @ zeta
         np.testing.assert_allclose(y, y_svd, atol=1e-9)
 
     def test_bt_is_literal_transpose(self, grid_2d, rng):
@@ -305,7 +311,7 @@ class TestWeightedDivergence:
         wdiv = build_weighted_divergence(grid_2d, rho)
         g = rng.standard_normal(grid_2d.size)
         w = rng.standard_normal(2 * grid_2d.size)
-        lhs = (wdiv.b @ w) @ g
+        lhs = (divergence_matrix(wdiv) @ w) @ g
         rhs = w @ wdiv.apply_bt(g)
         assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1.0)
 
@@ -320,7 +326,7 @@ class TestWeightedDivergence:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             wdiv = build_weighted_divergence(grid, rng.uniform(0.5, 2.0, grid.size), kappa)
-        pinv = np.linalg.pinv(wdiv.b.toarray())
+        pinv = np.linalg.pinv(divergence_matrix(wdiv).toarray())
         for rhs in (rng.standard_normal(grid.size), rng.standard_normal((grid.size, 3))):
             y = pinv @ rhs
             gram = pinv.T @ y
@@ -341,8 +347,8 @@ class TestWeightedDivergence:
             for _ in range(3):
                 with pytest.warns(UserWarning):
                     wdiv = build_weighted_divergence(grid, rng.uniform(0.1, 5.0, grid.size))
-                bt_n = wdiv.b.T @ n
-                assert np.linalg.norm(bt_n) <= 1e-14 * np.linalg.norm(wdiv.b.toarray())
+                b = divergence_matrix(wdiv)
+                assert np.linalg.norm(b.T @ n) <= 1e-14 * np.linalg.norm(b.toarray())
                 assert np.linalg.norm(wdiv.apply_bt(n)) == 0.0
 
     def test_range_projection_matches_b_pinv(self, rng):
@@ -352,7 +358,7 @@ class TestWeightedDivergence:
                 warnings.simplefilter("ignore")
                 wdiv = build_weighted_divergence(grid, rng.uniform(0.5, 2.0, grid.size))
             for g in (rng.standard_normal(grid.size), rng.standard_normal((grid.size, 3))):
-                want = wdiv.b @ wdiv.apply_pinv(g)
+                want = divergence_matrix(wdiv) @ wdiv.apply_pinv(g)
                 got = wdiv.project_range(g)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(g)
                 if wdiv.rank_deficient:
@@ -366,7 +372,7 @@ class TestWeightedDivergence:
                 warnings.simplefilter("ignore")
                 wdiv = build_weighted_divergence(grid, rng.uniform(0.5, 2.0, grid.size))
             for g in (rng.standard_normal(grid.size), rng.standard_normal((grid.size, 3))):
-                want = wdiv.b.T @ g
+                want = divergence_matrix(wdiv).T @ g
                 got = wdiv.apply_bt(g)
                 assert got.shape == want.shape
                 assert np.linalg.norm(got - want) <= 1e-14 * max(np.linalg.norm(want), 1e-300)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from natgrad import linalg
 from natgrad.linalg import cg_solve, qr_column_pivoted, solve_least_squares_min_norm
 
 
@@ -66,6 +67,31 @@ class TestMinNormLeastSquares:
         with pytest.warns(UserWarning):
             x = solve_least_squares_min_norm(np.zeros((4, 3)), np.ones(4))
         np.testing.assert_allclose(x, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_matrix_rejected(self, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            solve_least_squares_min_norm(a, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rhs_rejected(self, bad):
+        for b in (np.ones(3), np.ones((3, 2))):
+            b[-1] = bad
+            with pytest.raises(ValueError, match="rhs entries must be finite"):
+                solve_least_squares_min_norm(np.eye(3), b)
+
+    def test_vector_matrix_rejected(self):
+        with pytest.raises(ValueError, match="expected a 2D matrix"):
+            solve_least_squares_min_norm(np.ones(3), np.ones(3))
+
+    def test_matrix_validated_once(self, monkeypatch, rng):
+        calls = []
+        original = linalg._as_matrix
+        monkeypatch.setattr(linalg, "_as_matrix", lambda a: calls.append(1) or original(a))
+        solve_least_squares_min_norm(rng.standard_normal((6, 3)), rng.standard_normal(6))
+        assert len(calls) == 1
 
 
 class TestPseudoApplyUnderdetermined:

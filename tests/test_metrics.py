@@ -1,16 +1,14 @@
 """Metric operators: action tables, information-matrix identities, refresh."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from assembled_operators import axis_central_operators
 from natgrad.grids import Grid, build_operator_set
-from natgrad.metrics import (
-    BlockMetric,
-    MetricKind,
-    MetricOperator,
-    build_metric,
-    normalize_to_density,
-)
+from natgrad.metrics import MetricKind, MetricOperator, build_metric
+from natgrad.models.wave import normalize_to_density
 from natgrad.solver import direction_explicit
 
 ALL_METRICS = ["l2", "fisher-rao", "h1", "h-1", "hdot1", "hdot-1", "w2"]
@@ -81,7 +79,8 @@ class TestBuildAndRefresh:
         op2 = op.refresh(rho2)
         zeta = rng.standard_normal(grid_2d.size)
         y = op2.apply_L(zeta)
-        assert np.linalg.norm(op2.weighted_divergence.b @ y - zeta) <= 1e-10 * np.linalg.norm(zeta)
+        b = op2.apply_Lt_pinv(np.eye(grid_2d.size)).T  # B, from its transpose
+        assert np.linalg.norm(b @ y - zeta) <= 1e-10 * np.linalg.norm(zeta)
 
     def test_row_dims(self, grid_2d):
         k = grid_2d.size
@@ -109,14 +108,14 @@ class TestActionTables:
         op = build_metric("w2", grid_2d, rho=rho)
         zeta = rng.standard_normal(grid_2d.size)
         y = op.apply_L(zeta)
-        assert np.linalg.norm(op.weighted_divergence.b @ y - zeta) <= 1e-10 * np.linalg.norm(zeta)
+        b = op.apply_Lt_pinv(np.eye(grid_2d.size)).T  # B, from its transpose
+        assert np.linalg.norm(b @ y - zeta) <= 1e-10 * np.linalg.norm(zeta)
 
     def test_w2_lt_pinv_is_weighted_gradient(self, grid_2d, rng):
         # With unit density the transpose action is the plain central-difference
         # gradient stack.
         op = build_metric("w2", grid_2d, rho=np.ones(grid_2d.size))
         g = rng.standard_normal(grid_2d.size)
-        from natgrad.grids import axis_central_operators
         import scipy.sparse as sp
 
         a_x, a_y = axis_central_operators(grid_2d)
@@ -275,42 +274,77 @@ class TestNormalization:
         np.testing.assert_allclose(normalize_to_density(np.full(7, 3.3)), np.ones(7))
 
 
-class TestBlockMetric:
-    def test_blocks_apply_independently(self, rng):
-        panel = Grid.index_space([4, 6])
-        bm = BlockMetric("h1", panel, n_blocks=3)
-        single = MetricOperator(MetricKind.parse("h1"), panel)
-        v = rng.standard_normal(3 * panel.size)
-        out = bm.apply_L(v)
-        parts = np.split(v, 3)
-        expected = np.concatenate([single.apply_L(p) for p in parts])
-        np.testing.assert_allclose(out, expected, atol=1e-13)
+class TestPanels:
+    PANEL = Grid.index_space([4, 6])
+    ODD_PANEL = Grid.index_space([3, 5])  # the transport metric projects here
 
-    def test_info_matrix_sums_over_blocks(self, rng):
-        panel = Grid.index_space([4, 4])
-        data = rng.standard_normal(2 * panel.size)
-        bm = BlockMetric("fisher-rao", panel, 2, densities=np.split(data, 2))
-        z = rng.standard_normal((2 * panel.size, 3))
-        g = bm.info_matrix(z).matrix
-        total = np.zeros((3, 3))
-        for blk, zblk, dblk in zip(bm._blocks, np.split(z, 2), np.split(data, 2)):
-            total += blk.info_matrix(zblk).matrix
-        np.testing.assert_allclose(g, total, atol=1e-12)
+    @staticmethod
+    def _pair(kind, grid, n, rng):
+        """An n-panel operator and the n single-panel operators it stacks."""
+        if not kind.state_dependent:
+            return MetricOperator(kind, grid, panels=n), [MetricOperator(kind, grid)] * n
+        rho = rng.uniform(0.5, 2.0, n * grid.size)
+        singles = [MetricOperator(kind, grid, r) for r in np.split(rho, n)]
+        return MetricOperator(kind, grid, rho, panels=n), singles
 
-    def test_refresh_renormalizes(self, rng):
-        panel = Grid.index_space([4, 4])
-        data = rng.standard_normal(2 * panel.size)
-        bm = BlockMetric("w2", panel, 2, densities=np.split(data, 2))
-        data2 = rng.standard_normal(2 * panel.size)
-        bm2 = bm.refresh(data2)
-        for blk, dblk in zip(bm2._blocks, np.split(data2, 2)):
-            np.testing.assert_allclose(blk.rho, normalize_to_density(dblk))
+    def test_every_family_equals_stacked_single_panels(self, rng):
+        cases = [(name, self.PANEL) for name in ALL_METRICS] + [("w2", self.ODD_PANEL)]
+        for name, grid in cases:
+            kind = MetricKind.parse(name)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the odd panel's rank warning
+                op, singles = self._pair(kind, grid, 3, rng)
+            assert op.row_dim == sum(s.row_dim for s in singles), name
+            assert op.needs_tangent_projection == singles[0].needs_tangent_projection
+            v = rng.standard_normal(3 * grid.size)
+            z = rng.standard_normal((3 * grid.size, 4))
+            for action, arg in (("apply_L", v), ("apply_Lt_pinv", v), ("apply_LtL", v),
+                                ("project_state_gradient", v), ("apply_L_matrix", z)):
+                got = getattr(op, action)(arg)
+                want = np.concatenate([
+                    getattr(s, action)(part) for s, part in zip(singles, np.split(arg, 3))
+                ])
+                assert got.shape == want.shape, (name, action)
+                err = np.abs(got - want).max()
+                assert err <= 1e-13 * max(np.abs(want).max(), 1.0), (name, action, err)
 
-    def test_state_free_blocks_share_operator(self):
-        panel = Grid.index_space([4, 4])
-        bm = BlockMetric("h-1", panel, 3)
-        assert bm._blocks[0] is bm._blocks[1] is bm._blocks[2]
-        assert bm.refresh(np.ones(3 * panel.size)) is bm
+    def test_info_matrix_sums_over_panels(self, rng):
+        op, singles = self._pair(MetricKind.parse("fisher-rao"), self.PANEL, 2, rng)
+        z = rng.standard_normal((2 * self.PANEL.size, 3))
+        total = sum(s.info_matrix(part).matrix for s, part in zip(singles, np.split(z, 2)))
+        np.testing.assert_allclose(op.info_matrix(z).matrix, total, atol=1e-12)
+
+    def test_state_free_panels_share_actions(self, rng):
+        op = MetricOperator(MetricKind.parse("h-1"), self.PANEL, panels=3)
+        assert op._actions[0] is op._actions[1] is op._actions[2]
+        assert op.refresh(np.ones(3 * self.PANEL.size)) is op
+        weighted, _ = self._pair(MetricKind.parse("w2"), self.PANEL, 3, rng)
+        assert len({id(a) for a in weighted._actions}) == 3
+
+    def test_refresh_keeps_panels(self, rng):
+        for name in ("fisher-rao", "w2"):
+            kind = MetricKind.parse(name)
+            op, _ = self._pair(kind, self.PANEL, 2, rng)
+            rho = rng.uniform(0.5, 2.0, 2 * self.PANEL.size)
+            fresh = op.refresh(rho)
+            assert fresh.panels == 2 and fresh.row_dim == op.row_dim
+            np.testing.assert_array_equal(fresh.rho, rho)
+            v = rng.standard_normal(2 * self.PANEL.size)
+            want = np.concatenate([
+                MetricOperator(kind, self.PANEL, r).apply_L(part)
+                for r, part in zip(np.split(rho, 2), np.split(v, 2))
+            ])
+            np.testing.assert_array_equal(fresh.apply_L(v), want)
+
+    def test_wrong_leading_dimension_raises(self, rng):
+        k = self.PANEL.size
+        for name in ("h1", "fisher-rao"):
+            op, _ = self._pair(MetricKind.parse(name), self.PANEL, 2, rng)
+            for bad in (np.ones(k), np.ones((2 * k + 1, 3)), np.ones((2 * k, 3, 1))):
+                with pytest.raises(ValueError):
+                    op.apply_L(bad)
+        with pytest.raises(ValueError):  # a density that is not two panels long
+            MetricOperator(MetricKind.parse("fisher-rao"), self.PANEL, np.ones(2 * k + 1), 2)
 
 
 class TestColumnBlocks:
@@ -324,21 +358,24 @@ class TestColumnBlocks:
         odd_panel = Grid.index_space([3, 5])
         rho = rng.uniform(0.5, 2.0, even.size)
         data = rng.standard_normal(2 * panel.size)
+
+        def densities(values):
+            return np.concatenate([normalize_to_density(d) for d in np.split(values, 2)])
+
         ops = {}
         for name in ALL_METRICS:
             kind = MetricKind.parse(name)
             ops[name] = build_metric(kind, even, rho if kind.state_dependent else None)
-            densities = np.split(data, 2) if kind.state_dependent else None
-            ops[f"block {name}"] = BlockMetric(kind, panel, 2, densities=densities)
+            ops[f"block {name}"] = MetricOperator(kind, panel, densities(data), panels=2)
         with pytest.warns(UserWarning):
             ops["w2 odd"] = build_metric("w2", odd, rng.uniform(0.5, 2.0, odd.size))
         with pytest.warns(UserWarning):
-            ops["block w2 odd"] = BlockMetric(
-                "w2", odd_panel, 2,
-                densities=np.split(rng.standard_normal(2 * odd_panel.size), 2),
+            ops["block w2 odd"] = MetricOperator(
+                MetricKind.parse("w2"), odd_panel,
+                densities(rng.standard_normal(2 * odd_panel.size)), panels=2,
             )
         for label, op in ops.items():
-            k = op.grid.size * getattr(op, "n_blocks", 1)
+            k = op.grid.size * op.panels
             z = rng.standard_normal((k, 5))
             block = op.apply_L_matrix(z)
             loop = np.column_stack([op.apply_L(z[:, j]) for j in range(5)])

@@ -314,6 +314,17 @@ class TestLayout:
         panels = data.reshape(model.n_sources, model.n_receivers, model.n_t)
         assert panels.shape == (1, 8, 120)
 
+    def test_metric_state_normalizes_each_source_panel(self, rng):
+        model, _ = make_wave_model(n_t=40, n_sources=2)
+        grid, panels = model.metric_domain
+        assert (grid.interior_counts, panels) == ((model.n_receivers, 40), 2)
+        data = rng.standard_normal(model.state_dim)
+        data[grid.size:] *= 50.0  # panels on different scales normalize apart
+        state = model.metric_state(data)
+        for got, panel in zip(np.split(state, 2), np.split(data, 2)):
+            np.testing.assert_array_equal(got, wave.normalize_to_density(panel))
+            assert got.min() > 0.0 and abs(got.mean() - 1.0) <= 1e-12
+
     def test_duplicate_receivers_rejected(self):
         with pytest.raises(ValueError):
             WaveFwiModel(
