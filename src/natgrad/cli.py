@@ -38,7 +38,6 @@ from .solver import (
     direction_explicit,
     direction_implicit,
     explicit_route,
-    gl_action,
     optimize,
     parameter_gradient,
     projected_gradient_adjoint,
@@ -202,9 +201,10 @@ def _check_direction_equivalence(model, theta0, metric_name) -> tuple[bool, str]
     metric = build_metric_for_model(model, metric_name, model.metric_state(rho))
     z = assemble_jacobian(model)
     # Damp both routes identically so CG converges on ill-conditioned models;
-    # the scale comes from one information-matrix probe.
+    # the scale is one information-matrix product Z^T L^T L Z probe, taken
+    # from the assembled Z instead of a linearized and an adjoint solve.
     probe = np.full(model.param_dim, 1.0 / np.sqrt(model.param_dim))
-    lam = 1e-4 * float(np.linalg.norm(gl_action(model, metric, probe)))
+    lam = 1e-4 * float(np.linalg.norm(z.T @ metric.apply_LtL(z @ probe)))
     cfg = NgdConfig(metric=metric_name, cg_tol=1e-12,
                     cg_max_iter=10 * model.param_dim, damping_lambda=lam)
     eta_explicit = direction_explicit(z, metric, grad_rho, damping_lambda=lam)

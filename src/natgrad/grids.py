@@ -23,13 +23,16 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-# LAPACK's banded Cholesky factorization and solve, called directly: scipy's
-# cholesky_banded and cho_solve_banded wrappers cost several times the LAPACK
-# call itself on small blocks.
+# LAPACK's banded Cholesky factorization and solve, and the triangular banded
+# solve and product on its factor, called directly: scipy's cholesky_banded and
+# cho_solve_banded wrappers cost several times the LAPACK call itself on small
+# blocks.
 _pbtrf = get_lapack_funcs("pbtrf", dtype=np.float64)
 _pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
+_tbtrs = get_lapack_funcs("tbtrs", dtype=np.float64)
+_tbmv = get_blas_funcs("tbmv", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,8 @@ class DifferentialOperatorSet:
     cos(pi k (j + 1/2) / n), normalized) diagonalizes each axis's G^T G with
     eigenvalues (2 - 2 cos(pi k / n)) / h^2, and a 2D grid sums the two axes'
     values. So both solves transform, scale and transform back with one dense
-    DCT-II matrix per axis: nothing is factored.
+    DCT-II matrix per axis: nothing is factored. ``eigenvalues`` holds those
+    sums per mode, in the order ``transform`` returns the modes.
     """
 
     def __init__(self, grid: Grid):
@@ -126,13 +130,9 @@ class DifferentialOperatorSet:
             dct[0] = np.sqrt(1.0 / n)
             self._dct.append(dct)
             lam = np.add.outer(lam, (2.0 - 2.0 * np.cos(np.pi * k / n)) / (h * h))
+        self.eigenvalues = lam.ravel()
         self._h1_scale = 1.0 / (1.0 + lam)
-        lam[0, 0] = np.inf  # the constant mode, dropped
-        self._poisson_scale = 1.0 / lam
-
-    @property
-    def edge_count(self) -> int:
-        return self.grad_neumann.shape[0]
+        self._poisson_scale = 1.0 / np.where(lam == 0.0, np.inf, lam)  # drops constants
 
     def solve_h1(self, v: np.ndarray) -> np.ndarray:
         """Solve (I + G^T G) w = v, for a vector or each column of a block."""
@@ -142,12 +142,22 @@ class DifferentialOperatorSet:
         """Solve G^T G w = v - mean(v) with mean(w) = 0, column by column."""
         return self._spectral_solve(v, self._poisson_scale)
 
-    def _spectral_solve(self, v, scale) -> np.ndarray:
+    def transform(self, v, scale) -> np.ndarray:
+        """diag(scale) C v, with C the orthonormal 2D DCT-II and one scale per
+        mode (flat, as ``eigenvalues``), for a vector or each column of a block."""
         v = np.asarray(v, dtype=float)
+        u = self._forward(v) * scale.reshape(self._shape + (1,))
+        return u.reshape(v.shape)
+
+    def _forward(self, v) -> np.ndarray:
         (cx, cy), u = self._dct, v.reshape(self._shape + (-1,))  # columns last
         # Along x as one product over the flattened rest, along y batched.
-        u = np.matmul(cy, (cx @ u.reshape(len(cx), -1)).reshape(u.shape))
-        u = np.matmul(cy.T, u * scale[..., None])
+        return np.matmul(cy, (cx @ u.reshape(len(cx), -1)).reshape(u.shape))
+
+    def _spectral_solve(self, v, scale) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        cx, cy = self._dct
+        u = np.matmul(cy.T, self._forward(v) * scale[..., None])
         return (cx.T @ u.reshape(len(cx), -1)).reshape(v.shape)
 
 
@@ -171,6 +181,12 @@ class WeightedDivergence:
     all-ones field on the even-even sub-lattice, whose block alone is then
     singular and is solved with that field projected out (minimum norm).
 
+    Each block's upper factor R (B B^T = R^T R per block) gives the k-row
+    roots the transport metric uses: R^-T, with (R^-T)^T R^-T = pinv(B B^T),
+    and R, with ||R g|| = ||B^T g||. On the singular block the grounded node
+    enters R; removing the mean (for R^-T) or the grounded node's value (for
+    R) keeps both identities exact.
+
     ``backend`` is always "sparse" (a sparse banded factor). Every action
     accepts a vector or a block of columns.
     """
@@ -187,6 +203,8 @@ class WeightedDivergence:
     def rank_deficient(self) -> bool:
         return all(n % 2 for n in self.grid.interior_counts)
 
+    # apply_pinv and apply_bt have no caller in natgrad; the benchmark tracer
+    # patches apply_pinv by name, so both stay until it reads spans instead.
     def apply_pinv(self, zeta) -> np.ndarray:
         """Minimum-norm solution of B y = zeta (the action of pinv(B))."""
         return self.apply_bt(self._solve_gram(zeta))
@@ -211,6 +229,36 @@ class WeightedDivergence:
     def apply_gram_pinv(self, v) -> np.ndarray:
         """Apply pinv(B B^T), equal to pinv(B)^T pinv(B)."""
         return self._solve_gram(v)
+
+    def apply_inverse_root(self, zeta) -> np.ndarray:
+        """Apply R^-T per block, a k-row root of pinv(B B^T); the singular
+        block's mean is removed first."""
+        zeta = np.asarray(zeta, dtype=float)
+        out = np.empty_like(zeta)
+        for idx, factor, singular in self._blocks:
+            r = zeta[idx]  # a fresh copy: the solve may overwrite it
+            if singular:
+                r -= r.mean(axis=0)
+            x, info = _tbtrs(factor, r.reshape(len(idx), -1), trans="T",
+                             overwrite_b=True)
+            if info != 0:
+                raise ValueError(f"banded triangular solve failed: tbtrs info {info}")
+            out[idx] = x.reshape(r.shape)
+        return out
+
+    def apply_root(self, g) -> np.ndarray:
+        """Apply R per block, so ||R g|| = ||B^T g||; the singular block's
+        grounded node value is removed first."""
+        g = np.asarray(g, dtype=float)
+        out = np.empty_like(g)
+        for idx, factor, singular in self._blocks:
+            r = g[idx]
+            if singular:
+                r -= r[0]
+            kd = factor.shape[0] - 1
+            out[idx] = (_tbmv(kd, factor, r, overwrite_x=True) if r.ndim == 1 else
+                        np.column_stack([_tbmv(kd, factor, c) for c in r.T]))
+        return out
 
     def project_range(self, g) -> np.ndarray:
         """Orthogonal projection onto range(B), i.e. B pinv(B) g."""

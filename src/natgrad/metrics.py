@@ -5,20 +5,34 @@ Every descent direction is computed from the same least-squares problem
 
     min_eta || pinv(L^T) grad_rho_f + (L Z) eta ||_2,
 
-so switching metrics only swaps the L pair:
+so switching metrics only swaps the L pair. The minimum-norm solution sees L
+only through L^T L and range(L^T): a stacked L = Q L' with orthonormal
+columns in Q gives the same eta as L' (Bjorck, Numerical Methods for Least
+Squares Problems, 1996, ch. 1-2). So every L here has exactly k rows (k =
+state size), a k x k root of the same L^T L as the stacked form in the last
+column:
 
-    l2           L = I
-    fisher-rao   L = diag(1/sqrt(rho))
-    h1           L = [I; G],              pinv(L^T) g = [w; G w], w = (I+G^TG)^-1 g
-    h-1          L = [I; G](I+G^TG)^-1,   pinv(L^T) g = [g; G g]
-    hdot1        L = G,                   pinv(L^T) g = G (G^TG)^+ g
-    hdot-1       L = G (G^TG)^+,          pinv(L^T) g = G g
-    w2           L = pinv(B),             pinv(L^T) g = B^T g
+    name         L                    pinv(L^T) g               stacked form
+    l2           I                    g
+    fisher-rao   diag(1/sqrt(rho))    sqrt(rho) g
+    h1           (1+lam)^(1/2) C      (1+lam)^(-1/2) C g        [I; G]
+    h-1          (1+lam)^(-1/2) C     (1+lam)^(1/2) C g         [I; G](I+G^TG)^-1
+    hdot1        lam^(1/2) C P        (lam^+)^(1/2) C P g       G
+    hdot-1       (lam^+)^(1/2) C P    lam^(1/2) C P g           G (G^TG)^+
+    w2           R^-T P               R (g - g_0 1)             pinv(B)
 
-with G the staggered Neumann gradient and B the density-weighted
-central-difference divergence. Fisher-Rao and the transport metric depend on
-the current density and must be refreshed every iteration; refreshing returns
-a new operator, so operators stay immutable.
+with G the staggered Neumann gradient, C the orthonormal 2D DCT-II and lam
+its Neumann eigenvalues (C^T diag(lam) C = G^T G; lam^+ is 1/lam, zero on
+the constant mode), P the mean removal, B the density-weighted
+central-difference divergence and R the upper banded Cholesky factor of
+B B^T per index-parity block. P and g_0 (the value at the grounded node)
+act only on the transport's singular block, present when every interior
+count is odd. L^T L itself is applied by its closed forms (G^T G, the DCT
+solves, pinv(B B^T)).
+
+Fisher-Rao and the transport metric depend on the current density and must
+be refreshed every iteration; refreshing returns a new operator, so
+operators stay immutable.
 
 One class, ``MetricOperator``, covers every model: it acts on ``panels``
 copies of one grid, with L block diagonal over them. The model says which
@@ -94,7 +108,8 @@ class InfoMatrix:
 
 
 class _Actions(NamedTuple):
-    """One metric's linear actions on a vector or a (k, p) column block.
+    """One metric's linear actions on a vector or a (k, p) column block; each
+    maps k rows to k rows.
 
     ``project`` maps onto range(L^T) and is None when L^T has full row rank.
     """
@@ -102,7 +117,6 @@ class _Actions(NamedTuple):
     L: Callable[[np.ndarray], np.ndarray]
     Lt_pinv: Callable[[np.ndarray], np.ndarray]
     LtL: Callable[[np.ndarray], np.ndarray]
-    row_dim: int
     project: Callable[[np.ndarray], np.ndarray] | None = None
 
 
@@ -115,7 +129,7 @@ def _remove_mean(g):
 
 
 def _l2_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
-    return _Actions(_identity, _identity, _identity, grid.size)
+    return _Actions(_identity, _identity, _identity)
 
 
 def _fisher_rao_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
@@ -126,46 +140,48 @@ def _fisher_rao_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
         L=lambda v: (v.T / sqrt_rho).T,
         Lt_pinv=lambda g: (g.T * sqrt_rho).T,
         LtL=lambda v: (v.T / rho).T,
-        row_dim=grid.size,
     )
 
 
 def _sobolev_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
     ops = build_operator_set(grid)
-    g = ops.grad_neumann
     gtg = -ops.laplacian_neumann
+    lam = ops.eigenvalues
     if kind.homogeneous:
-        def stack(v):
-            return g @ v
-
         def gram(v):
             return gtg @ v
 
-        solve, rows, project = ops.solve_poisson_deflated, ops.edge_count, _remove_mean
+        # The mean goes first, so constants map to exactly zero; the constant
+        # mode's scale is zero either way.
+        solve, center, project = ops.solve_poisson_deflated, _remove_mean, _remove_mean
+        root = np.sqrt(lam)
+        inverse_root = 1.0 / np.where(lam == 0.0, np.inf, root)
     else:
-        def stack(v):
-            return np.concatenate([v, g @ v])
-
         def gram(v):
             return v + gtg @ v
 
-        solve, rows, project = ops.solve_h1, grid.size + ops.edge_count, None
-
-    def solve_then_stack(v):
-        return stack(solve(v))
+        solve, center, project = ops.solve_h1, _identity, None
+        root = np.sqrt(1.0 + lam)
+        inverse_root = 1.0 / root
 
     # Orders +1 and -1 swap the roles of L and pinv(L^T).
-    if kind.order == 1:
-        return _Actions(stack, solve_then_stack, gram, rows, project)
-    return _Actions(solve_then_stack, stack, solve, rows, project)
+    if kind.order == -1:
+        root, inverse_root, gram = inverse_root, root, solve
+
+    def apply_l(v):
+        return ops.transform(center(v), root)
+
+    def apply_lt_pinv(g):
+        return ops.transform(center(g), inverse_root)
+
+    return _Actions(apply_l, apply_lt_pinv, gram, project)
 
 
 def _transport_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
     wdiv = build_weighted_divergence(grid, rho, kind.mobility_exponent)
     project = wdiv.project_range if wdiv.rank_deficient else None
     return _Actions(
-        wdiv.apply_pinv, wdiv.apply_bt, wdiv.apply_gram_pinv,
-        grid.dim * grid.size, project,
+        wdiv.apply_inverse_root, wdiv.apply_root, wdiv.apply_gram_pinv, project
     )
 
 
@@ -207,7 +223,6 @@ class MetricOperator:
         self.panels = panels
         self.state_dependent = kind.state_dependent
         self._actions = actions
-        self.row_dim = sum(a.row_dim for a in actions)
         # Whether L^T drops directions depends on the kind and the grid only,
         # so every panel agrees.
         self.needs_tangent_projection = actions[0].project is not None

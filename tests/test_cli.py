@@ -321,6 +321,19 @@ class TestCheck:
         assert "direction-equivalence" in out
         assert "FAIL" not in out
 
+    def test_all_odd_wave_panel_w2_passes(self, wave_config, tmp_path, capsys):
+        # 9 receivers x 161 samples: every panel count is odd, so each
+        # transport root has a singular, grounded parity block.
+        with open(wave_config) as fh:
+            payload = json.load(fh)
+        payload["model"].update(cells=[9, 9], nt=161)
+        payload["solver"]["metric"] = "w2"
+        cfg = write_config(tmp_path / "odd.json", payload)
+        with pytest.warns(UserWarning, match="every interior count is odd"):
+            assert cli.main(["check", "-c", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "PASS  direction-equivalence" in out and "FAIL" not in out
+
     def test_mixture_fd_jacobian_pass(self, mixture_config, capsys):
         assert cli.main(["check", "-c", mixture_config]) == 0
         assert "fd-gradient" in capsys.readouterr().out

@@ -5,13 +5,20 @@ import warnings
 import numpy as np
 import pytest
 
-from assembled_operators import axis_central_operators
-from natgrad.grids import Grid, build_operator_set
+from assembled_operators import divergence_matrix, stacked_metric_root
+from natgrad.grids import Grid, build_operator_set, build_weighted_divergence
+from natgrad.linalg import solve_least_squares_min_norm
 from natgrad.metrics import MetricKind, MetricOperator, build_metric
 from natgrad.models.wave import normalize_to_density
 from natgrad.solver import direction_explicit
 
 ALL_METRICS = ["l2", "fisher-rao", "h1", "h-1", "hdot1", "hdot-1", "w2"]
+# Interior counts for the k-row root checks; "all-odd" and "1d-odd" give the
+# transport metric its singular parity block.
+ROOT_GRIDS = {
+    "even": (6, 6), "all-odd": (7, 9), "non-square": (5, 12),
+    "1d-odd": (11,), "1d-even": (10,),
+}
 
 
 class TestMetricKind:
@@ -82,25 +89,29 @@ class TestBuildAndRefresh:
         b = op2.apply_Lt_pinv(np.eye(grid_2d.size)).T  # B, from its transpose
         assert np.linalg.norm(b @ y - zeta) <= 1e-10 * np.linalg.norm(zeta)
 
-    def test_row_dims(self, grid_2d):
+    def test_every_root_has_k_rows(self, grid_2d, rng):
+        # Every L and every pinv(L^T) maps k state rows to k rows.
         k = grid_2d.size
-        edges = build_operator_set(grid_2d).edge_count
-        dims = {
-            "l2": k, "fisher-rao": k, "h1": k + edges, "h-1": k + edges,
-            "hdot1": edges, "hdot-1": edges, "w2": 2 * k,
-        }
-        rho = np.ones(k)
-        for name, d in dims.items():
+        rho = rng.uniform(0.5, 2.0, k)
+        z = rng.standard_normal((k, 3))
+        for name in ALL_METRICS:
             kind = MetricKind.parse(name)
             op = build_metric(kind, grid_2d, rho if kind.state_dependent else None)
-            assert op.row_dim == d
+            assert op.apply_L_matrix(z).shape == (k, 3), name
+            assert op.apply_Lt_pinv(z[:, 0]).shape == (k,), name
 
 
 class TestActionTables:
     def test_hdot1_kills_constants(self, grid_2d):
         op = build_metric("hdot1", grid_2d)
         np.testing.assert_allclose(
-            op.apply_L(np.ones(grid_2d.size)), np.zeros(op.row_dim), atol=0
+            op.apply_L(np.ones(grid_2d.size)), np.zeros(grid_2d.size), atol=0
+        )
+
+    def test_hdot_minus1_kills_constants(self, grid_2d):
+        op = build_metric("hdot-1", grid_2d)
+        np.testing.assert_allclose(
+            op.apply_L(np.ones(grid_2d.size)), np.zeros(grid_2d.size), atol=0
         )
 
     def test_w2_pinv_roundtrip(self, grid_2d, rng):
@@ -111,16 +122,22 @@ class TestActionTables:
         b = op.apply_Lt_pinv(np.eye(grid_2d.size)).T  # B, from its transpose
         assert np.linalg.norm(b @ y - zeta) <= 1e-10 * np.linalg.norm(zeta)
 
-    def test_w2_lt_pinv_is_weighted_gradient(self, grid_2d, rng):
-        # With unit density the transpose action is the plain central-difference
-        # gradient stack.
-        op = build_metric("w2", grid_2d, rho=np.ones(grid_2d.size))
-        g = rng.standard_normal(grid_2d.size)
-        import scipy.sparse as sp
-
-        a_x, a_y = axis_central_operators(grid_2d)
-        plain_bt = -sp.hstack([a_x, a_y]).T
-        np.testing.assert_allclose(op.apply_Lt_pinv(g), plain_bt @ g, atol=1e-13)
+    @pytest.mark.parametrize("counts", ROOT_GRIDS.values(), ids=ROOT_GRIDS.keys())
+    def test_w2_lt_pinv_norm_is_weighted_gradient_norm(self, counts, rng):
+        # pinv(L^T) = R (the banded Cholesky factor of B B^T), so
+        # ||pinv(L^T) g|| = ||B^T g||; on an all-odd grid only after the
+        # grounded node's value is removed from the singular block.
+        grid = Grid.regular([[0, 1]] * len(counts), counts)
+        g = rng.standard_normal((grid.size, 3)) + 2.0
+        for rho in (np.ones(grid.size), rng.uniform(0.5, 2.0, grid.size)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the all-odd rank warning
+                op = build_metric("w2", grid, rho=rho)
+                bt = divergence_matrix(build_weighted_divergence(grid, rho)).T
+            for v in (g[:, 0], g):
+                got = np.linalg.norm(op.apply_Lt_pinv(v), axis=0)
+                want = np.linalg.norm(bt @ v, axis=0)
+                np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_adjoint_consistency_full_row_rank(self, grid_2d, rng):
         rho = rng.uniform(0.5, 2.0, grid_2d.size)
@@ -246,6 +263,39 @@ class TestTransportCoincidence:
         assert rel <= 1e-8
 
 
+class TestKRowRoots:
+    """Each k-row L gives the direction of the stacked L it replaces: the
+    minimum-norm solution sees L only through L^T L and range(L^T)."""
+
+    @pytest.mark.parametrize("damping", [None, "identity", "w2", "h1"])
+    @pytest.mark.parametrize("counts", ROOT_GRIDS.values(), ids=ROOT_GRIDS.keys())
+    def test_direction_equals_stacked_direction(self, counts, damping, rng):
+        grid = Grid.regular([[0, 1]] * len(counts), counts)
+        rho = rng.uniform(0.5, 2.0, grid.size)
+        z = rng.standard_normal((grid.size, 4))
+        grad = rng.standard_normal(grid.size) + 1.0
+        lam = 0.0 if damping is None else 0.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the all-odd rank warning
+            damp_op = (None if damping in (None, "identity")
+                       else build_metric(damping, grid, rho))
+            damp_rows = (np.eye(4) if damp_op is None
+                         else stacked_metric_root(damping, grid, rho) @ z)
+            for name in ALL_METRICS:
+                op = build_metric(name, grid, rho if name in ("fisher-rao", "w2") else None)
+                eta = direction_explicit(z, op, grad, damping_lambda=lam,
+                                         damping_metric=damp_op)
+                stacked = stacked_metric_root(name, grid, rho)
+                rhs = np.linalg.pinv(stacked.T) @ grad
+                y = stacked @ z
+                if lam > 0.0:
+                    y = np.vstack([y, np.sqrt(lam) * damp_rows])
+                    rhs = np.concatenate([rhs, np.zeros(len(damp_rows))])
+                want = -solve_least_squares_min_norm(y, rhs)
+                rel = np.linalg.norm(eta - want) / np.linalg.norm(want)
+                assert rel <= 1e-12, (name, rel)
+
+
 class TestTangentProjection:
     def test_flags(self, grid_2d):
         rho = np.ones(grid_2d.size)
@@ -294,7 +344,6 @@ class TestPanels:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the odd panel's rank warning
                 op, singles = self._pair(kind, grid, 3, rng)
-            assert op.row_dim == sum(s.row_dim for s in singles), name
             assert op.needs_tangent_projection == singles[0].needs_tangent_projection
             v = rng.standard_normal(3 * grid.size)
             z = rng.standard_normal((3 * grid.size, 4))
@@ -327,7 +376,7 @@ class TestPanels:
             op, _ = self._pair(kind, self.PANEL, 2, rng)
             rho = rng.uniform(0.5, 2.0, 2 * self.PANEL.size)
             fresh = op.refresh(rho)
-            assert fresh.panels == 2 and fresh.row_dim == op.row_dim
+            assert fresh.panels == 2
             np.testing.assert_array_equal(fresh.rho, rho)
             v = rng.standard_normal(2 * self.PANEL.size)
             want = np.concatenate([
@@ -379,7 +428,7 @@ class TestColumnBlocks:
             z = rng.standard_normal((k, 5))
             block = op.apply_L_matrix(z)
             loop = np.column_stack([op.apply_L(z[:, j]) for j in range(5)])
-            assert block.shape == (op.row_dim, 5), label
+            assert block.shape == (k, 5), label
             err = np.abs(block - loop).max()
             assert err <= 1e-12 * np.abs(loop).max(), f"{label}: {err:.1e}"
             g = op.info_matrix(z).matrix
