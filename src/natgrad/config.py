@@ -163,7 +163,7 @@ def load_experiment(path, seed_override=None, out_override=None) -> Experiment:
         raise ConfigError(f"unknown model kind {kind!r}")
     try:
         model, theta0 = _BUILDERS[kind](model_section)
-    except (ValueError, KeyError, OSError) as exc:
+    except (TypeError, ValueError, KeyError, OSError) as exc:
         raise ConfigError(f"bad model section: {exc}")
 
     solver_section = dict(raw.get("solver", {}))

@@ -9,7 +9,9 @@ Two stencil families live here:
   solves are exact in the DCT-II eigenbasis, with no factorization;
 * the central-difference divergence with zero-Dirichlet velocity boundaries,
   weighted by a power of the density, used by the optimal-transport metric;
-  its Gram matrix is factored per index-parity block by banded Cholesky.
+  its Gram matrix splits into index-parity blocks, and each block is factored
+  by eliminating its red points (a diagonal) and then banded Cholesky on the
+  Schur complement over its black points.
 
 Grid values are flattened in C order with the x axis slowest (index =
 ix * n_y + iy), matching the Kronecker products used to build operators.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,8 +121,6 @@ class DifferentialOperatorSet:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.grad_neumann = neumann_gradient(grid)
-        self.laplacian_neumann = (-(self.grad_neumann.T @ self.grad_neumann)).tocsr()
         lead = (2 - grid.dim) * (1,)  # a 1D grid as (1, n): one x point adds nothing
         self._shape = lead + grid.interior_counts
         self._dct, lam = [], 0.0
@@ -133,6 +133,16 @@ class DifferentialOperatorSet:
         self.eigenvalues = lam.ravel()
         self._h1_scale = 1.0 / (1.0 + lam)
         self._poisson_scale = 1.0 / np.where(lam == 0.0, np.inf, lam)  # drops constants
+
+    # The assembled sparse operators serve only the closed-form L^T L of h1
+    # and hdot1, so they are built on first use.
+    @cached_property
+    def grad_neumann(self) -> sp.csr_matrix:
+        return neumann_gradient(self.grid)
+
+    @cached_property
+    def laplacian_neumann(self) -> sp.csr_matrix:
+        return (-(self.grad_neumann.T @ self.grad_neumann)).tocsr()
 
     def solve_h1(self, v: np.ndarray) -> np.ndarray:
         """Solve (I + G^T G) w = v, for a vector or each column of a block."""
@@ -174,18 +184,28 @@ class WeightedDivergence:
     D = diag(rho^mobility_exponent); exponent 0.5 gives the optimal-transport
     operator, 0 the plain divergence. B B^T couples a point only to the points
     two apart along one axis, so ordered by index parity (ix mod 2, iy mod 2)
-    it splits exactly into at most four weighted 5-point Laplacians on
-    half-size grids, each factored by banded Cholesky. With rho > 0 the
-    cokernel of B is the product of the per-axis kernels (1, 0, 1, 0, ...) of
-    the central difference: trivial if some interior count is even, else the
-    all-ones field on the even-even sub-lattice, whose block alone is then
-    singular and is solved with that field projected out (minimum norm).
+    it splits exactly into at most four weighted 5-point Laplacians M on
+    half-size grids. With rho > 0 the cokernel of B is the product of the
+    per-axis kernels (1, 0, 1, 0, ...) of the central difference: trivial if
+    some interior count is even, else the all-ones field on the even-even
+    sub-lattice, whose block alone is then singular and is solved with that
+    field projected out (minimum norm).
 
-    Each block's upper factor R (B B^T = R^T R per block) gives the k-row
-    roots the transport metric uses: R^-T, with (R^-T)^T R^-T = pinv(B B^T),
-    and R, with ||R g|| = ||B^T g||. On the singular block the grounded node
-    enters R; removing the mean (for R^-T) or the grounded node's value (for
-    R) keeps both identities exact.
+    Each block is bipartite under a red-black colouring of its points (black
+    where the block coordinates sum to even, node 0 included), so in
+    red-then-black order M = [[D_r, E], [E^T, F]] with D_r diagonal, and its
+    upper Cholesky factor (M = R^T R) is
+
+        R = [[D_r^1/2, D_r^-1/2 E], [0, R_S]],
+
+    with R_S the banded Cholesky factor of the Schur complement
+    S = F - E^T D_r^-1 E, a 9-point operator on the black half (George and
+    Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981).
+    R gives the k-row roots the transport metric uses: R^-T, with
+    (R^-T)^T R^-T = pinv(B B^T), and R, with ||R g|| = ||B^T g||; row i of
+    either root sits at grid point i. The singular block is grounded in S at
+    its black node with the largest diagonal; removing the mean (for R^-T) or
+    the grounded node's value (for R) keeps both identities exact.
 
     ``backend`` is always "sparse" (a sparse banded factor). Every action
     accepts a vector or a block of columns.
@@ -194,14 +214,29 @@ class WeightedDivergence:
     grid: Grid
     mobility_exponent: float
     weights: np.ndarray = field(repr=False)
-    # (flat indices, banded factor, singular?) per parity block, even-even first.
-    _blocks: tuple = field(repr=False)
+    # The couplings of each point to the points two further along axis 0 and
+    # along axis 1, at flat distances 2 n_1 and 2, so each is k minus its
+    # distance long (zero where the axis-1 neighbour falls off the row).
+    _couplings: tuple = field(repr=False)
+    # 1/d, d^1/2 and d^-1/2 of B B^T's diagonal d at the red points, zero at
+    # the black ones. These and the couplings are (length, 1) columns.
+    _inv_d: np.ndarray = field(repr=False)
+    _sqrt_d: np.ndarray = field(repr=False)
+    _inv_sqrt_d: np.ndarray = field(repr=False)
+    # The black points' flat indices in banded order, and the upper banded
+    # Cholesky factor R_S of the Schur complements of every parity block.
+    _black: np.ndarray = field(repr=False)
+    _factor: np.ndarray = field(repr=False)
+    # The singular block's grounded node (flat index), None when B has full
+    # row rank.
+    _ground: int | None = field(repr=False)
 
     backend = "sparse"
 
     @property
     def rank_deficient(self) -> bool:
-        return all(n % 2 for n in self.grid.interior_counts)
+        """Whether every interior count is odd; only then is a node grounded."""
+        return self._ground is not None
 
     # apply_pinv and apply_bt have no caller in natgrad; the benchmark tracer
     # patches apply_pinv by name, so both stay until it reads spans instead.
@@ -231,107 +266,204 @@ class WeightedDivergence:
         return self._solve_gram(v)
 
     def apply_inverse_root(self, zeta) -> np.ndarray:
-        """Apply R^-T per block, a k-row root of pinv(B B^T); the singular
-        block's mean is removed first."""
-        zeta = np.asarray(zeta, dtype=float)
-        out = np.empty_like(zeta)
-        for idx, factor, singular in self._blocks:
-            r = zeta[idx]  # a fresh copy: the solve may overwrite it
-            if singular:
-                r -= r.mean(axis=0)
-            x, info = _tbtrs(factor, r.reshape(len(idx), -1), trans="T",
-                             overwrite_b=True)
-            if info != 0:
-                raise ValueError(f"banded triangular solve failed: tbtrs info {info}")
-            out[idx] = x.reshape(r.shape)
-        return out
+        """Apply R^-T, a k-row root of pinv(B B^T), after removing the
+        singular block's mean: red rows z_r / d^1/2, black rows
+        R_S^-T (z_b - E^T (z_r / d))."""
+        u = self._columns(zeta, center=True)
+        y = u * self._inv_sqrt_d
+        rhs = self._couple(u * self._inv_d)
+        rhs += u
+        x, info = _tbtrs(self._factor, rhs[self._black], trans="T", overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"banded triangular solve failed: tbtrs info {info}")
+        y[self._black] = x
+        return y.reshape(np.shape(zeta))
 
     def apply_root(self, g) -> np.ndarray:
-        """Apply R per block, so ||R g|| = ||B^T g||; the singular block's
-        grounded node value is removed first."""
-        g = np.asarray(g, dtype=float)
-        out = np.empty_like(g)
-        for idx, factor, singular in self._blocks:
-            r = g[idx]
-            if singular:
-                r -= r[0]
-            kd = factor.shape[0] - 1
-            out[idx] = (_tbmv(kd, factor, r, overwrite_x=True) if r.ndim == 1 else
-                        np.column_stack([_tbmv(kd, factor, c) for c in r.T]))
-        return out
+        """Apply R, so ||R g|| = ||B^T g||, after removing the singular
+        block's grounded node value: red rows d^1/2 g_r + (E g_b) / d^1/2,
+        black rows R_S g_b."""
+        u = self._columns(g, center=False)
+        # E is minus the couplings, and every neighbour of a red point is black.
+        eg = self._couple(u)
+        eg *= self._inv_sqrt_d
+        out = u * self._sqrt_d
+        out -= eg
+        kd = self._factor.shape[0] - 1
+        out[self._black] = np.column_stack(
+            [_tbmv(kd, self._factor, c) for c in u[self._black].T]
+        )
+        return out.reshape(np.shape(g))
 
     def project_range(self, g) -> np.ndarray:
         """Orthogonal projection onto range(B), i.e. B pinv(B) g."""
-        out = np.array(g, dtype=float)
-        if self.rank_deficient:  # the even-even block holds the cokernel
-            out[self._blocks[0][0]] -= out[self._blocks[0][0]].mean(axis=0)
-        return out
+        if not self.rank_deficient:
+            return np.array(g, dtype=float)
+        return self._columns(g, center=True).reshape(np.shape(g))
 
     def _solve_gram(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        out = np.empty_like(v)
-        for idx, factor, singular in self._blocks:
-            r = v[idx] - v[idx].mean(axis=0) if singular else v[idx]
-            # r is a fresh copy (fancy indexing), so the solve may overwrite it.
-            x, info = _pbtrs(factor, r, lower=False, overwrite_b=True)
-            if info != 0:
-                raise ValueError(f"banded solve failed: pbtrs info {info}")
-            out[idx] = x - x.mean(axis=0) if singular else x
+        """w_b = S^-1 (v_b - E^T (v_r / d)), then w_r = (v_r - E w_b) / d."""
+        u = self._columns(v, center=True)
+        rhs = self._couple(u * self._inv_d)
+        rhs += u
+        xb, info = _pbtrs(self._factor, rhs[self._black], lower=False, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"banded solve failed: pbtrs info {info}")
+        x = np.zeros_like(u)
+        x[self._black] = xb
+        red = self._couple(x)
+        red += u
+        red *= self._inv_d  # zero at black points
+        x += red
+        if self.rank_deficient:
+            self._remove_block_mean(x)
+        return x.reshape(np.shape(v))
+
+    def _columns(self, a, center: bool) -> np.ndarray:
+        """``a`` as a (k, columns) array in its own memory order; on the
+        singular block a copy with its mean (``center``) or its grounded node
+        value removed."""
+        a = np.asarray(a, dtype=float)
+        u = a.reshape(len(a), -1)
+        if self.rank_deficient:
+            u = u.copy(order="K") if np.may_share_memory(u, a) else u
+            if center:
+                self._remove_block_mean(u)
+            else:
+                self._singular_block(u)[...] -= u[self._ground].copy()
+        return u
+
+    def _singular_block(self, u) -> np.ndarray:
+        """The even-even parity block of u (k, columns), as a grid view."""
+        lead = (2 - self.grid.dim) * (1,)
+        return u.reshape(lead + self.grid.interior_counts + (-1,))[::2, ::2]
+
+    def _remove_block_mean(self, u) -> None:
+        """Subtract the even-even parity block's mean per column, in place."""
+        block = self._singular_block(u)
+        block -= block.mean(axis=(0, 1))
+
+    def _couple(self, x) -> np.ndarray:
+        """Minus the off-diagonal of B B^T applied to x (k, columns): each
+        point sums its couplings times the values two points away per axis.
+        At a black point that is -E^T x_r, at a red one -E x_b."""
+        out, tmp = np.zeros_like(x), np.empty_like(x)
+        for c in self._couplings:
+            s, t = len(x) - len(c), tmp[:len(c)]  # s: this axis's flat distance
+            out[:-s] += np.multiply(c, x[s:], out=t)
+            out[s:] += np.multiply(c, x[:-s], out=t)
         return out
 
 
 @lru_cache(maxsize=32)
 def _parity_layout(grid: Grid) -> tuple:
-    """The grid-only part of the parity split: the counts as 2D, the axis
-    scales 1/(4 h^2), whether the axes swap to put the short one fastest, and
-    per parity block its slice, shape, flat indices and whether it is singular."""
+    """The grid-only part of the red-black factor.
+
+    Returns the counts as 2D; the axis scales 1/(4 h^2); the red points as a
+    mask; the black points' flat indices in banded order, parity block by
+    parity block (the even-even block first), and how many belong to the
+    even-even block; the bandwidth kd; and, for the Schur complement, the
+    index of each band entry's value in the concatenated stencil arrays of
+    ``_factor_parity_blocks`` with that entry's position in the C-order
+    transpose of the upper band storage.
+
+    A block is ordered with the short grid axis fastest and its black points
+    keep that order, so S's band is kd = the blocks' largest fast extent
+    wide. The blocks share no entry, so one band holds them all and one
+    banded Cholesky factors them together.
+    """
     lead = (2 - grid.dim) * (1,)  # a 1D grid as (1, n): one x point adds nothing
     counts, spacings = lead + grid.interior_counts, lead + grid.spacings
-    swap = counts[0] < counts[1]
-    order = np.arange(grid.size).reshape(counts)
-    order = order.T if swap else order
-    blocks = []
+    flat = np.arange(grid.size).reshape(counts)
+    i, j = np.indices(counts)
+    red = (i // 2 + j // 2) % 2 == 1  # block coordinates (i // 2, j // 2)
+    order = flat.T if counts[0] < counts[1] else flat
+    black = []
     for ps, pf in np.ndindex(*(min(2, n) for n in order.shape)):
         idx = order[ps::2, pf::2]
-        singular = ps == pf == 0 and all(n % 2 for n in counts)
-        blocks.append((np.s_[ps::2, pf::2], idx.shape, idx.ravel(), singular))
-    return counts, tuple(1.0 / (4.0 * h * h) for h in spacings), swap, tuple(blocks)
+        a, b = np.indices(idx.shape)
+        black.append(idx[(a + b) % 2 == 0])  # row-major, so in banded order
+    kd = (order.shape[1] + 1) // 2
+    place = np.zeros(grid.size, dtype=np.intp)  # each black point's band column
+    place[np.concatenate(black)] = np.arange(sum(map(len, black)))
+    # S couples black x to black y through the red points between them: y = x,
+    # y = x + (4, 0), x + (0, 4), x + (2, 2), and x + (2, -2), in the order
+    # and shapes of the stencil arrays.
+    pairs = [(flat, flat), (flat[:-4], flat[4:]), (flat[:, :-4], flat[:, 4:]),
+             (flat[:-2, :-2], flat[2:, 2:]), (flat[:-2, 2:], flat[2:, :-2])]
+    src, dst, offset = [], [], 0
+    for x, y in pairs:
+        x, y = x.ravel(), y.ravel()
+        keep = np.flatnonzero(~red.ravel()[x])
+        src.append(offset + keep)
+        offset += x.size
+        px, py = place[x[keep]], place[y[keep]]
+        # Upper band storage: entry (x, y) sits in the later point's column,
+        # kd minus their distance down from the diagonal.
+        dst.append(np.maximum(px, py) * (kd + 1) + kd - np.abs(py - px))
+    scales = tuple(1.0 / (4.0 * h * h) for h in spacings)
+    return (counts, scales, red, np.concatenate(black), len(black[0]), kd,
+            np.concatenate(src), np.concatenate(dst))
 
 
-def _parity_blocks(grid: Grid, q: np.ndarray) -> tuple:
-    """Banded Cholesky factors of B B^T's parity blocks, built from q = D^2."""
-    counts, (cx, cy), swap, layout = _parity_layout(grid)
+def _factor_parity_blocks(grid: Grid, q: np.ndarray) -> tuple:
+    """The couplings, the red-point scales, the black points and the Schur
+    complement factor R_S of B B^T, built from q = D^2, in the order of
+    WeightedDivergence's private fields."""
+    counts, (cx, cy), red, black, n_even, kd, src, dst = _parity_layout(grid)
     q = q.reshape(counts)
     qp = np.pad(q, 1)
     diag = cx * (qp[:-2, 1:-1] + qp[2:, 1:-1]) + cy * (qp[1:-1, :-2] + qp[1:-1, 2:])
     # Coupling of i and i+2 along each axis: -q[i+1] / (4 h^2).
-    slow, fast = cx * q[1:-1, :], cy * q[:, 1:-1]
-    if swap:  # the short axis fastest
-        diag, slow, fast = diag.T, fast.T, slow.T
-    blocks = []
-    for sl, (ms, mf), idx, singular in layout:
-        # Upper band storage ab, written as its C-order transpose
-        # band[j, k, row] = ab[row, j mf + k]: row mf holds the diagonal,
-        # row mf-1 the fast neighbour (j-1, j), row 0 the slow one (j-mf, j).
-        band = np.zeros((ms, mf, mf + 1))
-        band[..., mf] = diag[sl]
-        band[1:, :, 0] -= slow[sl]
-        band[:, 1:, mf - 1] -= fast[sl]
-        if singular:
-            # Ground node 0 of this graph Laplacian (kernel: ones); on a
-            # consistent right-hand side the solve then leaves node 0 at zero.
-            band[0, 0, mf] += diag[sl].max() or 1.0
-        factor, info = _pbtrf(band.reshape(ms * mf, mf + 1).T, lower=0, overwrite_ab=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"banded Cholesky failed: pbtrf info {info}")
-        blocks.append((idx, factor, singular))
-    return tuple(blocks)
+    c0, c1 = cx * q[1:-1, :], cy * q[:, 1:-1]
+    inv_d = np.divide(1.0, diag, out=np.zeros(counts), where=red)
+    # S = F - E^T D_r^-1 E: a red point r between black x and y adds
+    # -c_xr c_ry / d_r to S[x, y]; on the diagonal F = d.
+    schur = diag.copy()
+    s0, s1 = c0 * c0, c1 * c1
+    schur[2:] -= s0 * inv_d[:-2]
+    schur[:-2] -= s0 * inv_d[2:]
+    schur[:, 2:] -= s1 * inv_d[:, :-2]
+    schur[:, :-2] -= s1 * inv_d[:, 2:]
+    values = np.concatenate([
+        schur.ravel(),
+        -(c0[:-2] * c0[2:] * inv_d[2:-2]).ravel(),
+        -(c1[:, :-2] * c1[:, 2:] * inv_d[:, 2:-2]).ravel(),
+        -(c0[:, :-2] * inv_d[2:, :-2] * c1[2:] + c1[:-2] * inv_d[:-2, 2:] * c0[:, 2:]).ravel(),
+        -(c0[:, 2:] * inv_d[2:, 2:] * c1[2:] + c1[:-2] * inv_d[:-2, :-2] * c0[:, :-2]).ravel(),
+    ])
+    band = np.zeros((len(black), kd + 1))
+    band.ravel()[dst] = values[src]
+    ground = None
+    if all(n % 2 for n in counts):
+        # Ground the singular even-even block (kernel: ones) at its densest
+        # black node; on a consistent right-hand side the solve then leaves
+        # that node at zero. A weakly coupled node would leave the grounded
+        # block an eigenvalue of about its own coupling over the block size,
+        # which round-off can turn negative when the density spans many
+        # decades.
+        d0 = diag.ravel()[black[:n_even]]
+        at = int(np.argmax(d0))
+        band[at, kd] += d0[at] or 1.0
+        ground = int(black[at])
+    factor, info = _pbtrf(band.T, lower=0, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"banded Cholesky failed: pbtrf info {info}")
+    # The actions shift flat columns, so an axis-1 coupling that would wrap
+    # onto the next row is zero.
+    wrapped = np.zeros(counts)
+    wrapped[:, :-2] = c1
+    couplings = (c0.reshape(-1, 1), wrapped.reshape(-1, 1)[:max(grid.size - 2, 0)])
+    inv_d = inv_d.reshape(-1, 1)
+    return (couplings, inv_d, np.sqrt(diag * red).reshape(-1, 1), np.sqrt(inv_d),
+            black, factor, ground)
 
 
 def build_weighted_divergence(
     grid: Grid, rho, mobility_exponent: float = 0.5
 ) -> WeightedDivergence:
-    """Factor B B^T for the current density, one banded Cholesky per parity block."""
+    """Factor B B^T for the current density: the red points eliminated, then
+    one banded Cholesky of the Schur complement on the black points."""
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (grid.size,):
         raise ValueError(f"rho shape {rho.shape} does not match grid size {grid.size}")
@@ -340,8 +472,8 @@ def build_weighted_divergence(
     if not 0.0 <= mobility_exponent <= 1.0:
         raise ValueError("mobility exponent must lie in [0, 1]")
     weights = rho**mobility_exponent if mobility_exponent != 0.0 else np.ones_like(rho)
-    blocks = _parity_blocks(grid, weights * weights)
-    wdiv = WeightedDivergence(grid, mobility_exponent, weights, blocks)
+    wdiv = WeightedDivergence(grid, mobility_exponent, weights,
+                              *_factor_parity_blocks(grid, weights * weights))
     if wdiv.rank_deficient:
         warnings.warn(
             "every interior count is odd: the weighted divergence loses full row "

@@ -24,11 +24,13 @@ column:
 with G the staggered Neumann gradient, C the orthonormal 2D DCT-II and lam
 its Neumann eigenvalues (C^T diag(lam) C = G^T G; lam^+ is 1/lam, zero on
 the constant mode), P the mean removal, B the density-weighted
-central-difference divergence and R the upper banded Cholesky factor of
-B B^T per index-parity block. P and g_0 (the value at the grounded node)
-act only on the transport's singular block, present when every interior
-count is odd. L^T L itself is applied by its closed forms (G^T G, the DCT
-solves, pinv(B B^T)).
+central-difference divergence and R the upper Cholesky factor of B B^T
+per index-parity block in red-black form: the red rows are diagonal plus
+couplings, the black rows the banded factor of the Schur complement on the
+black points. P and g_0 (the value at the grounded node, the densest black
+node) act only on the transport's singular block, present when every
+interior count is odd. L^T L itself is applied by its closed forms (G^T G,
+the DCT solves, pinv(B B^T)).
 
 Fisher-Rao and the transport metric depend on the current density and must
 be refreshed every iteration; refreshing returns a new operator, so
@@ -145,11 +147,10 @@ def _fisher_rao_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
 
 def _sobolev_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
     ops = build_operator_set(grid)
-    gtg = -ops.laplacian_neumann
     lam = ops.eigenvalues
     if kind.homogeneous:
         def gram(v):
-            return gtg @ v
+            return -(ops.laplacian_neumann @ v)
 
         # The mean goes first, so constants map to exactly zero; the constant
         # mode's scale is zero either way.
@@ -158,7 +159,7 @@ def _sobolev_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
         inverse_root = 1.0 / np.where(lam == 0.0, np.inf, root)
     else:
         def gram(v):
-            return v + gtg @ v
+            return v - ops.laplacian_neumann @ v
 
         solve, center, project = ops.solve_h1, _identity, None
         root = np.sqrt(1.0 + lam)

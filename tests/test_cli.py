@@ -186,6 +186,27 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "route_out").exists()
 
+    @pytest.mark.parametrize(
+        "config,edit",
+        [
+            ("mixture_config", lambda m: m["model_components"][0].update(sigma=1.0)),
+            ("mixture_config", lambda m: m.update(interior=72)),
+            ("wave_config", lambda m: m.update(cells=8)),
+        ],
+        ids=["component-extra-key", "scalar-interior", "scalar-cells"],
+    )
+    def test_malformed_model_section_exits_1(self, request, tmp_path, capsys, config, edit):
+        # Wrong types in the model section reach the model builders as a
+        # TypeError; it must be reported as a config error, not a traceback.
+        with open(request.getfixturevalue(config)) as fh:
+            payload = json.load(fh)
+        edit(payload["model"])
+        payload["output"]["directory"] = str(tmp_path / "model_out")
+        cfg = write_config(tmp_path / "model.json", payload)
+        assert cli.main(["run", "-c", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: bad model section: ")
+        assert not (tmp_path / "model_out").exists()
+
     def test_unknown_model_kind_exits_1(self, tmp_path):
         cfg = write_config(
             tmp_path / "unknown.json",

@@ -4,17 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from assembled_operators import (
     axis_central_operators,
     central_difference_matrix,
     divergence_matrix,
 )
+from natgrad import grids
 from natgrad.grids import (
     DifferentialOperatorSet,
     Grid,
-    _parity_blocks,
     build_operator_set,
     build_weighted_divergence,
     neumann_gradient,
@@ -401,59 +400,79 @@ class TestWeightedDivergence:
             for g in (rng.standard_normal(grid.size), rng.standard_normal((grid.size, 144))):
                 assert np.array_equal(wdiv.apply_bt(g), self._bt_by_moveaxis(wdiv, g))
 
-    def test_gram_solve_equals_scipy_banded_solve(self, rng):
-        # The direct LAPACK call is the routine cho_solve_banded wraps.
-        for counts in ((6, 8), (9, 9), (1, 4), (7,)):
-            grid = Grid.regular([[0.0, 1.0], [0.0, 2.3]][: len(counts)], counts)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                wdiv = build_weighted_divergence(grid, rng.uniform(0.5, 2.0, grid.size))
-            for v in (rng.standard_normal(grid.size), rng.standard_normal((grid.size, 3))):
-                want = np.empty_like(v)
-                for idx, factor, singular in wdiv._blocks:
-                    r = v[idx] - v[idx].mean(axis=0) if singular else v[idx]
-                    x = cho_solve_banded((factor, False), r, check_finite=False)
-                    want[idx] = x - x.mean(axis=0) if singular else x
-                assert np.array_equal(wdiv.apply_gram_pinv(v), want)
-
-    @staticmethod
-    def _factors_by_padding(grid, q):
-        """The earlier per-block band build: np.pad, then cholesky_banded."""
-        lead = (2 - grid.dim) * (1,)
-        counts, spacings = lead + grid.interior_counts, lead + grid.spacings
-        cx, cy = (1.0 / (4.0 * h * h) for h in spacings)
-        q = q.reshape(counts)
-        qp = np.pad(q, 1)
-        diag = cx * (qp[:-2, 1:-1] + qp[2:, 1:-1]) + cy * (qp[1:-1, :-2] + qp[1:-1, 2:])
-        slow, fast = cx * q[1:-1, :], cy * q[:, 1:-1]
-        if counts[0] < counts[1]:
-            diag, slow, fast = diag.T, fast.T, slow.T
-        factors = []
-        for ps, pf in np.ndindex(*(min(2, n) for n in diag.shape)):
-            d = diag[ps::2, pf::2]
-            ms, mf = d.shape
-            ab = np.zeros((mf + 1, ms * mf), order="F")
-            ab[mf] = d.ravel()
-            ab[0, mf:] -= slow[ps::2, pf::2].ravel()
-            ab[mf - 1] -= np.pad(fast[ps::2, pf::2], ((0, 0), (1, 0))).ravel()
-            if ps == pf == 0 and all(n % 2 for n in counts):
-                ab[mf, 0] += ab[mf].max() or 1.0
-            factors.append(cholesky_banded(ab, check_finite=False))
-        return factors
-
-    # The FWI panel sizes (30x300 and the rank-deficient 31x301), the mixture
-    # grid, and small, (1, n) and 1D grids.
+    # The grids of test_parity_block_factor_matches_svd_pinv.
     @pytest.mark.parametrize("counts", [
-        (72, 72), (30, 300), (31, 301), (300, 30), (7, 9), (1, 5), (2, 1), (9,), (1,),
+        (6, 8), (6, 5), (4, 9), (3, 3), (9, 9), (11, 11), (31, 31),
+        (1, 3), (1, 4), (9,), (8,), (1,),
     ], ids=lambda c: "x".join(map(str, c)))
-    def test_parity_factors_are_bit_identical_to_padded_build(self, rng, counts):
+    def test_red_black_factor_is_a_root_of_the_grounded_block(self, rng, counts):
+        # R assembled densely: red rows from B B^T itself (d^1/2 on the
+        # diagonal, the couplings over d^1/2), black rows from the stored
+        # Schur factors. Then R^T R = B B^T + c e_g e_g^T, with c > 0 only on
+        # an all-odd grid, at a black node g of the even-even block, and the
+        # roots are R^-T P and R (I - 1_even e_g^T).
         grid = Grid.regular([[0.0, 1.0], [0.0, 2.3]][: len(counts)], counts)
-        q = rng.uniform(0.25, 4.0, grid.size)
-        blocks = _parity_blocks(grid, q)
-        want = self._factors_by_padding(grid, q)
-        assert len(blocks) == len(want)
-        for (_, factor, _), ref in zip(blocks, want):
-            assert np.array_equal(factor, ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            wdiv = build_weighted_divergence(grid, rng.uniform(0.5, 2.0, grid.size))
+        b = divergence_matrix(wdiv).toarray()
+        m = b @ b.T
+        i, j = np.indices((1,) * (2 - grid.dim) + counts)
+        red = np.flatnonzero((i // 2 + j // 2) % 2)
+        root = np.zeros_like(m)
+        for r in red:
+            others = np.setdiff1d(red, r)
+            assert not m[r, others].any()  # the block is bipartite
+            root[r] = m[r] / np.sqrt(m[r, r])
+        black, factor = wdiv._black, wdiv._factor
+        assert np.array_equal(np.sort(np.concatenate([black, red])), np.arange(grid.size))
+        kd, n = factor.shape[0] - 1, len(black)
+        schur = np.zeros((n, n))
+        for off in range(min(kd, n - 1) + 1):  # upper band storage
+            cols = np.arange(off, n)
+            schur[cols - off, cols] = factor[kd - off, off:]
+        root[np.ix_(black, black)] = schur
+        excess = root.T @ root - m
+        even = self._even_sublattice(counts)
+        if wdiv.rank_deficient:
+            g = int(np.argmax(np.diag(excess)))
+            assert excess[g, g] > 0.0 and even[g] == 1.0 and g not in red
+            excess[g, g] = 0.0
+        assert np.abs(excess).max() <= 1e-13 * np.abs(m).max()
+        block = rng.standard_normal((grid.size, 3))
+        for rhs in (rng.standard_normal(grid.size), block, np.asfortranarray(block)):
+            centred, grounded = np.array(rhs), np.array(rhs)
+            if wdiv.rank_deficient:
+                mask = even.astype(bool)
+                centred[mask] -= centred[mask].mean(axis=0)
+                grounded[mask] -= rhs[g]
+            for got, want in ((wdiv.apply_inverse_root(rhs), np.linalg.solve(root.T, centred)),
+                              (wdiv.apply_root(rhs), root @ grounded)):
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1e-300)
+
+    # The mixture grid and the FWI panel sizes, rank-deficient 31x301 included.
+    @pytest.mark.parametrize("counts", [(72, 72), (30, 300), (31, 301)],
+                             ids=lambda c: "x".join(map(str, c)))
+    def test_factor_work_is_the_black_half(self, rng, monkeypatch, counts):
+        # A machine-independent work guard: a build factors only the Schur
+        # complements on the black points, at most ceil(k/2) rows plus one
+        # per parity block (the full blocks held k rows), in one band with kd
+        # the blocks' extent along the short grid axis.
+        pbtrf, bands = grids._pbtrf, []
+
+        def record(ab, **kwargs):
+            bands.append(ab.shape)
+            return pbtrf(ab, **kwargs)
+
+        monkeypatch.setattr(grids, "_pbtrf", record)
+        grid = Grid.regular([[0.0, 1.0], [0.0, 2.3]], counts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            build_weighted_divergence(grid, rng.uniform(0.5, 2.0, grid.size))
+        [(rows, n)] = bands
+        assert rows - 1 == (min(counts) + 1) // 2
+        assert n <= -(-grid.size // 2) + 4
 
     def test_nonpositive_density_rejected(self, grid_2d):
         rho = np.ones(grid_2d.size)

@@ -9,6 +9,7 @@ from assembled_operators import divergence_matrix, stacked_metric_root
 from natgrad.grids import Grid, build_operator_set, build_weighted_divergence
 from natgrad.linalg import solve_least_squares_min_norm
 from natgrad.metrics import MetricKind, MetricOperator, build_metric
+from natgrad.models import GaussianMixtureModel
 from natgrad.models.wave import normalize_to_density
 from natgrad.solver import direction_explicit
 
@@ -433,3 +434,54 @@ class TestColumnBlocks:
             assert err <= 1e-12 * np.abs(loop).max(), f"{label}: {err:.1e}"
             g = op.info_matrix(z).matrix
             np.testing.assert_array_equal(g, g.T)
+
+
+class TestContinuumOracle:
+    """A one-Gaussian location family (sigma = 0.5 on [-3, 3]^2, both mean
+    coordinates free) against the continuum information matrices, scaled by
+    the cell area h^2: w2 gives the identity, since the transport potential
+    of a location family is the coordinate itself (W. Li & G. Montufar,
+    "Natural gradient via optimal transport", Information Geometry 1, 2018);
+    l2 gives 1/(8 pi sigma^4) and Fisher-Rao 1/sigma^2 on the diagonal.
+    Unlike the action tests, which compare the code with its own assembled
+    matrices, a consistent scale error fails here. The interior grids 47^2
+    and 95^2 (h = 1/8 and 1/16) are all-odd, so the transport metric runs on
+    its grounded singular block."""
+
+    SIGMA = 0.5
+
+    def _relative_error(self, name, n, value):
+        s2 = self.SIGMA**2
+        comps = [dict(weight=1.0, mean=(0.0, 0.0), cov=((s2, 0.0), (0.0, s2)))]
+        grid = Grid.regular([[-3.0, 3.0], [-3.0, 3.0]], [n, n])
+        model = GaussianMixtureModel.from_reference_mixture(
+            grid, comps, ["c0.mean.0", "c0.mean.1"], comps
+        )
+        theta = np.zeros(2)
+        metric = build_metric(name, grid, model.solve_forward(theta))
+        info = metric.info_matrix(model.jacobian(theta)).matrix
+        h2 = grid.spacings[0] * grid.spacings[1]
+        return np.abs(info * h2 / value - np.eye(2)).max()
+
+    def test_w2_converges_at_fourth_order(self):
+        with pytest.warns(UserWarning, match="every interior count is odd"):
+            coarse = self._relative_error("w2", 47, 1.0)
+        with pytest.warns(UserWarning, match="every interior count is odd"):
+            fine = self._relative_error("w2", 95, 1.0)
+        # Halving h must cut the error by 2^4 (nominal order 4), with half an
+        # order of slack; a scale error in B stays put and fails this. The
+        # coarse error must also lie below h^2, what any consistent central
+        # difference scheme gives.
+        assert np.log2(coarse / fine) >= 3.5
+        assert coarse <= 0.125**2
+
+    @pytest.mark.parametrize("name, value", [
+        ("l2", 1.0 / (8.0 * np.pi * SIGMA**4)), ("fisher-rao", 1.0 / SIGMA**2),
+    ])
+    def test_density_metrics_are_exact_up_to_the_tail(self, name, value):
+        # The grid sum (the trapezoid rule) of a smooth integrand that decays
+        # like the Gaussian is exact up to what lies beyond the box,
+        # e^(-(3/sigma)^2 / 2) = 1.5e-8 times a polynomial factor, on both
+        # grids.
+        for n in (47, 95):
+            assert self._relative_error(name, n, value) <= 1e-6
