@@ -133,9 +133,10 @@ def _build_wave(section: dict):
         sponge_strength=float(sponge.get("strength", 0.015)),
         cfl_factor=float(section.get("cfl_factor", 0.5)),
     )
+    theta0 = model.check_theta(
+        _model_field(_require(section, "initial_model", "model"), cells))
     true_field = _model_field(_require(section, "true_model", "model"), cells)
     model.generate_reference(true_field)
-    theta0 = _model_field(_require(section, "initial_model", "model"), cells)
     return model, theta0
 
 
@@ -163,6 +164,10 @@ def load_experiment(path, seed_override=None, out_override=None) -> Experiment:
         raise ConfigError(f"unknown model kind {kind!r}")
     try:
         model, theta0 = _BUILDERS[kind](model_section)
+        if theta0.shape != (model.param_dim,):
+            raise ValueError(f"theta0 has {theta0.size} entries, expected {model.param_dim}")
+        if not np.all(np.isfinite(theta0)):
+            raise ValueError("theta0 entries must be finite")
     except (TypeError, ValueError, KeyError, OSError) as exc:
         raise ConfigError(f"bad model section: {exc}")
 

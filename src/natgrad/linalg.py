@@ -12,7 +12,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import get_lapack_funcs
+
+# Resolved once: the minimum-norm solve calls LAPACK directly, in the same
+# sequence as scipy.linalg.qr and solve_triangular but without their wrapper
+# layers, which cost more than the factorization of a tall, narrow Jacobian.
+_geqp3 = get_lapack_funcs("geqp3", dtype=np.float64)
+_geqrf = get_lapack_funcs("geqrf", dtype=np.float64)
+_orgqr = get_lapack_funcs("orgqr", dtype=np.float64)
+_trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,35 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
+def _lapack(routine, *args):
+    """Call a workspace-taking LAPACK routine on arrays it may overwrite.
+
+    The workspace size comes from a query first, as scipy.linalg.qr does;
+    without it xGEQP3 falls back to its slower unblocked path.
+    """
+    lwork = int(routine(*args, lwork=-1, overwrite_a=1)[-2][0])
+    *out, _, info = routine(*args, lwork=lwork, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine.__name__}")
+    return out
+
+
+def _economic_qr(a, pivoting: bool):
+    """The economic QR of a nonempty, Fortran-ordered ``a``, which it
+    overwrites: the LAPACK calls of ``scipy.linalg.qr(a, mode="economic",
+    pivoting=pivoting)``, whose factors (and column permutation) it returns
+    bit for bit."""
+    m, n = a.shape
+    if pivoting:
+        qr, perm, tau = _lapack(_geqp3, a)
+        perm -= 1  # LAPACK numbers columns from 1
+    else:
+        qr, tau = _lapack(_geqrf, a)
+    r = np.triu(qr if m < n else qr[:n, :])
+    (q,) = _lapack(_orgqr, qr[:, :m] if m < n else qr, tau)
+    return (q, r, perm) if pivoting else (q, r)
+
+
 def qr_column_pivoted(a, tol: float = 1e-10) -> PivotedQRFactors:
     """Rank-revealing QR with column pivoting.
 
@@ -65,7 +102,12 @@ def qr_column_pivoted(a, tol: float = 1e-10) -> PivotedQRFactors:
     a = _as_matrix(a)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    q, r, perm = sla.qr(a, mode="economic", pivoting=True, check_finite=False)
+    if a.size == 0:  # LAPACK rejects an empty matrix
+        m, n = a.shape
+        k = min(m, n)
+        q, r, perm = np.empty((m, k)), np.empty((k, n)), np.arange(n, dtype=np.int32)
+    else:
+        q, r, perm = _economic_qr(np.array(a, order="F"), pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         rank = 0
@@ -97,9 +139,14 @@ def solve_least_squares_min_norm(a, b, tol: float = 1e-10) -> np.ndarray:
         warnings.warn("least-squares matrix is numerically zero; returning 0")
         return np.zeros((a.shape[1],) + b.shape[1:])
     qt_b = piv.q[:, :r].T @ b
-    r_trunc = piv.r[:r, :]
-    q1, r1 = sla.qr(r_trunc.T, mode="economic", check_finite=False)  # a is checked
-    x_perm = q1 @ sla.solve_triangular(r1.T, qt_b, lower=True, check_finite=False)
+    # piv.r is this call's own, so its transposed rows may be overwritten.
+    q1, r1 = _economic_qr(np.asfortranarray(piv.r[:r, :].T), pivoting=False)
+    # The trtrs call of solve_triangular(r1.T, qt_b, lower=True): r1 is
+    # C-ordered, so r1.T is passed as it is, a lower triangle.
+    y, info = _trtrs(r1.T, qt_b, lower=1, trans=0, overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
+    x_perm = q1 @ y
     x = np.empty((a.shape[1],) + b.shape[1:])
     x[piv.permutation] = x_perm
     return x

@@ -587,11 +587,14 @@ class WaveFwiModel(ForwardModel):
         return self.nx * self.nz
 
     # --- parameter handling -------------------------------------------------
-    def _check_theta(self, theta) -> np.ndarray:
+    def check_theta(self, theta) -> np.ndarray:
+        """theta as a float array, once it has param_dim strictly positive
+        entries and its fastest cell (least squared slowness) keeps the time
+        step within the CFL bound."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.param_dim,):
             raise ValueError(f"theta must have length {self.param_dim}")
-        if np.any(theta <= 0.0):
+        if not np.all(theta > 0.0):  # also rejects NaN, which would march
             raise ValueError("squared slowness must be strictly positive")
         limit = self.cfl_factor * min(self.dx, self.dz) * np.sqrt(theta.min())
         if self.dt > limit:
@@ -668,7 +671,7 @@ class WaveFwiModel(ForwardModel):
 
     # --- forward map -----------------------------------------------------------
     def solve_forward(self, theta) -> np.ndarray:
-        theta = self._check_theta(theta)
+        theta = self.check_theta(theta)
         if self._is_cached(theta):
             return self._cache_traces.copy()
         # Each group drops its old stack before it marches: one live stack
@@ -689,7 +692,7 @@ class WaveFwiModel(ForwardModel):
         march stores no wavefields and leaves the forward cache alone.
         """
         batch = _SourceGroup(self, 0, self.n_sources)
-        self.reference = batch.reference(self._check_theta(theta_true))
+        self.reference = batch.reference(self.check_theta(theta_true))
         return self.reference
 
     def loss_and_grad_rho(self, rho):

@@ -207,6 +207,33 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: bad model section: ")
         assert not (tmp_path / "model_out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize(
+        "config,edit,reason",
+        [
+            ("mixture_config", lambda m: m.update(theta0=[5.0, 3.0, 1.0]),
+             "theta0 has 3 entries, expected 2"),
+            ("mixture_config", lambda m: m.update(theta0=[float("nan"), 3.0]),
+             "theta0 entries must be finite"),
+            ("wave_config", lambda m: m.update(initial_model={"constant": 0.2}),
+             "time step 0.4 violates the CFL bound"),
+        ],
+        ids=["mixture-theta0-length", "mixture-theta0-nan", "wave-start-violates-cfl"],
+    )
+    def test_rejected_start_point_exits_1(self, request, tmp_path, capsys, command,
+                                          config, edit, reason):
+        # A start point the model cannot take is a config error, found before
+        # the first solve rather than as a traceback from inside it.
+        with open(request.getfixturevalue(config)) as fh:
+            payload = json.load(fh)
+        edit(payload["model"])
+        payload["output"]["directory"] = str(tmp_path / "start_out")
+        cfg = write_config(tmp_path / "start.json", payload)
+        assert cli.main([command, "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad model section: ") and reason in err
+        assert not (tmp_path / "start_out").exists()
+
     def test_unknown_model_kind_exits_1(self, tmp_path):
         cfg = write_config(
             tmp_path / "unknown.json",

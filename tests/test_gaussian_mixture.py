@@ -225,6 +225,35 @@ class TestSharedDensities:
         model.jacobian(theta + 0.1)
         assert len(calls) == 3 and model.propagation_counter == before
 
+    @pytest.mark.parametrize(
+        "free",
+        [["c1.mean.1", "c1.weight", "c1.mean.0"],
+         ["c0.mean.0", "c2.mean.1", "c0.weight", "c0.mean.1", "c2.weight"]],
+        ids=["one-component-all-kinds", "interleaved-components"],
+    )
+    def test_shared_intermediates_bit_identical(self, rng, free):
+        # A component with its weight and both mean coordinates freed shares
+        # weight x density and its centred points across its columns.
+        model = random_mixture(rng, free)
+        assert all(c.cov[0][1] != 0.0 for c in model.components)
+        theta = free_values(model) + 0.2 * rng.standard_normal(model.param_dim)
+        _, want = einsum_density_and_jacobian(model, theta)
+        off_cache = model.jacobian(theta)
+        model.solve_forward(theta)
+        on_cache = model.jacobian(theta)
+        assert np.array_equal(off_cache, want)
+        assert np.array_equal(on_cache, off_cache)
+        assert on_cache.flags.c_contiguous  # Z^T grad_rho rounds by layout
+
+    def test_centred_points_built_once_per_component(self, rng, monkeypatch):
+        model = random_mixture(rng, ["c0.mean.0", "c1.weight", "c0.mean.1", "c2.mean.1"])
+        calls = []
+        original = gaussian_mixture._centred
+        monkeypatch.setattr(gaussian_mixture, "_centred",
+                            lambda *a: calls.append(1) or original(*a))
+        model.jacobian(free_values(model))
+        assert len(calls) == 2  # c0 and c2; a weight column needs none
+
     def test_fixed_component_evaluated_once(self, rng, monkeypatch):
         # No free parameter references c1, so its density never changes.
         model = random_mixture(rng, ["c0.mean.0", "c2.weight"])

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from natgrad import linalg
 from natgrad.linalg import cg_solve, qr_column_pivoted, solve_least_squares_min_norm
@@ -92,6 +93,77 @@ class TestMinNormLeastSquares:
         monkeypatch.setattr(linalg, "_as_matrix", lambda a: calls.append(1) or original(a))
         solve_least_squares_min_norm(rng.standard_normal((6, 3)), rng.standard_normal(6))
         assert len(calls) == 1
+
+
+def scipy_min_norm(a, b, tol=1e-10):
+    """The minimum-norm solve through scipy's wrappers: pivoted economic QR,
+    the QR of the truncated triangle transposed, then a triangular solve."""
+    q, r, perm = sla.qr(a, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.count_nonzero(diag > tol * diag[0]))
+    q1, r1 = sla.qr(r[:rank, :].T, mode="economic")
+    x = np.empty((a.shape[1],) + b.shape[1:])
+    x[perm] = q1 @ sla.solve_triangular(r1.T, q[:, :rank].T @ b, lower=True)
+    return x
+
+
+def _oracle_matrices():
+    """Tall, tall rank-deficient, wide, square and single-column matrices, a
+    mixture-sized Jacobian and a wave-check-sized W2 block."""
+    rng = np.random.default_rng(7)
+    return {
+        "tall": rng.standard_normal((40, 6)),
+        "tall-rank-3": rng.standard_normal((40, 3)) @ rng.standard_normal((3, 9)),
+        "wide": rng.standard_normal((7, 25)),
+        "wide-rank-2": rng.standard_normal((7, 2)) @ rng.standard_normal((2, 25)),
+        "square": rng.standard_normal((12, 12)),
+        "single-column": rng.standard_normal((30, 1)),
+        "fortran-tall": np.asfortranarray(rng.standard_normal((40, 6))),
+        "mixture-5184x2": rng.standard_normal((5184, 2)),
+        "wave-3984x144": rng.standard_normal((3984, 144)),
+    }
+
+
+ORACLE_MATRICES = _oracle_matrices()
+
+
+class TestDirectLapackOracle:
+    """The direct LAPACK calls reproduce scipy's wrappers bit for bit."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_MATRICES))
+    def test_pivoted_qr_equals_scipy(self, name):
+        a = ORACLE_MATRICES[name]
+        kept = a.copy()
+        piv = qr_column_pivoted(a)
+        q, r, perm = sla.qr(a, mode="economic", pivoting=True)
+        assert np.array_equal(piv.q, q) and np.array_equal(piv.r, r)
+        assert np.array_equal(piv.permutation, perm) and piv.permutation.dtype == perm.dtype
+        assert np.array_equal(a, kept)
+
+    @pytest.mark.parametrize("name", list(ORACLE_MATRICES))
+    def test_min_norm_solve_equals_scipy(self, name):
+        a = ORACLE_MATRICES[name]
+        rng = np.random.default_rng(11)
+        m = a.shape[0]
+        for b in (rng.standard_normal(m), rng.standard_normal((m, 3)),
+                  np.asfortranarray(rng.standard_normal((m, 3)))):
+            kept = b.copy()
+            x = solve_least_squares_min_norm(a, b)
+            want = scipy_min_norm(a, b)
+            assert x.shape == want.shape and np.array_equal(x, want)
+            assert np.array_equal(b, kept)
+
+    def test_rank_deficiency_is_seen(self):
+        assert qr_column_pivoted(ORACLE_MATRICES["tall-rank-3"]).numerical_rank == 3
+        assert qr_column_pivoted(ORACLE_MATRICES["wide-rank-2"]).numerical_rank == 2
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_matrix_is_rank_0(self, shape):
+        piv = qr_column_pivoted(np.zeros(shape))
+        assert piv.numerical_rank == 0 and piv.q.shape == (shape[0], 0)
+        with pytest.warns(UserWarning, match="numerically zero"):
+            x = solve_least_squares_min_norm(np.zeros(shape), np.ones(shape[0]))
+        assert np.array_equal(x, np.zeros(shape[1]))
 
 
 class TestPseudoApplyUnderdetermined:

@@ -62,6 +62,14 @@ class TestForward:
         with pytest.raises(ValueError):
             model.solve_forward(bad)
 
+    def test_nan_medium_rejected_before_marching(self, wave_model):
+        model, _ = wave_model
+        bad = np.ones(model.param_dim)
+        bad[5] = np.nan
+        with pytest.raises(ValueError, match="strictly positive"):
+            model.solve_forward(bad)
+        assert model.propagation_counter == 0
+
     def test_forward_cache(self, wave_model):
         model, m_true = wave_model
         m0 = np.full(model.param_dim, 1.1)
