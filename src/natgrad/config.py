@@ -36,7 +36,6 @@ class Experiment:
     output_dir: Path
     snapshot_every: int
     reference_point: np.ndarray | None = None
-    raw: dict | None = None
 
 
 def _require(section: dict, key: str, where: str):
@@ -157,6 +156,8 @@ def load_experiment(path, seed_override=None, out_override=None) -> Experiment:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
 
     model_section = _require(raw, "model", "top-level")
     kind = _require(model_section, "kind", "model")
@@ -171,7 +172,10 @@ def load_experiment(path, seed_override=None, out_override=None) -> Experiment:
     except (TypeError, ValueError, KeyError, OSError) as exc:
         raise ConfigError(f"bad model section: {exc}")
 
-    solver_section = dict(raw.get("solver", {}))
+    solver_section = raw.get("solver", {})
+    if not isinstance(solver_section, dict):
+        raise ConfigError("the solver section must be an object")
+    solver_section = dict(solver_section)
     unknown = set(solver_section) - _SOLVER_KEYS
     if unknown:
         raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
@@ -183,17 +187,26 @@ def load_experiment(path, seed_override=None, out_override=None) -> Experiment:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver section: {exc}")
 
-    output = raw.get("output", {})
-    out_dir = Path(out_override) if out_override else Path(output.get("directory", "out"))
-    snapshot_every = int(output.get("snapshot_every", 0))
+    try:
+        output = raw.get("output", {})
+        out_dir = Path(out_override) if out_override else Path(output.get("directory", "out"))
+        snapshot_every = int(output.get("snapshot_every", 0))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad output section: {exc}")
 
     ref_point = raw.get("reference_point")
+    try:
+        if ref_point is not None:
+            ref_point = np.asarray(ref_point, float)
+            if ref_point.shape != (model.param_dim,):
+                raise ValueError(f"{ref_point.size} entries, expected {model.param_dim}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad reference_point: {exc}")
     return Experiment(
         model=model,
         theta0=theta0,
         solver=solver,
         output_dir=out_dir,
         snapshot_every=snapshot_every,
-        reference_point=None if ref_point is None else np.asarray(ref_point, float),
-        raw=raw,
+        reference_point=ref_point,
     )

@@ -1,6 +1,6 @@
 """Raw field dumps: little-endian float64 payload plus a text sidecar header.
 
-The sidecar (<name>.hdr) records the shape, spacings, and layout order so
+The sidecar (<name>.hdr) records the dtype, shape, and layout order so
 external tooling can reassemble the array without guessing.
 """
 
@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 
-def write_field(path, array, spacings=None) -> None:
+def write_field(path, array) -> None:
     path = Path(path)
     arr = np.asarray(array, dtype="<f8")
     path.write_bytes(arr.tobytes(order="C"))
@@ -20,8 +20,6 @@ def write_field(path, array, spacings=None) -> None:
         f"shape {' '.join(str(n) for n in arr.shape)}",
         f"layout row-major",
     ]
-    if spacings is not None:
-        lines.append(f"spacing {' '.join(repr(float(h)) for h in spacings)}")
     Path(str(path) + ".hdr").write_text("\n".join(lines) + "\n")
 
 

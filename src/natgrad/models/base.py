@@ -36,7 +36,13 @@ The wave model's ``receiver_jacobian`` is charged the same way: it marches
 one reverse solve per receiver, n_sources receivers per batched march, so
 ceil(n_receivers / n_sources) * n_sources propagations instead of one
 linearized solve per parameter.
-``reset_accounting()`` zeroes it together with the forward cache.
+
+The forward cache lives here: a model implements ``_solve(theta)``, the
+state at a theta that ``check_theta`` accepted (its length; the wave model
+adds positivity and the CFL bound), charging its own propagations.
+``solve_forward`` calls it only at a new theta, caches (theta, state) once
+it returns and hands out copies; ``reset_accounting()`` zeroes the counter
+and drops the cache.
 
 Metrics see the state through ``metric_domain``, (grid, panels): the state
 is ``panels`` copies of ``grid`` concatenated (``self.grid`` once by
@@ -51,29 +57,24 @@ from __future__ import annotations
 import numpy as np
 
 
-def least_squares_misfit(rho, reference) -> tuple[float, np.ndarray]:
-    """Plain least-squares data misfit: (0.5 ||rho - ref||^2, rho - ref)."""
-    residual = np.asarray(rho, dtype=float) - np.asarray(reference, dtype=float)
-    return 0.5 * float(residual @ residual), residual
-
-
 class ForwardModel:
-    """Base class carrying the propagation counter and misfit plumbing."""
+    """Base class carrying the propagation counter, the forward cache and the
+    least-squares misfit."""
 
     def __init__(self):
         self.propagation_counter = 0
-        # Parameters of the cached forward solve; None when nothing is cached.
-        self._cache_theta = None
+        # (theta, state) of the last forward solve; None when nothing is cached.
+        self._cache = None
 
     def _is_cached(self, theta) -> bool:
         """True when the cached forward solve was made at exactly theta."""
-        return self._cache_theta is not None and np.array_equal(theta, self._cache_theta)
+        return self._cache is not None and np.array_equal(theta, self._cache[0])
 
     def reset_accounting(self) -> None:
         """Zero the propagation counter and drop the cached forward solve, so
         the next run starts from scratch and pays for its first forward."""
         self.propagation_counter = 0
-        self._cache_theta = None
+        self._cache = None
 
     # --- dimensions -----------------------------------------------------
     @property
@@ -85,12 +86,28 @@ class ForwardModel:
         raise NotImplementedError
 
     # --- forward map and objective ---------------------------------------
+    def check_theta(self, theta) -> np.ndarray:
+        """theta as a float array, once it has param_dim entries."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.param_dim,):
+            raise ValueError(f"theta must have length {self.param_dim}")
+        return theta
+
     def solve_forward(self, theta) -> np.ndarray:
-        raise NotImplementedError
+        """The state at theta, from the cache when theta is the cached one."""
+        theta = self.check_theta(theta)
+        if not self._is_cached(theta):
+            self._cache = None  # a solve that raises leaves no cache
+            self._cache = (theta.copy(), self._solve(theta))
+        return self._cache[1].copy()
 
     def loss_and_grad_rho(self, rho) -> tuple[float, np.ndarray]:
-        """Least-squares misfit against the model's ``reference`` state."""
-        return least_squares_misfit(rho, self.reference)
+        """Least-squares misfit against the model's ``reference`` state:
+        (0.5 ||rho - ref||^2, rho - ref)."""
+        if self.reference is None:
+            raise RuntimeError("no observed data set; call generate_reference first")
+        residual = np.asarray(rho, dtype=float) - self.reference
+        return 0.5 * float(residual @ residual), residual
 
     @property
     def metric_domain(self):

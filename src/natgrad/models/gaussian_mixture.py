@@ -111,10 +111,9 @@ class GaussianMixtureModel(ForwardModel):
         # Contiguous coordinate arrays: elementwise kernels on them run twice
         # as fast as on the strided columns of grid.points().
         self._xy = tuple(np.ascontiguousarray(c) for c in grid.points().T)
-        self._cache_rho = None
-        # Per-component normal densities at the cached theta, shared with
-        # jacobian().
-        self._cache_dens = None
+        # Per-component normal densities of the last forward solve, shared
+        # with jacobian() at the cached theta.
+        self._forward_dens = None
 
     @cached_property
     def _fixed_dens(self) -> dict:
@@ -141,10 +140,7 @@ class GaussianMixtureModel(ForwardModel):
         return len(self.free)
 
     def _resolved(self, theta):
-        """Per-component weights and means with theta substituted."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.param_dim,):
-            raise ValueError(f"theta must have length {self.param_dim}")
+        """Per-component weights and means with a checked theta substituted."""
         weights = [c.weight for c in self.components]
         means = [np.asarray(c.mean, dtype=float).copy() for c in self.components]
         for value, (comp, kind, axis) in zip(theta, self.free):
@@ -163,7 +159,7 @@ class GaussianMixtureModel(ForwardModel):
         }
 
     def density(self, theta) -> np.ndarray:
-        return self._density_parts(theta)[0]
+        return self._density_parts(self.check_theta(theta))[0]
 
     def _density_parts(self, theta):
         """(mixture density, per-component densities) at theta."""
@@ -174,14 +170,12 @@ class GaussianMixtureModel(ForwardModel):
             rho += w * d
         return rho, dens
 
-    def solve_forward(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if self._is_cached(theta):
-            return self._cache_rho.copy()
+    solve_forward = ForwardModel.solve_forward  # in the class body, where tracers patch it
+
+    def _solve(self, theta) -> np.ndarray:
         self.propagation_counter += 1
-        self._cache_theta = theta.copy()
-        self._cache_rho, self._cache_dens = self._density_parts(theta)
-        return self._cache_rho.copy()
+        rho, self._forward_dens = self._density_parts(theta)
+        return rho
 
     def jacobian(self, theta) -> np.ndarray:
         """Column j is the density derivative with respect to free parameter j.
@@ -190,9 +184,10 @@ class GaussianMixtureModel(ForwardModel):
         reused; elsewhere each freed component is evaluated once. Neither
         charges a propagation.
         """
+        theta = self.check_theta(theta)
         weights, means = self._resolved(theta)
         if self._is_cached(theta):
-            dens = self._cache_dens
+            dens = self._forward_dens
         else:
             dens = self._densities(means, {c for c, _, _ in self.free})
         # Row-major, although the w2 and Fisher-Rao roots act faster on a

@@ -24,7 +24,6 @@ class LinearToyModel(ForwardModel):
         if self.reference.shape != (self.a.shape[0],):
             raise ValueError("reference length must match the row count of A")
         self.grid = grid if grid is not None else Grid.index_space([self.a.shape[0]])
-        self._cache_rho = None
 
     @classmethod
     def random_positive(cls, rows: int, cols: int, seed: int, theta_true=None):
@@ -45,14 +44,9 @@ class LinearToyModel(ForwardModel):
     def param_dim(self) -> int:
         return self.a.shape[1]
 
-    def solve_forward(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if self._is_cached(theta):
-            return self._cache_rho.copy()
+    def _solve(self, theta) -> np.ndarray:
         self.propagation_counter += 1
-        self._cache_theta = theta.copy()
-        self._cache_rho = self.a @ theta
-        return self._cache_rho.copy()
+        return self.a @ theta
 
     # --- explicit route ---------------------------------------------------
     def jacobian(self, theta) -> np.ndarray:

@@ -44,15 +44,14 @@ more than per-step buffers.
 Source groups: sources are independent in every march, so the model splits
 them into contiguous groups that march at the same time, group 0 in the
 calling process and each other group in a forked worker process that holds
-its own forward cache. Every cell's arithmetic is the same in any batch, so
-the results do not depend on the split: traces are concatenated in source
-order and per-source correlations are summed over sources in order.
+its own u_tt stack and takes commands and arrays over a pipe. Every cell's
+arithmetic is the same in any batch, so the results do not depend on the
+split: traces are concatenated in source order and per-source correlations
+are summed over sources in order.
 """
 
 from __future__ import annotations
 
-import math
-import mmap
 import multiprocessing
 import os
 import signal
@@ -63,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..grids import Grid
-from .base import ForwardModel, least_squares_misfit
+from .base import ForwardModel
 
 # Fewest ghost-padded cells a source group marches. A leapfrog step costs a
 # fixed 7-11 us plus 4.7-5.5 ns per cell (three single-process sweeps of one
@@ -378,10 +377,18 @@ class _SourceGroup:
         return np.einsum("stij,stij->ij", lam, _interior(self.u_tt, self._batch))
 
 
-def _serve(group, inbuf, outbuf, conn, caller_end) -> None:
+def _attempt(method, arg):
+    """method(arg), or the exception it raised."""
+    try:
+        return method(arg)
+    except Exception as exc:
+        return exc
+
+
+def _serve(group, conn, caller_end) -> None:
     """A worker's loop: run each group method the caller names on the array
-    in ``inbuf``, leave the result in ``outbuf`` and reply with its shape
-    (or the exception raised), until the caller sends None or goes away."""
+    sent with it and reply with the result (or the exception raised), until
+    the caller sends None or goes away."""
     # The caller's end was inherited across the fork; while it is open here,
     # recv would never see EOF after the caller dies.
     caller_end.close()
@@ -394,64 +401,40 @@ def _serve(group, inbuf, outbuf, conn, caller_end) -> None:
             return
         if command is None:
             return
-        name, shape = command
-        arg = None if shape is None else inbuf[:math.prod(shape)].reshape(shape)
-        try:
-            result = getattr(group, name)(arg)
-        except Exception as exc:
-            conn.send(exc)
-            continue
-        if result is not None:
-            outbuf[:result.size].reshape(result.shape)[...] = result
-        conn.send(None if result is None else result.shape)
+        name, arg = command
+        conn.send(_attempt(getattr(group, name), arg))
 
 
 class _Worker:
-    """A source group marching in a forked daemon process.
-
-    Arrays pass both ways through two anonymous shared buffers mapped before
-    the fork, each as large as the group's (n_sources, n_t, npx, npz) field
-    stack (pages are only backed once written). The pipe carries only a
-    method name and an array shape, or the exception the method raised.
-    """
+    """A source group marching in a forked daemon process. The pipe carries a
+    method name and its array one way, the result or exception the other."""
 
     def __init__(self, group: _SourceGroup):
-        nbytes = 8 * group.n_sources * group.n_t * math.prod(group.grid_shape)
-        self._in, self._out = (
-            np.frombuffer(mmap.mmap(-1, nbytes), dtype=float) for _ in range(2)
-        )
-        # fork, not spawn: the child inherits the group and the buffers
-        # without pickling, and it runs only numpy ufuncs and indexing, never
-        # BLAS, so no lock held by a parent thread is ever needed there.
+        # fork, not spawn: the child inherits the group without pickling, and
+        # it runs only numpy ufuncs and indexing, never BLAS, so no lock held
+        # by a parent thread is ever needed there.
         context = multiprocessing.get_context("fork")
         self._conn, child_end = context.Pipe()
         self.process = context.Process(
-            target=_serve, args=(group, self._in, self._out, child_end, self._conn),
+            target=_serve, args=(group, child_end, self._conn),
             name=f"natgrad-wave-sources-{group.first}-{group.stop}", daemon=True,
         )
         self.process.start()
         child_end.close()
 
     def submit(self, name: str, arg) -> None:
-        shape = None
-        if arg is not None:
-            shape = arg.shape
-            self._in[:arg.size].reshape(shape)[...] = arg
-        self._conn.send((name, shape))
+        self._conn.send((name, arg))
 
     def result(self):
         """The submitted method's result, or the exception it raised."""
         try:
             _wait(self._conn)
-            reply = self._conn.recv()
+            return self._conn.recv()
         except EOFError:
             raise RuntimeError(
                 f"wave worker {self.process.name} exited "
                 f"(exit code {self.process.exitcode})"
             ) from None
-        if reply is None or isinstance(reply, Exception):
-            return reply
-        return self._out[:math.prod(reply)].reshape(reply).copy()
 
     def close(self) -> None:
         try:
@@ -474,14 +457,6 @@ def _joined(parts: list) -> np.ndarray:
     """Group results joined along the source axis; one group's as it is, so
     a single group copies nothing."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _attempt(method, arg):
-    """method(arg), or the exception it raised."""
-    try:
-        return method(arg)
-    except Exception as exc:
-        return exc
 
 
 class WaveFwiModel(ForwardModel):
@@ -546,7 +521,6 @@ class WaveFwiModel(ForwardModel):
         self._close = None
 
         self.reference = None if reference is None else np.asarray(reference, float)
-        self._cache_traces = None
 
     # --- layout -----------------------------------------------------------
     @property
@@ -591,9 +565,7 @@ class WaveFwiModel(ForwardModel):
         """theta as a float array, once it has param_dim strictly positive
         entries and its fastest cell (least squared slowness) keeps the time
         step within the CFL bound."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.param_dim,):
-            raise ValueError(f"theta must have length {self.param_dim}")
+        theta = super().check_theta(theta)
         if not np.all(theta > 0.0):  # also rejects NaN, which would march
             raise ValueError("squared slowness must be strictly positive")
         limit = self.cfl_factor * min(self.dx, self.dz) * np.sqrt(theta.min())
@@ -655,7 +627,7 @@ class WaveFwiModel(ForwardModel):
         if self._workers:
             self._close()
             self._workers = []
-        self._cache_theta = self._cache_traces = None
+        self._cache = None
         self._groups[0].drop(None)
 
     def _drop_stacks(self) -> None:
@@ -666,24 +638,19 @@ class WaveFwiModel(ForwardModel):
 
     def reset_accounting(self) -> None:
         super().reset_accounting()
-        self._cache_traces = None
         self._drop_stacks()
 
     # --- forward map -----------------------------------------------------------
-    def solve_forward(self, theta) -> np.ndarray:
-        theta = self.check_theta(theta)
-        if self._is_cached(theta):
-            return self._cache_traces.copy()
+    solve_forward = ForwardModel.solve_forward  # in the class body, where tracers patch it
+
+    def _solve(self, theta) -> np.ndarray:
         # Each group drops its old stack before it marches: one live stack
-        # per group. A march that fails anywhere leaves no cache anywhere.
-        self._cache_theta = self._cache_traces = None
+        # per group. A march that fails anywhere leaves no stack anywhere.
         try:
-            traces = _joined(self._march("forward", [theta] * self.n_groups))
+            return _joined(self._march("forward", [theta] * self.n_groups))
         except Exception:
             self._drop_stacks()
             raise
-        self._cache_theta, self._cache_traces = theta.copy(), traces
-        return traces.copy()
 
     def generate_reference(self, theta_true) -> np.ndarray:
         """Record observed data from a ground-truth model; not charged as cost.
@@ -695,21 +662,18 @@ class WaveFwiModel(ForwardModel):
         self.reference = batch.reference(self.check_theta(theta_true))
         return self.reference
 
-    def loss_and_grad_rho(self, rho):
-        if self.reference is None:
-            raise RuntimeError("no observed data set; call generate_reference first")
-        return least_squares_misfit(rho, self.reference)
-
     # --- constraint actions ------------------------------------------------------
-    def _require_cache(self, lazy=None) -> None:
-        """Raise unless a forward solve is cached and the lazy fields, if
-        given, belong to it."""
-        if self._cache_theta is None:
+    def _require_cache(self, lazy=None) -> np.ndarray:
+        """The cached forward solve's theta; raises unless there is one and
+        the lazy fields, if given, belong to it."""
+        if self._cache is None:
             raise RuntimeError("forward wavefields not cached; run solve_forward first")
-        if lazy is not None and lazy.theta is not self._cache_theta:
+        theta = self._cache[0]
+        if lazy is not None and lazy.theta is not theta:
             raise RuntimeError(
                 f"{type(lazy).__name__} belongs to another forward solve"
             )
+        return theta
 
     def apply_drho_h_inverse(self, rhs_fields) -> np.ndarray:
         """Linearized forward: (n_sources, n_t, npx, npz) sources to traces.
@@ -731,18 +695,18 @@ class WaveFwiModel(ForwardModel):
     def apply_drho_h_transpose_inverse(self, data_rhs) -> AdjointFields:
         """Reverse-time solve: trace-space input to adjoint fields, shaped
         (n_sources, n_t, npx, npz) and held as their correlation with u_tt."""
-        self._require_cache()
+        theta = self._require_cache()
         data = np.array(data_rhs, dtype=float)
         if data.shape != (self.state_dim,):
             raise ValueError(f"data vector must have length {self.state_dim}")
         panels = self._by_source(data.reshape(self.n_sources, -1))
         correlation = _joined(self._march("reverse", [p.ravel() for p in panels]))
-        return AdjointFields(self, self._cache_theta, data, correlation)
+        return AdjointFields(self, theta, data, correlation)
 
     def apply_dtheta_h(self, eta) -> BornSource:
         """Model perturbation to the Born source fields eta * u_tt."""
-        self._require_cache()
-        return BornSource(self, self._cache_theta, self._pad_model(np.asarray(eta, dtype=float)))
+        theta = self._require_cache()
+        return BornSource(self, theta, self._pad_model(np.asarray(eta, dtype=float)))
 
     def apply_dtheta_h_transpose(self, lam_fields) -> np.ndarray:
         """Zero-lag correlation of adjoint fields with u_tt, summed over sources.

@@ -21,6 +21,7 @@ checks what each row needs from the model and the config.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,11 @@ class NgdConfig:
             raise ValueError(f"unknown path {self.path!r}")
         if self.hutchinson_m is not None and self.hutchinson_m < 1:
             raise ValueError("hutchinson_m must be at least 1")
+        for name in ("max_iters", "max_propagations", "cg_max_iter"):
+            value = getattr(self, name)
+            if name == "max_iters" or value is not None:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, not {value!r}")
 
     def metric_kind(self) -> MetricKind | None:
         return None if self.metric == GD_LABEL else MetricKind.parse(self.metric)

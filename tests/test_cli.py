@@ -234,6 +234,33 @@ class TestRun:
         assert err.startswith("error: bad model section: ") and reason in err
         assert not (tmp_path / "start_out").exists()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p["output"].update(snapshot_every="often"),
+            lambda p: p.update(reference_point="origin"),
+            lambda p: p.update(reference_point=[1.0, 2.0]),
+            lambda p: p.update(solver=[1, 2]),
+            lambda p: p["solver"].update(max_iters="ten"),
+            lambda p: p["solver"].update(max_propagations=2.5),
+            lambda p: p["solver"].update(cg_max_iter=True),
+        ],
+        ids=["snapshot-every-word", "reference-point-word", "reference-point-length",
+             "solver-list",
+             "max-iters-word", "max-propagations-float", "cg-max-iter-bool"],
+    )
+    def test_malformed_value_exits_1(self, toy_config, tmp_path, capsys, edit):
+        # A value of the wrong type anywhere in the config is a config error,
+        # reported before the output directory is made, not a traceback.
+        with open(toy_config) as fh:
+            payload = json.load(fh)
+        edit(payload)
+        payload["output"]["directory"] = str(tmp_path / "value_out")
+        cfg = write_config(tmp_path / "value.json", payload)
+        assert cli.main(["run", "-c", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "value_out").exists()
+
     def test_unknown_model_kind_exits_1(self, tmp_path):
         cfg = write_config(
             tmp_path / "unknown.json",
@@ -403,7 +430,7 @@ class TestCheck:
 class TestFieldIo:
     def test_roundtrip(self, tmp_path, rng):
         arr = rng.standard_normal((4, 6))
-        write_field(tmp_path / "f.f64", arr, spacings=(0.5, 0.25))
+        write_field(tmp_path / "f.f64", arr)
         back = read_field(tmp_path / "f.f64")
         np.testing.assert_array_equal(back, arr)
         header = (tmp_path / "f.f64.hdr").read_text()

@@ -319,14 +319,6 @@ class TestLossAndGrads:
         swapped = 0.5 * float((model.reference - rho) @ (model.reference - rho))
         assert abs(loss_forward - swapped) <= 1e-14 * max(loss_forward, 1.0)
 
-    def test_forward_cache_counts_once(self):
-        model = make_model()
-        theta = np.array([5.0, 3.0])
-        before = model.propagation_counter
-        model.solve_forward(theta)
-        model.solve_forward(theta)
-        assert model.propagation_counter == before + 1
-
 
 class TestValidation:
     def test_non_spd_covariance_rejected(self):

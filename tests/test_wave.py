@@ -70,14 +70,6 @@ class TestForward:
             model.solve_forward(bad)
         assert model.propagation_counter == 0
 
-    def test_forward_cache(self, wave_model):
-        model, m_true = wave_model
-        m0 = np.full(model.param_dim, 1.1)
-        model.solve_forward(m0)
-        count = model.propagation_counter
-        model.solve_forward(m0)
-        assert model.propagation_counter == count
-
 
 class TestAdjointness:
     def test_dot_product_identity(self, wave_model, rng):
@@ -475,7 +467,7 @@ class TestSourceGroups:
         with pytest.raises(RuntimeError, match="non-finite traces"):
             model.solve_forward(np.full(model.param_dim, poisoned))
         assert model.propagation_counter == count + model.n_sources
-        assert model._cache_theta is None and model._groups[0].u_tt is None
+        assert model._cache is None and model._groups[0].u_tt is None
         with pytest.raises(RuntimeError, match="not cached"):
             model.apply_dtheta_h(np.ones(model.param_dim))
         worker = model._workers[0]
