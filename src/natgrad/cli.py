@@ -11,8 +11,9 @@ verification oracles (finite-difference gradient, adjoint dot product,
 explicit/implicit direction agreement, information-matrix identity).
 
 Exit codes: 0 success, 1 config/IO error or a route the model cannot take,
-2 stagnation before max_iters (a line search that finds no decrease, or an
-exactly zero direction), 3 failed verification check.
+2 stagnation before max_iters (a line search that finds no decrease, a fixed
+step that leaves the feasible set, or an exactly zero direction), 3 failed
+verification check.
 """
 
 from __future__ import annotations
@@ -86,11 +87,7 @@ def _run_single(exp: Experiment, out_dir: Path) -> OptimizeResult:
 
 
 def cmd_run(args) -> int:
-    try:
-        exp = load_experiment(args.config, args.seed, args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    exp = load_experiment(args.config, args.seed, args.out)
     result = _run_single(exp, exp.output_dir)
     print(
         f"{exp.solver.metric}: {len(result.records) - 1} iterations, "
@@ -101,15 +98,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        exp = load_experiment(args.config, args.seed, args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    exp = load_experiment(args.config, args.seed, args.out)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
-        print("error: no metrics given", file=sys.stderr)
-        return 1
+        raise ConfigError("no metrics given")
     # Every metric, step and route is checked before the first run writes anything.
     try:
         solvers = [replace(exp.solver, metric=name) for name in metrics]
@@ -121,8 +113,7 @@ def cmd_compare(args) -> int:
         for solver in solvers:
             explicit_route(exp.model, solver)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(str(exc)) from exc
 
     rows = []
     for name, solver in zip(metrics, solvers):
@@ -233,11 +224,7 @@ def _check_info_identity(metric_name, rng) -> tuple[bool, str]:
 
 
 def cmd_check(args) -> int:
-    try:
-        exp = load_experiment(args.config, args.seed, None)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    exp = load_experiment(args.config, args.seed, None)
     model, theta0 = exp.model, exp.theta0
     metric_name = exp.solver.metric if exp.solver.metric != GD_LABEL else "l2"
     rng = np.random.default_rng(exp.solver.seed)
@@ -289,7 +276,11 @@ def main(argv=None) -> int:
     chk_p.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -28,14 +28,13 @@ class PivotedQRFactors:
     """Column-pivoted QR factorization A P = Q R with a detected numerical rank.
 
     ``numerical_rank`` counts the leading diagonal entries of R with
-    |R[i,i]| > truncation_tolerance * |R[0,0]|.
+    |R[i,i]| > tol * |R[0,0]|, tol being ``qr_column_pivoted``'s.
     """
 
     q: np.ndarray
     r: np.ndarray
     permutation: np.ndarray
     numerical_rank: int
-    truncation_tolerance: float
 
 
 @dataclass(frozen=True)
@@ -113,9 +112,7 @@ def qr_column_pivoted(a, tol: float = 1e-10) -> PivotedQRFactors:
         rank = 0
     else:
         rank = int(np.count_nonzero(diag > tol * diag[0]))
-    return PivotedQRFactors(
-        q=q, r=r, permutation=perm, numerical_rank=rank, truncation_tolerance=tol
-    )
+    return PivotedQRFactors(q=q, r=r, permutation=perm, numerical_rank=rank)
 
 
 def solve_least_squares_min_norm(a, b, tol: float = 1e-10) -> np.ndarray:
@@ -170,21 +167,18 @@ def cg_solve(
     The recurrence residual is projected and so drifts from b - A x; the
     stopping test and the reported residual use a second residual
     b - sum(alpha A d), over the search directions d, built only from the
-    products actually applied. Stops
-    when that residual is <= tol * ||b||. Exhausting max_iter (default 3n) or
-    n returns the last iterate with converged=False so the caller can decide
-    how to proceed.
+    products actually applied. Stops when that residual is <= tol * ||b||.
+    Exhausting min(max_iter, n) products (max_iter defaults to n) returns the
+    last iterate with converged=False so the caller can decide how to proceed.
     """
     b = np.asarray(b, dtype=float)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     n = b.shape[0]
-    if max_iter is None:
-        max_iter = 3 * n
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return CgReport(np.zeros(n), 0, 0.0, True, 0.0)
-    cap = min(max_iter, n)
+    cap = n if max_iter is None else min(max_iter, n)
     basis = np.empty((cap + 1, n))
     basis[0] = b / b_norm
     x = np.zeros(n)

@@ -63,14 +63,12 @@ def _centred(x, y, mean) -> np.ndarray:
 
 def parse_free_parameter(text: str) -> tuple[int, str, int]:
     """Parse selectors like 'c0.mean.0' or 'c1.weight'."""
-    parts = text.split(".")
-    if not parts[0].startswith("c"):
-        raise ValueError(f"bad free-parameter selector {text!r}")
-    comp = int(parts[0][1:])
-    if parts[1] == "weight" and len(parts) == 2:
-        return comp, "weight", 0
-    if parts[1] == "mean" and len(parts) == 3 and parts[2] in ("0", "1"):
-        return comp, "mean", int(parts[2])
+    parts = str(text).split(".")
+    if parts[0][:1] == "c" and parts[0][1:].isdigit():
+        if parts[1:] == ["weight"]:
+            return int(parts[0][1:]), "weight", 0
+        if parts[1:] in (["mean", "0"], ["mean", "1"]):
+            return int(parts[0][1:]), "mean", int(parts[2])
     raise ValueError(f"bad free-parameter selector {text!r}")
 
 
@@ -97,14 +95,10 @@ class GaussianMixtureModel(ForwardModel):
         # Validated and factored once: every density evaluation reuses them.
         covs = [c.cov_matrix() for c in self.components]
         self._factors = [(np.linalg.inv(c), np.linalg.det(c)) for c in covs]
-        self.free = [
-            parse_free_parameter(f) if isinstance(f, str) else tuple(f) for f in free
-        ]
-        for comp, kind, _ in self.free:
+        self.free = [parse_free_parameter(f) for f in free]
+        for comp, _, _ in self.free:
             if not 0 <= comp < len(self.components):
                 raise ValueError(f"free parameter references component {comp}")
-            if kind not in ("weight", "mean"):
-                raise ValueError(f"unsupported free parameter kind {kind!r}")
         self.reference = np.asarray(reference, dtype=float)
         if self.reference.shape != (grid.size,):
             raise ValueError("reference must be sampled on the grid")

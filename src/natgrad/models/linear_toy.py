@@ -15,7 +15,7 @@ from .base import ForwardModel
 
 
 class LinearToyModel(ForwardModel):
-    def __init__(self, a, reference, grid: Grid | None = None):
+    def __init__(self, a, reference):
         super().__init__()
         self.a = np.asarray(a, dtype=float)
         if self.a.ndim != 2:
@@ -23,7 +23,7 @@ class LinearToyModel(ForwardModel):
         self.reference = np.asarray(reference, dtype=float)
         if self.reference.shape != (self.a.shape[0],):
             raise ValueError("reference length must match the row count of A")
-        self.grid = grid if grid is not None else Grid.index_space([self.a.shape[0]])
+        self.grid = Grid.index_space([self.a.shape[0]])
 
     @classmethod
     def random_positive(cls, rows: int, cols: int, seed: int, theta_true=None):

@@ -106,10 +106,10 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def normalize_to_density(values, floor_fraction: float = 0.1) -> np.ndarray:
+def normalize_to_density(values) -> np.ndarray:
     """Affine shift-and-scale of arbitrary data onto a strictly positive density.
 
-    Shifts by -min + floor_fraction * (max - min), then scales to mean one
+    Shifts by -min + 0.1 * (max - min), then scales to mean one
     (unit total mass under the unweighted quadrature, where each sample has
     unit cell measure). Mean-one rather than sum-one keeps density-weighted
     operators on the same scale as their unweighted counterparts regardless of
@@ -119,7 +119,7 @@ def normalize_to_density(values, floor_fraction: float = 0.1) -> np.ndarray:
     spread = float(v.max() - v.min())
     if spread <= 1e-300:
         return np.ones(v.shape)
-    shifted = v - v.min() + floor_fraction * spread
+    shifted = v - v.min() + 0.1 * spread
     return shifted * (v.size / shifted.sum())
 
 
@@ -152,9 +152,12 @@ class _SourceGroup:
 
     Every method takes one array (or None) and returns an array (or None),
     so it can run in the calling process or in a worker alike. It charges no
-    propagations; the model does. Methods other than ``forward`` and
-    ``reference`` read the cached forward solve.
+    propagations; the model does, one per source for each method in
+    ``MARCHES``. Methods other than ``forward`` and ``reference`` read the
+    cached forward solve.
     """
+
+    MARCHES = frozenset({"forward", "born", "drive", "reverse", "adjoint_fields"})
 
     def __init__(self, model: WaveFwiModel, first: int, stop: int):
         self.first, self.stop = first, stop
@@ -373,8 +376,9 @@ class _SourceGroup:
 
     def correlate(self, lam) -> np.ndarray:
         """Zero-lag correlation of (n_sources, n_t, npx, npz) fields with
-        u_tt, summed over the group's sources."""
-        return np.einsum("stij,stij->ij", lam, _interior(self.u_tt, self._batch))
+        u_tt, summed over the group's sources, as a (1, npx, npz) array: one
+        entry on the model's group axis."""
+        return np.einsum("stij,stij->ij", lam, _interior(self.u_tt, self._batch))[None]
 
 
 def _attempt(method, arg):
@@ -453,12 +457,6 @@ def _close_workers(workers) -> None:
         worker.close()
 
 
-def _joined(parts: list) -> np.ndarray:
-    """Group results joined along the source axis; one group's as it is, so
-    a single group copies nothing."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 class WaveFwiModel(ForwardModel):
     def __init__(
         self,
@@ -472,7 +470,6 @@ class WaveFwiModel(ForwardModel):
         sponge_width: int = 10,
         sponge_strength: float = 0.015,
         cfl_factor: float = 0.5,
-        reference=None,
     ):
         super().__init__()
         self.nx, self.nz = int(cells[0]), int(cells[1])
@@ -497,9 +494,9 @@ class WaveFwiModel(ForwardModel):
         depth = np.maximum(depth_x[:, None], depth_z[None, :]).astype(float)
         self.damp = np.exp(-((sponge_strength * depth) ** 2))
         # Edge-replication map from padded cells to interior model cells.
-        self._map_x = np.clip(ix - w, 0, self.nx - 1)[:, None] * self.nz
-        self._map_z = np.clip(iz - w, 0, self.nz - 1)[None, :]
-        self._pad_flat = (self._map_x + self._map_z).ravel()
+        map_x = np.clip(ix - w, 0, self.nx - 1)[:, None] * self.nz
+        map_z = np.clip(iz - w, 0, self.nz - 1)[None, :]
+        self._pad_flat = (map_x + map_z).ravel()
 
         rec = np.asarray(self.receivers, dtype=int)
         src = np.asarray(self.sources, dtype=int)
@@ -519,8 +516,7 @@ class WaveFwiModel(ForwardModel):
         # Workers for groups 1.. are forked on the first charged solve.
         self._workers = []
         self._close = None
-
-        self.reference = None if reference is None else np.asarray(reference, float)
+        self.reference = None
 
     # --- layout -----------------------------------------------------------
     @property
@@ -575,64 +571,56 @@ class WaveFwiModel(ForwardModel):
             )
         return theta
 
-    def _pad_model(self, theta) -> np.ndarray:
-        return theta[self._pad_flat].reshape(self.npx, self.npz)
-
     def _pad_transpose(self, field) -> np.ndarray:
         out = np.zeros(self.param_dim)
         np.add.at(out, self._pad_flat, field.ravel())
         return out
 
     # --- source groups ---------------------------------------------------------
-    def _by_source(self, array) -> list:
-        """The parts of an array with a leading source axis, one per group."""
-        return [array[g.first:g.stop] for g in self._groups]
+    def _call(self, name: str, arg, split: bool = False):
+        """Group method ``name`` on every group at once, each given arg or,
+        with split, its slice of arg's leading source axis; returns the
+        results joined in source order (a single group's as it is).
 
-    def _run(self, name: str, args: list) -> list:
-        """Call group method ``name`` on every group at once, with args[g]
-        for group g; returns their results in source order.
-
-        Group 0 runs here while the workers run theirs. Every reply is read
-        before the first group's exception is raised, so the pipes stay in
-        step.
+        Group 0 runs here while the workers run theirs. A method in
+        ``_SourceGroup.MARCHES`` is charged one propagation per source, also
+        when it raises. A call that fails in any group leaves no forward
+        cache in any group: once every reply is read the workers drop their
+        stacks, but an interrupt or a lost worker may leave a reply unread,
+        so then they stop, and the next charged solve forks new ones.
         """
-        if len(self._groups) > 1 and not self._workers:
-            self._workers = [_Worker(g) for g in self._groups[1:]]
+        groups = self._groups
+        args = [arg[g.first:g.stop] for g in groups] if split else [arg] * len(groups)
+        if len(groups) > 1 and not self._workers:
+            self._workers = [_Worker(g) for g in groups[1:]]
             self._close = weakref.finalize(self, _close_workers, self._workers)
+        in_step = False
         try:
-            for worker, arg in zip(self._workers, args[1:]):
-                worker.submit(name, arg)
-            results = [_attempt(getattr(self._groups[0], name), args[0])]
+            for worker, part in zip(self._workers, args[1:]):
+                worker.submit(name, part)
+            results = [_attempt(getattr(groups[0], name), args[0])]
             results += [worker.result() for worker in self._workers]
+            in_step = True
+            for result in results:
+                if isinstance(result, Exception):
+                    raise result
         except BaseException:
-            # A reply may be left unread (an interrupt) or a worker lost.
-            self._stop_workers()
+            self._cache = None
+            if not in_step and self._workers:
+                self._close()
+                self._workers = []
+            self._drop_stacks()
             raise
-        for result in results:
-            if isinstance(result, Exception):
-                raise result
-        return results
-
-    def _march(self, name: str, args: list) -> list:
-        """``_run`` for a method that marches every source once; charged one
-        propagation per source, also when it raises."""
-        try:
-            return self._run(name, args)
         finally:
-            self.propagation_counter += self.n_sources
-
-    def _stop_workers(self) -> None:
-        """Stop the workers, with their caches, and forget the cache here; the
-        next charged solve forks new ones."""
-        if self._workers:
-            self._close()
-            self._workers = []
-        self._cache = None
-        self._groups[0].drop(None)
+            if name in _SourceGroup.MARCHES:
+                self.propagation_counter += self.n_sources
+        if len(results) == 1 or results[0] is None:
+            return results[0]
+        return np.concatenate(results)
 
     def _drop_stacks(self) -> None:
         if self._workers:
-            self._run("drop", [None] * self.n_groups)
+            self._call("drop", None)
         else:
             self._groups[0].drop(None)
 
@@ -644,13 +632,7 @@ class WaveFwiModel(ForwardModel):
     solve_forward = ForwardModel.solve_forward  # in the class body, where tracers patch it
 
     def _solve(self, theta) -> np.ndarray:
-        # Each group drops its old stack before it marches: one live stack
-        # per group. A march that fails anywhere leaves no stack anywhere.
-        try:
-            return _joined(self._march("forward", [theta] * self.n_groups))
-        except Exception:
-            self._drop_stacks()
-            raise
+        return self._call("forward", theta)  # one live stack per group
 
     def generate_reference(self, theta_true) -> np.ndarray:
         """Record observed data from a ground-truth model; not charged as cost.
@@ -683,14 +665,12 @@ class WaveFwiModel(ForwardModel):
         """
         if isinstance(rhs_fields, BornSource):
             self._require_cache(rhs_fields)
-            name, args = "born", [rhs_fields.eta] * self.n_groups
-        else:
-            self._require_cache()
-            rhs = np.asarray(rhs_fields, dtype=float)
-            if rhs.shape != self.field_shape:
-                raise ValueError(f"source fields must have shape {self.field_shape}")
-            name, args = "drive", self._by_source(rhs)
-        return _joined(self._march(name, args))
+            return self._call("born", rhs_fields.eta)
+        self._require_cache()
+        rhs = np.asarray(rhs_fields, dtype=float)
+        if rhs.shape != self.field_shape:
+            raise ValueError(f"source fields must have shape {self.field_shape}")
+        return self._call("drive", rhs, split=True)
 
     def apply_drho_h_transpose_inverse(self, data_rhs) -> AdjointFields:
         """Reverse-time solve: trace-space input to adjoint fields, shaped
@@ -699,14 +679,14 @@ class WaveFwiModel(ForwardModel):
         data = np.array(data_rhs, dtype=float)
         if data.shape != (self.state_dim,):
             raise ValueError(f"data vector must have length {self.state_dim}")
-        panels = self._by_source(data.reshape(self.n_sources, -1))
-        correlation = _joined(self._march("reverse", [p.ravel() for p in panels]))
+        correlation = self._call("reverse", data.reshape(self.n_sources, -1), split=True)
         return AdjointFields(self, theta, data, correlation)
 
     def apply_dtheta_h(self, eta) -> BornSource:
         """Model perturbation to the Born source fields eta * u_tt."""
         theta = self._require_cache()
-        return BornSource(self, theta, self._pad_model(np.asarray(eta, dtype=float)))
+        eta = np.asarray(eta, dtype=float)[self._pad_flat].reshape(self.npx, self.npz)
+        return BornSource(self, theta, eta)
 
     def apply_dtheta_h_transpose(self, lam_fields) -> np.ndarray:
         """Zero-lag correlation of adjoint fields with u_tt, summed over sources.
@@ -722,7 +702,7 @@ class WaveFwiModel(ForwardModel):
             lam = np.asarray(lam_fields, dtype=float)
             if lam.shape != self.field_shape:
                 raise ValueError(f"adjoint fields must have shape {self.field_shape}")
-            acc = np.sum(self._run("correlate", self._by_source(lam)), axis=0)
+            acc = self._call("correlate", lam, split=True).sum(axis=0)
         return self._pad_transpose(acc)
 
     def receiver_jacobian(self) -> np.ndarray:
@@ -754,14 +734,13 @@ class WaveFwiModel(ForwardModel):
             return np.fft.rfft(series, n_fft, axis=1)
 
         ones = np.ones((self.npx, self.npz))  # born_fields(1) is u_tt itself
-        u_hat = spectra(_joined(self._run("born_fields", [ones] * self.n_groups)))
+        u_hat = spectra(self._call("born_fields", ones))
         z = np.empty((n_s, n_r, n_t, p))
         for first in range(0, n_r, n_s):
             stop = min(first + n_s, n_r)
             impulses = np.zeros((n_s, n_r, n_t))
             impulses[np.arange(stop - first), np.arange(first, stop), -1] = 1.0
-            panels = self._by_source(impulses.reshape(n_s, -1))
-            green = _joined(self._march("adjoint_fields", [q.ravel() for q in panels]))
+            green = self._call("adjoint_fields", impulses.reshape(n_s, -1), split=True)
             g_hat = spectra(green[:stop - first, ::-1])
             del green
             for k in range(stop - first):
@@ -775,9 +754,8 @@ class WaveFwiModel(ForwardModel):
         AdjointFields; the latter re-marches its reverse solve."""
         self._require_cache(lazy)
         if isinstance(lazy, BornSource):
-            return _joined(self._run("born_fields", [lazy.eta] * self.n_groups))
-        panels = self._by_source(lazy.data.reshape(self.n_sources, -1))
-        return _joined(self._march("adjoint_fields", [p.ravel() for p in panels]))
+            return self._call("born_fields", lazy.eta)
+        return self._call("adjoint_fields", lazy.data.reshape(self.n_sources, -1), split=True)
 
 
 class BornSource:

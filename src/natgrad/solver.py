@@ -348,8 +348,10 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
 
     The direction rule is fixed before the first forward solve. The loop
     refreshes state-dependent metrics at every iterate and stops on
-    max_iters, the propagation budget, a stagnated line search or an exactly
-    zero direction (the last two without a record, flagged ``stagnated``).
+    max_iters, the propagation budget, a stagnated line search, a fixed step
+    to a candidate whose loss is not finite (one that left the feasible set)
+    or an exactly zero direction (the last three without a record, flagged
+    ``stagnated``).
     The trajectory is always returned. ``callback``, if given, is invoked as
     callback(iteration, theta) after each accepted step.
     """
@@ -361,8 +363,11 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
     cg_unconverged = 0
 
     def eval_loss(candidate):
-        # Infeasible candidates (e.g. nonpositive medium, CFL violation,
-        # blowup) count as rejected trials, not hard failures.
+        # Infeasible candidates (e.g. non-finite entries, nonpositive medium,
+        # CFL violation, blowup) count as rejected trials, not hard failures;
+        # a non-finite one never reaches the model, so it is not charged.
+        if not np.all(np.isfinite(candidate)):
+            return math.inf
         try:
             rho_c = model.solve_forward(candidate)
         except (ValueError, RuntimeError):
@@ -400,21 +405,16 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
 
         if cfg.fixed_step:
             tau = cfg.step0
-            f_new = eval_loss(theta + tau * eta)
-            if not math.isfinite(f_new):
-                raise RuntimeError(
-                    f"fixed step {tau} left the feasible set at iteration {it}"
-                )
+            stagnated = not math.isfinite(eval_loss(theta + tau * eta))
         else:
             result = line_search(
                 eval_loss, theta, eta, loss, cfg, g_dot_eta=float(grad_theta @ eta)
             )
-            tau, f_new = result.tau, result.f_new
-            if result.stagnated:
-                # No accepted step: stop without a record so the trace stays
-                # strictly decreasing.
-                stagnated = True
-                break
+            tau, stagnated = result.tau, result.stagnated
+        if stagnated:
+            # No accepted step: stop without a record so the trace stays
+            # strictly decreasing.
+            break
 
         theta = theta + tau * eta
         rho = model.solve_forward(theta)

@@ -141,6 +141,21 @@ class TestRun:
         rows = read_trace(tmp_path / "out" / "trace.csv")
         assert [r["iter"] for r in rows] == ["0"]
 
+    def test_fixed_step_leaving_feasible_set_exits_2(self, mixture_config, tmp_path, capsys):
+        # The benchmark's mixture-basins h-1 run at seed 130: its fixed step
+        # overflows to theta = (inf, -inf) at iteration 28.
+        with open(mixture_config) as fh:
+            payload = json.load(fh)
+        payload["model"].update(interior=[72, 72],
+                                theta0=[4.900145266897968, 2.9863634340183696])
+        payload["solver"].update(metric="h-1", step0=0.2, max_iters=60)
+        cfg = write_config(tmp_path / "overflow.json", payload)
+        assert cli.main(["run", "-c", cfg]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        rows = read_trace(tmp_path / "gm_out" / "trace.csv")
+        assert [int(r["iter"]) for r in rows] == list(range(28))
+        assert (tmp_path / "gm_out" / "theta_final.f64").exists()
+
     def test_malformed_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -447,6 +447,28 @@ class TestOptimize:
         assert len(res.records) == 1
         np.testing.assert_array_equal(res.theta, theta0)
 
+    def test_fixed_step_leaving_feasible_set_stops_without_record(self):
+        # The benchmark's 72x72 mixture from a start point whose h-1 fixed
+        # step overflows to theta = (inf, -inf) at iteration 28.
+        grid = Grid.regular([[-2.75, 7.25], [-2.75, 7.25]], [72, 72])
+        cov = ((0.6, 0.0), (0.0, 0.6))
+        model = GaussianMixtureModel.from_reference_mixture(
+            grid,
+            [dict(weight=0.2, mean=(0.0, 0.0), cov=cov),
+             dict(weight=0.8, mean=(4.0, 3.0), cov=cov)],
+            ["c0.mean.0", "c0.mean.1"],
+            [dict(weight=0.3, mean=(1.0, 3.0), cov=cov),
+             dict(weight=0.7, mean=(3.0, 2.0), cov=cov)],
+        )
+        theta0 = np.array([4.900145266897968, 2.9863634340183696])
+        cfg = NgdConfig(metric="h-1", step0=0.2, fixed_step=True, max_iters=60)
+        res = optimize(model, theta0, cfg)
+        assert res.stagnated and not res.zero_direction
+        assert [r.iter for r in res.records] == list(range(28))
+        # The infeasible candidate was never solved, so it is not charged.
+        assert res.records[-1].propagations == model.propagation_counter == 28
+        assert np.all(np.isfinite(res.theta))
+
     def test_gd_metric_is_plain_gradient(self, toy_model):
         model, _ = toy_model
         theta = np.full(model.param_dim, 0.7)

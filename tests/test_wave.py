@@ -476,6 +476,31 @@ class TestSourceGroups:
         # The pipe is still in step: the next solve marches and agrees.
         assert np.array_equal(model.solve_forward(good), want)
 
+    def test_failed_reverse_in_a_worker_leaves_no_cache_anywhere(self, cpus, monkeypatch):
+        cpus(2)
+
+        def poisoned(group, data):
+            # The worker's group only; set before the fork, so it inherits it.
+            if group.first > 0:
+                raise FloatingPointError("poisoned reverse march")
+            return reverse(group, data)
+
+        reverse = wave._SourceGroup.reverse
+        monkeypatch.setattr(wave._SourceGroup, "reverse", poisoned)
+        model = _split_model(n_t=30)
+        theta = np.full(model.param_dim, 1.1)
+        want = model.solve_forward(theta)
+        count = model.propagation_counter
+        with pytest.raises(FloatingPointError, match="poisoned"):
+            model.apply_drho_h_transpose_inverse(np.ones(model.state_dim))
+        assert model.propagation_counter == count + model.n_sources
+        assert model._cache is None and model._groups[0].u_tt is None
+        worker = model._workers[0]
+        worker.submit("born_fields", np.ones((model.npx, model.npz)))
+        assert isinstance(worker.result(), TypeError)  # the worker dropped its stack
+        # The pipe is still in step: the next solve marches and agrees.
+        assert np.array_equal(model.solve_forward(theta), want)
+
 
 def _column_jacobian(model) -> np.ndarray:
     """One linearized solve per parameter: the Jacobian column by column."""
