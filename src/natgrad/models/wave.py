@@ -64,14 +64,16 @@ import numpy as np
 from ..grids import Grid
 from .base import ForwardModel
 
-# Fewest ghost-padded cells a source group marches. A leapfrog step costs a
-# fixed 7-11 us plus 4.7-5.5 ns per cell (three single-process sweeps of one
-# linearized plus one reverse march, 576 to 15,376 cells, 2-core VM, BLAS
-# threads 1); the two are equal at 1,240-2,270 cells. Below that a group
-# mostly pays per-step overhead, so each group gets at least 2,500 cells. Two
-# groups against one, same sweep: 1.25-1.52x as fast from 900 to 5,184 cells
-# per group, 0.73x at 576; at 1,156 (one 12x12 source each) 1.02-1.32x.
-MIN_GROUP_CELLS = 2_500
+# Fewest ghost-padded cells a source group marches. Two sources of n x n
+# cells (sponge 10, n_t 160) split into two groups against one, over one
+# linearized plus one adjoint solve, the models alternated call by call, BLAS
+# threads 1, 2-core VM; speedup range over 7 rounds per size:
+#   cells per source   676        784        900        1,024      1,156
+#   2 groups / 1       0.85-1.18  1.23-1.29  0.81-1.28  0.99-1.44  1.29-1.50
+#   cells per source   1,444      1,764
+#   2 groups / 1       1.35-1.43  1.42-1.59
+# At 676 cells a split may lose; from 784 on its median gains 20-54%.
+MIN_GROUP_CELLS = 1_000
 
 
 # A process waiting on a pipe polls it for up to this long before it blocks.
@@ -427,7 +429,10 @@ class _Worker:
         child_end.close()
 
     def submit(self, name: str, arg) -> None:
-        self._conn.send((name, arg))
+        try:
+            self._conn.send((name, arg))
+        except OSError:  # the worker is already gone
+            raise self._exited() from None
 
     def result(self):
         """The submitted method's result, or the exception it raised."""
@@ -435,10 +440,14 @@ class _Worker:
             _wait(self._conn)
             return self._conn.recv()
         except EOFError:
-            raise RuntimeError(
-                f"wave worker {self.process.name} exited "
-                f"(exit code {self.process.exitcode})"
-            ) from None
+            raise self._exited() from None
+
+    def _exited(self) -> RuntimeError:
+        self.process.join(timeout=1)  # reap it, so the exit code is known
+        return RuntimeError(
+            f"wave worker {self.process.name} exited "
+            f"(exit code {self.process.exitcode})"
+        )
 
     def close(self) -> None:
         try:

@@ -485,3 +485,17 @@ class TestContinuumOracle:
         # grids.
         for n in (47, 95):
             assert self._relative_error(name, n, value) <= 1e-6
+
+    @pytest.mark.parametrize("name, value", [
+        ("hdot1", 1.0 / (4.0 * np.pi * SIGMA**6)),
+        ("h1", 1.0 / (8.0 * np.pi * SIGMA**4) + 1.0 / (4.0 * np.pi * SIGMA**6)),
+    ])
+    def test_sobolev_metrics_converge_at_second_order(self, name, value):
+        # hdot1 is the integral of |grad d_i rho|^2 and h1 adds l2's value.
+        # Their gradients are central differences, so halving h must cut the
+        # error by 2^2 (nominal order 2), with half an order of slack, and the
+        # coarse error must lie below h^2.
+        coarse = self._relative_error(name, 47, value)
+        fine = self._relative_error(name, 95, value)
+        assert np.log2(coarse / fine) >= 1.5
+        assert coarse <= 0.125**2

@@ -198,8 +198,9 @@ class TestBatchedSources:
         for got, want in ((grad, sum(p[0] for p in parts)), (gl, sum(p[1] for p in parts))):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
-    def test_gl_action_working_memory_is_one_stack(self, rng):
+    def test_gl_action_working_memory_is_one_stack(self, cpus, rng):
         # The one stack is the cached u_tt; gl_action itself allocates none.
+        cpus(1)
         model = _sources_model(self.SOURCES)
         assert model.n_groups == 1  # every stack is in this process
         model.solve_forward(np.full(64, 1.1))
@@ -221,7 +222,8 @@ class TestBatchedSources:
         assert peak_bytes(lambda: model.apply_drho_h_inverse(born)) <= 32 * batch
         assert peak_bytes(lambda: gl_action(model, None, eta)) <= 32 * batch
 
-    def test_one_live_forward_stack(self):
+    def test_one_live_forward_stack(self, cpus):
+        cpus(1)
         model = _sources_model(self.SOURCES)
         assert model.n_groups == 1  # every stack is in this process
         batch = 8 * model.n_sources * model.npx * model.npz
@@ -363,9 +365,10 @@ class TestSourceGroups:
         cpus(1)
         assert wave.source_group_count(4, fwi) == 1
         cpus(2)
-        assert wave.source_group_count(2, wave12) == 1
+        assert wave.source_group_count(2, wave12) == 2
         assert wave.source_group_count(4, fwi) == 2
-        assert make_wave_model(12, 12, 160, n_sources=2)[0].n_groups == 1
+        assert wave.source_group_count(2, 2 * 26 * 26) == 1  # two 4x4 sources
+        assert make_wave_model(12, 12, 160, n_sources=2)[0].n_groups == 2
         cpus(64)
         for n_sources in range(1, 6):
             assert wave.source_group_count(n_sources, 10**8) == n_sources
@@ -501,6 +504,52 @@ class TestSourceGroups:
         # The pipe is still in step: the next solve marches and agrees.
         assert np.array_equal(model.solve_forward(theta), want)
 
+    def test_worker_gone_before_a_call_raises_and_leaves_no_cache(self, cpus):
+        cpus(2)
+        model = _split_model(n_t=30)
+        theta = np.full(model.param_dim, 1.1)
+        want = model.solve_forward(theta)
+        process = model._workers[0].process
+        process.kill()
+        process.join()
+        with pytest.raises(RuntimeError, match=r"wave worker .* exited \(exit code -9\)"):
+            model.apply_drho_h_transpose_inverse(np.ones(model.state_dim))
+        assert model._cache is None and model._groups[0].u_tt is None
+        # The next charged solve forks a new worker and agrees bit for bit.
+        assert np.array_equal(model.solve_forward(theta), want)
+        assert model._workers[0].process is not process
+
+    def test_check_output_does_not_depend_on_the_split(self, cpus, monkeypatch, tmp_path, capsys):
+        # The wave12-check benchmark's model: two sources of 1,156 padded cells.
+        config = tmp_path / "wave12.json"
+        config.write_text(json.dumps({
+            "model": {
+                "kind": "wave-fwi", "cells": [12, 12], "spacing": [1.0, 1.0],
+                "nt": 160, "dt": 0.4, "sources": {"count": 2, "row": 0},
+                "receivers": "top-row", "wavelet": {"peak_freq": 0.1},
+                "sponge": {"width": 10},
+                "true_model": {"layered": {"background": 1.0,
+                                           "layers": [[4, 1.44], [8, 0.81]]}},
+                "initial_model": {"constant": 1.05},
+            },
+            "solver": {"metric": "w2", "seed": 0},
+        }))
+        forks = []
+        start = wave._Worker.__init__
+
+        def recorded(worker, group):
+            start(worker, group)
+            forks.append(group)
+
+        monkeypatch.setattr(wave._Worker, "__init__", recorded)
+        outputs = []
+        for n in (1, 2):
+            cpus(n)
+            assert cli.main(["check", "-c", str(config)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert forks  # two CPUs split the sources
+        assert outputs[0] == outputs[1]
+
 
 def _column_jacobian(model) -> np.ndarray:
     """One linearized solve per parameter: the Jacobian column by column."""
@@ -517,7 +566,7 @@ class TestReceiverJacobian:
 
     @pytest.mark.parametrize("build, n_groups", [
         # The check benchmark's model: 2 sources, 12 receivers.
-        (lambda: make_wave_model(12, 12, 160, n_sources=2)[0], 1),
+        (lambda: make_wave_model(12, 12, 160, n_sources=2)[0], 2),
         # dx != dz, receivers off the top row, 7 receivers over 3 source slots.
         (lambda: _anisotropic_model(extra_receivers=[(2, 4)]), 1),
         # Two source groups, 26 receivers over 3 source slots.
