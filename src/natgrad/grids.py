@@ -36,6 +36,11 @@ _pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
 _tbtrs = get_lapack_funcs("tbtrs", dtype=np.float64)
 _tbmv = get_blas_funcs("tbmv", dtype=np.float64)
 
+# Block actions run on column-major chunks of at most this many columns, so
+# a pass runs down k rows (not along a C-order row of 2) and a wide block's
+# chunk (five 1920 x 16 arrays on the wave panel, 1.2 MB) stays in L2.
+_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -62,6 +67,8 @@ class Grid:
         """Build a grid from axis bounds; spacing is (b - a) / (count + 1)."""
         extents = tuple((float(a), float(b)) for a, b in extents)
         counts = tuple(int(n) for n in interior_counts)
+        if counts != tuple(interior_counts):
+            raise ValueError(f"interior counts must be integers, not {interior_counts}")
         spacings = tuple(
             (b - a) / (n + 1) for (a, b), n in zip(extents, counts)
         )
@@ -219,7 +226,7 @@ class WeightedDivergence:
     # distance long (zero where the axis-1 neighbour falls off the row).
     _couplings: tuple = field(repr=False)
     # 1/d, d^1/2 and d^-1/2 of B B^T's diagonal d at the red points, zero at
-    # the black ones. These and the couplings are (length, 1) columns.
+    # the black ones, as (k, 1) columns.
     _inv_d: np.ndarray = field(repr=False)
     _sqrt_d: np.ndarray = field(repr=False)
     _inv_sqrt_d: np.ndarray = field(repr=False)
@@ -269,31 +276,13 @@ class WeightedDivergence:
         """Apply R^-T, a k-row root of pinv(B B^T), after removing the
         singular block's mean: red rows z_r / d^1/2, black rows
         R_S^-T (z_b - E^T (z_r / d))."""
-        u = self._columns(zeta, center=True)
-        y = u * self._inv_sqrt_d
-        rhs = self._couple(u * self._inv_d)
-        rhs += u
-        x, info = _tbtrs(self._factor, rhs[self._black], trans="T", overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"banded triangular solve failed: tbtrs info {info}")
-        y[self._black] = x
-        return y.reshape(np.shape(zeta))
+        return self._by_chunks(self._inverse_root, zeta, center=True)
 
     def apply_root(self, g) -> np.ndarray:
         """Apply R, so ||R g|| = ||B^T g||, after removing the singular
         block's grounded node value: red rows d^1/2 g_r + (E g_b) / d^1/2,
         black rows R_S g_b."""
-        u = self._columns(g, center=False)
-        # E is minus the couplings, and every neighbour of a red point is black.
-        eg = self._couple(u)
-        eg *= self._inv_sqrt_d
-        out = u * self._sqrt_d
-        out -= eg
-        kd = self._factor.shape[0] - 1
-        out[self._black] = np.column_stack(
-            [_tbmv(kd, self._factor, c) for c in u[self._black].T]
-        )
-        return out.reshape(np.shape(g))
+        return self._by_chunks(self._root, g, center=False)
 
     def project_range(self, g) -> np.ndarray:
         """Orthogonal projection onto range(B), i.e. B pinv(B) g."""
@@ -303,21 +292,72 @@ class WeightedDivergence:
 
     def _solve_gram(self, v) -> np.ndarray:
         """w_b = S^-1 (v_b - E^T (v_r / d)), then w_r = (v_r - E w_b) / d."""
-        u = self._columns(v, center=True)
-        rhs = self._couple(u * self._inv_d)
+        x = self._by_chunks(self._gram_solve, v, center=True)
+        if self.rank_deficient:
+            self._remove_block_mean(x.reshape(len(x), -1))
+        return x
+
+    def _by_chunks(self, action, a, center: bool) -> np.ndarray:
+        """``action(u, out, work, couplings)`` on F-contiguous chunks u of a
+        (see ``_columns``), into an output in a's memory order."""
+        u = self._columns(a, center)
+        out = np.empty_like(u)
+        k = len(u)
+        work = np.empty((4, min(u.shape[1], _CHUNK), k)).transpose(0, 2, 1)
+        if u.shape[1] == 1:  # a vector: one chunk, no column copies
+            action(np.asfortranarray(u), out, work, self._couplings)
+            return out.reshape(np.shape(a))
+        for j in range(0, u.shape[1], _CHUNK):
+            o = out[:, j:j + _CHUNK]
+            n = o.shape[1]  # couplings once per column, zero into the next one
+            couplings = [np.concatenate([c, np.zeros(k - len(c))] * (n - 1) + [c])
+                         for c in self._couplings] if n > 1 else self._couplings
+            y = o if o.flags.f_contiguous else work[3, :, :n]
+            action(np.asfortranarray(u[:, j:j + _CHUNK]), y, work[:, :, :n], couplings)
+            if y is not o:
+                o[...] = y
+        return out.reshape(np.shape(a))
+
+    def _black_rhs(self, u, work, couplings) -> np.ndarray:
+        """u_b - E^T (u_r / d): the black rows, F-contiguous as LAPACK takes them."""
+        rhs = self._couple(np.multiply(u, self._inv_d, out=work[0]), work[1], work[2], couplings)
         rhs += u
-        xb, info = _pbtrs(self._factor, rhs[self._black], lower=False, overwrite_b=True)
+        return np.take(rhs.T, self._black, axis=1).T
+
+    def _inverse_root(self, u, out, work, couplings) -> None:
+        np.multiply(u, self._inv_sqrt_d, out=out)
+        x, info = _tbtrs(self._factor, self._black_rhs(u, work, couplings), trans="T",
+                         overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"banded triangular solve failed: tbtrs info {info}")
+        self._set_black_rows(out, x)
+
+    def _root(self, u, out, work, couplings) -> None:
+        # E is minus the couplings, and every neighbour of a red point is black.
+        eg = self._couple(u, work[1], work[2], couplings)
+        eg *= self._inv_sqrt_d
+        np.multiply(u, self._sqrt_d, out=out)
+        out -= eg
+        xb = np.take(u.T, self._black, axis=1).T
+        for c in xb.T:
+            _tbmv(self._factor.shape[0] - 1, self._factor, c, overwrite_x=True)
+        self._set_black_rows(out, xb)
+
+    def _gram_solve(self, u, out, work, couplings) -> None:
+        xb, info = _pbtrs(self._factor, self._black_rhs(u, work, couplings), lower=False,
+                          overwrite_b=True)
         if info != 0:
             raise ValueError(f"banded solve failed: pbtrs info {info}")
-        x = np.zeros_like(u)
-        x[self._black] = xb
-        red = self._couple(x)
+        out.fill(0.0)
+        self._set_black_rows(out, xb)
+        red = self._couple(out, work[1], work[2], couplings)
         red += u
         red *= self._inv_d  # zero at black points
-        x += red
-        if self.rank_deficient:
-            self._remove_block_mean(x)
-        return x.reshape(np.shape(v))
+        out += red
+
+    def _set_black_rows(self, out, xb) -> None:
+        for o, x in zip(out.T, xb.T):  # faster than one scatter of rows
+            o[self._black] = x
 
     def _columns(self, a, center: bool) -> np.ndarray:
         """``a`` as a (k, columns) array in its own memory order; on the
@@ -343,15 +383,19 @@ class WeightedDivergence:
         block = self._singular_block(u)
         block -= block.mean(axis=(0, 1))
 
-    def _couple(self, x) -> np.ndarray:
-        """Minus the off-diagonal of B B^T applied to x (k, columns): each
-        point sums its couplings times the values two points away per axis.
-        At a black point that is -E^T x_r, at a red one -E x_b."""
-        out, tmp = np.zeros_like(x), np.empty_like(x)
-        for c in self._couplings:
-            s, t = len(x) - len(c), tmp[:len(c)]  # s: this axis's flat distance
-            out[:-s] += np.multiply(c, x[s:], out=t)
-            out[s:] += np.multiply(c, x[:-s], out=t)
+    @staticmethod
+    def _couple(x, out, tmp, couplings) -> np.ndarray:
+        """Minus the off-diagonal of B B^T applied to a chunk x, into ``out``:
+        each point sums its couplings times the values two points away per
+        axis; at a black point that is -E^T x_r, at a red one -E x_b. The
+        shifts run over the flat chunk, whose next column a zero coupling
+        keeps out: its +-0 term leaves a sum started at +0 as it was."""
+        xf, of, tf = x.ravel("F"), out.ravel("F"), tmp.ravel("F")
+        of.fill(0.0)
+        for c in couplings:
+            s, t = len(xf) - len(c), tf[:len(c)]  # s: this axis's flat distance
+            of[:-s] += np.multiply(c, xf[s:], out=t)
+            of[s:] += np.multiply(c, xf[:-s], out=t)
         return out
 
 
@@ -360,12 +404,12 @@ def _parity_layout(grid: Grid) -> tuple:
     """The grid-only part of the red-black factor.
 
     Returns the counts as 2D; the axis scales 1/(4 h^2); the red points as a
-    mask; the black points' flat indices in banded order, parity block by
-    parity block (the even-even block first), and how many belong to the
-    even-even block; the bandwidth kd; and, for the Schur complement, the
-    index of each band entry's value in the concatenated stencil arrays of
-    ``_factor_parity_blocks`` with that entry's position in the C-order
-    transpose of the upper band storage.
+    1/0 mask over the padded rows of ``_factor_parity_blocks``, and its
+    complement; the black points' flat indices in banded order, parity block
+    by parity block (the even-even block first), and how many belong to the
+    even-even block; the bandwidth kd; and each Schur band entry's index in
+    that function's stencil rows with its position in the C-order transpose
+    of the upper band storage, in the order of the positions.
 
     A block is ordered with the short grid axis fastest and its black points
     keep that order, so S's band is kd = the blocks' largest fast extent
@@ -387,53 +431,72 @@ def _parity_layout(grid: Grid) -> tuple:
     place = np.zeros(grid.size, dtype=np.intp)  # each black point's band column
     place[np.concatenate(black)] = np.arange(sum(map(len, black)))
     # S couples black x to black y through the red points between them: y = x,
-    # y = x + (4, 0), x + (0, 4), x + (2, 2), and x + (2, -2), in the order
-    # and shapes of the stencil arrays.
+    # x + (4, 0), x + (0, 4), x + (2, 2) and x + (2, -2), a stencil row each,
+    # indexed at x's padded position (the last at x - (0, 2)).
     pairs = [(flat, flat), (flat[:-4], flat[4:]), (flat[:, :-4], flat[:, 4:]),
              (flat[:-2, :-2], flat[2:, 2:]), (flat[:-2, 2:], flat[2:, :-2])]
-    src, dst, offset = [], [], 0
-    for x, y in pairs:
-        x, y = x.ravel(), y.ravel()
-        keep = np.flatnonzero(~red.ravel()[x])
-        src.append(offset + keep)
-        offset += x.size
-        px, py = place[x[keep]], place[y[keep]]
+    src, dst = [], []
+    for row, (x, y) in enumerate(pairs):
+        keep = ~red.ravel()[x.ravel()]
+        x, y = x.ravel()[keep], y.ravel()[keep]
+        padded = x + x // counts[1] - (2 if row == 4 else 0)
+        src.append(row * (grid.size + counts[0]) + padded)
+        px, py = place[x], place[y]
         # Upper band storage: entry (x, y) sits in the later point's column,
         # kd minus their distance down from the diagonal.
         dst.append(np.maximum(px, py) * (kd + 1) + kd - np.abs(py - px))
+    padded_red = np.zeros((counts[0], counts[1] + 1))
+    padded_red[:, :-1] = red
     scales = tuple(1.0 / (4.0 * h * h) for h in spacings)
-    return (counts, scales, red, np.concatenate(black), len(black[0]), kd,
-            np.concatenate(src), np.concatenate(dst))
+    return (counts, scales, padded_red.ravel(), 1.0 - padded_red.ravel(),
+            np.concatenate(black), len(black[0]), kd, np.concatenate(src), np.concatenate(dst))
 
 
 def _factor_parity_blocks(grid: Grid, q: np.ndarray) -> tuple:
     """The couplings, the red-point scales, the black points and the Schur
     complement factor R_S of B B^T, built from q = D^2, in the order of
-    WeightedDivergence's private fields."""
-    counts, (cx, cy), red, black, n_even, kd, src, dst = _parity_layout(grid)
-    q = q.reshape(counts)
-    qp = np.pad(q, 1)
-    diag = cx * (qp[:-2, 1:-1] + qp[2:, 1:-1]) + cy * (qp[1:-1, :-2] + qp[1:-1, 2:])
-    # Coupling of i and i+2 along each axis: -q[i+1] / (4 h^2).
-    c0, c1 = cx * q[1:-1, :], cy * q[:, 1:-1]
-    inv_d = np.divide(1.0, diag, out=np.zeros(counts), where=red)
+    WeightedDivergence's private fields.
+
+    The grid arrays live in padded rows (a zero column after each grid row,
+    a zero row above and below q), so a neighbour is a flat shift and every
+    pass is contiguous. Each array equals the 2D expression in its comment
+    to the bit: -1/d carries a minus sign, and a term with a zero coupling
+    from the padding adds or subtracts 0.
+    """
+    counts, (cx, cy), red, black_mask, black, n_even, kd, src, dst = _parity_layout(grid)
+    w = counts[1] + 1
+    k = counts[0] * w
+    qz = np.zeros(k + 2 * w)
+    qz[w:w + k].reshape(counts[0], w)[:, :-1] = q.reshape(counts)
+    # d = cx (q[i-1] + q[i+1]) + cy (q[j-1] + q[j+1]), zero off the grid
+    diag = cx * (qz[:k] + qz[2 * w:]) + cy * (qz[w - 1:w - 1 + k] + qz[w + 1:w + 1 + k])
+    # Couplings of i and i + 2, c0 = cx q[1:-1] and c1 = cy q[:, 1:-1]; 1/d at
+    # the red points (d > 0), 0 at the black ones (d may be 0); and -1/d.
+    c0, c1 = cx * qz[2 * w:k], cy * qz[w + 1:w + 1 + k]
+    inv_d = red / (diag + black_mask)
+    neg = -inv_d
     # S = F - E^T D_r^-1 E: a red point r between black x and y adds
-    # -c_xr c_ry / d_r to S[x, y]; on the diagonal F = d.
-    schur = diag.copy()
-    s0, s1 = c0 * c0, c1 * c1
-    schur[2:] -= s0 * inv_d[:-2]
-    schur[:-2] -= s0 * inv_d[2:]
-    schur[:, 2:] -= s1 * inv_d[:, :-2]
-    schur[:, :-2] -= s1 * inv_d[:, 2:]
-    values = np.concatenate([
-        schur.ravel(),
-        -(c0[:-2] * c0[2:] * inv_d[2:-2]).ravel(),
-        -(c1[:, :-2] * c1[:, 2:] * inv_d[:, 2:-2]).ravel(),
-        -(c0[:, :-2] * inv_d[2:, :-2] * c1[2:] + c1[:-2] * inv_d[:-2, 2:] * c0[:, 2:]).ravel(),
-        -(c0[:, 2:] * inv_d[2:, 2:] * c1[2:] + c1[:-2] * inv_d[:-2, :-2] * c0[:, :-2]).ravel(),
-    ])
+    # -c_xr c_ry / d_r to S[x, y], and F = d. Stencil rows of y - x = (0, 0),
+    # (4, 0), (0, 4), (2, 2) and (2, -2):
+    values = np.empty((5, k))
+    schur, s40, s04, s22, s2m = values
+    schur[...] = diag
+    # schur[2:] -= c0^2 inv_d[:-2], schur[:-2] -= c0^2 inv_d[2:], then axis 1
+    for s, cc in ((2 * w, c0 * c0), (2, (c1 * c1)[:-2])):
+        schur[s:] -= cc * inv_d[:k - s]
+        schur[:k - s] -= cc * inv_d[s:]
+    # -(c0[:-2] c0[2:] inv_d[2:-2]) and -(c1[:, :-2] c1[:, 2:] inv_d[:, 2:-2])
+    for out, c, s in ((s40, c0, 2 * w), (s04, c1, 2)):
+        m = max(len(c) - s, 0)
+        out[:m] = c[:m] * c[s:] * neg[s:s + m]
+    # -(c0[:, :-2] inv_d[2:, :-2] c1[2:] + c1[:-2] inv_d[:-2, 2:] c0[:, 2:]) and
+    # -(c0[:, 2:] inv_d[2:, 2:] c1[2:] + c1[:-2] inv_d[:-2, :-2] c0[:, :-2])
+    m, p0 = max(k - 2 * w - 2, 0), c0 * neg[2 * w:]
+    for out, s in ((s22, 2), (s2m, 0)):
+        out[:m] = (p0[2 - s:2 - s + m] * c1[2 * w:2 * w + m]
+                   + c1[:m] * neg[s:s + m] * c0[s:s + m])
     band = np.zeros((len(black), kd + 1))
-    band.ravel()[dst] = values[src]
+    band.ravel()[dst] = values.ravel()[src]
     ground = None
     if all(n % 2 for n in counts):
         # Ground the singular even-even block (kernel: ones) at its densest
@@ -442,21 +505,21 @@ def _factor_parity_blocks(grid: Grid, q: np.ndarray) -> tuple:
         # block an eigenvalue of about its own coupling over the block size,
         # which round-off can turn negative when the density spans many
         # decades.
-        d0 = diag.ravel()[black[:n_even]]
+        d0 = diag.reshape(-1, w)[:, :-1].ravel()[black[:n_even]]
         at = int(np.argmax(d0))
         band[at, kd] += d0[at] or 1.0
         ground = int(black[at])
     factor, info = _pbtrf(band.T, lower=0, overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"banded Cholesky failed: pbtrf info {info}")
-    # The actions shift flat columns, so an axis-1 coupling that would wrap
-    # onto the next row is zero.
-    wrapped = np.zeros(counts)
-    wrapped[:, :-2] = c1
-    couplings = (c0.reshape(-1, 1), wrapped.reshape(-1, 1)[:max(grid.size - 2, 0)])
-    inv_d = inv_d.reshape(-1, 1)
-    return (couplings, inv_d, np.sqrt(diag * red).reshape(-1, 1), np.sqrt(inv_d),
-            black, factor, ground)
+    # The actions shift over the grid without padding, so their axis-1
+    # coupling is zero where it would wrap onto the next row.
+    c1 = c1.reshape(-1, w)[:, :-1]
+    c1[:, -2:] = 0.0
+    inv_d, sqrt_d, c0 = (a.reshape(-1, w)[:, :-1].ravel()
+                         for a in (inv_d, np.sqrt(diag * red), c0))
+    return ((c0, c1.ravel()[:max(grid.size - 2, 0)]), inv_d[:, None], sqrt_d[:, None],
+            np.sqrt(inv_d)[:, None], black, factor, ground)
 
 
 def build_weighted_divergence(

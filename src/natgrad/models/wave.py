@@ -94,6 +94,8 @@ def _wait(conn) -> None:
 
 def ricker_wavelet(n_t: int, dt: float, peak_freq: float, delay: float | None = None):
     """Ricker wavelet samples; the delay defaults to 1.5 periods."""
+    if not 0.0 < peak_freq < float("inf"):
+        raise ValueError(f"peak frequency must be positive and finite, not {peak_freq}")
     if delay is None:
         delay = 1.5 / peak_freq
     t = dt * np.arange(n_t) - delay
@@ -488,6 +490,8 @@ class WaveFwiModel(ForwardModel):
         self.sources = [tuple(map(int, s)) for s in sources]
         self.receivers = [tuple(map(int, r)) for r in receivers]
         self.wavelet = np.asarray(wavelet, dtype=float)
+        if self.n_t < 1 or not self.sources or not self.receivers:
+            raise ValueError("the model needs a time step, a source and a receiver")
         if self.wavelet.shape != (self.n_t,):
             raise ValueError("wavelet must have one sample per time step")
         self.cfl_factor = float(cfl_factor)

@@ -56,21 +56,34 @@ class NgdConfig:
     path: str = "auto"  # auto | explicit | implicit
 
     def __post_init__(self):
-        if not 0.0 < self.step0 < float("inf"):  # also rejects NaN
+        # Each range test is written so that NaN fails it.
+        if not 0.0 < self.step0 < float("inf"):
             raise ValueError("step0 must be positive and finite")
         if not 0.0 < self.ls_shrink < 1.0:
             raise ValueError("ls_shrink must lie in (0, 1)")
-        if self.damping_lambda < 0.0:
-            raise ValueError("damping_lambda must be nonnegative")
+        if not 0.0 <= self.damping_lambda < float("inf"):
+            raise ValueError("damping_lambda must be nonnegative and finite")
+        if not 0.0 < self.cg_tol < float("inf"):
+            raise ValueError("cg_tol must be positive and finite")
+        if not 0.0 < self.rank_tol < 1.0:
+            raise ValueError("rank_tol must lie in (0, 1)")
+        if not 0.0 <= self.sufficient_decrease < 1.0:
+            raise ValueError("sufficient_decrease must lie in [0, 1)")
         if self.path not in ("auto", "explicit", "implicit"):
             raise ValueError(f"unknown path {self.path!r}")
         if self.hutchinson_m is not None and self.hutchinson_m < 1:
             raise ValueError("hutchinson_m must be at least 1")
-        for name in ("max_iters", "max_propagations", "cg_max_iter"):
+        # The least value of each count; None (no cap) is allowed where the
+        # default is None.
+        for name, least in (("max_iters", 0), ("max_propagations", 0),
+                            ("cg_max_iter", 1), ("ls_max_halvings", 1)):
             value = getattr(self, name)
-            if name == "max_iters" or value is not None:
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value is None and name in ("max_propagations", "cg_max_iter"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, not {value}")
 
     def metric_kind(self) -> MetricKind | None:
         return None if self.metric == GD_LABEL else MetricKind.parse(self.metric)

@@ -1,9 +1,12 @@
 """Assembled matrices of the operators natgrad applies by stencil or by a
-k-row root: oracles that the matrix-free metric actions are checked against."""
+k-row root: oracles that the matrix-free metric actions are checked against;
+and the red-black transport factor as first written, which natgrad's must
+equal bit for bit."""
 
 import warnings
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from natgrad.grids import build_weighted_divergence, neumann_gradient
@@ -54,3 +57,154 @@ def stacked_metric_root(name: str, grid, rho) -> np.ndarray:
         "hdot1": g,
         "hdot-1": g @ np.linalg.pinv(g.T @ g),
     }[name]
+
+
+class RedBlackReference:
+    """The red-black transport factor and its three actions as first written:
+    every stencil array on the padded grid, the Schur band gathered from one
+    concatenated values vector, and each action on the whole (k, columns)
+    array in its own memory order. natgrad's ``WeightedDivergence`` must
+    agree with it bit for bit (``np.array_equal``), on every grid, input
+    layout and column count."""
+
+    def __init__(self, grid, rho, mobility_exponent: float = 0.5):
+        rho = np.asarray(rho, dtype=float)
+        weights = rho**mobility_exponent if mobility_exponent != 0.0 else np.ones_like(rho)
+        self.grid = grid
+        (self.couplings, self.inv_d, self.sqrt_d, self.inv_sqrt_d, self.black,
+         self.factor, self.ground) = self._factor(grid, weights * weights)
+
+    @staticmethod
+    def _layout(grid) -> tuple:
+        lead = (2 - grid.dim) * (1,)
+        counts, spacings = lead + grid.interior_counts, lead + grid.spacings
+        flat = np.arange(grid.size).reshape(counts)
+        i, j = np.indices(counts)
+        red = (i // 2 + j // 2) % 2 == 1
+        order = flat.T if counts[0] < counts[1] else flat
+        black = []
+        for ps, pf in np.ndindex(*(min(2, n) for n in order.shape)):
+            idx = order[ps::2, pf::2]
+            a, b = np.indices(idx.shape)
+            black.append(idx[(a + b) % 2 == 0])
+        kd = (order.shape[1] + 1) // 2
+        place = np.zeros(grid.size, dtype=np.intp)
+        place[np.concatenate(black)] = np.arange(sum(map(len, black)))
+        pairs = [(flat, flat), (flat[:-4], flat[4:]), (flat[:, :-4], flat[:, 4:]),
+                 (flat[:-2, :-2], flat[2:, 2:]), (flat[:-2, 2:], flat[2:, :-2])]
+        src, dst, offset = [], [], 0
+        for x, y in pairs:
+            x, y = x.ravel(), y.ravel()
+            keep = np.flatnonzero(~red.ravel()[x])
+            src.append(offset + keep)
+            offset += x.size
+            px, py = place[x[keep]], place[y[keep]]
+            dst.append(np.maximum(px, py) * (kd + 1) + kd - np.abs(py - px))
+        scales = tuple(1.0 / (4.0 * h * h) for h in spacings)
+        return (counts, scales, red, np.concatenate(black), len(black[0]), kd,
+                np.concatenate(src), np.concatenate(dst))
+
+    @classmethod
+    def _factor(cls, grid, q) -> tuple:
+        counts, (cx, cy), red, black, n_even, kd, src, dst = cls._layout(grid)
+        q = q.reshape(counts)
+        qp = np.pad(q, 1)
+        diag = cx * (qp[:-2, 1:-1] + qp[2:, 1:-1]) + cy * (qp[1:-1, :-2] + qp[1:-1, 2:])
+        c0, c1 = cx * q[1:-1, :], cy * q[:, 1:-1]
+        inv_d = np.divide(1.0, diag, out=np.zeros(counts), where=red)
+        schur = diag.copy()
+        s0, s1 = c0 * c0, c1 * c1
+        schur[2:] -= s0 * inv_d[:-2]
+        schur[:-2] -= s0 * inv_d[2:]
+        schur[:, 2:] -= s1 * inv_d[:, :-2]
+        schur[:, :-2] -= s1 * inv_d[:, 2:]
+        values = np.concatenate([
+            schur.ravel(),
+            -(c0[:-2] * c0[2:] * inv_d[2:-2]).ravel(),
+            -(c1[:, :-2] * c1[:, 2:] * inv_d[:, 2:-2]).ravel(),
+            -(c0[:, :-2] * inv_d[2:, :-2] * c1[2:] + c1[:-2] * inv_d[:-2, 2:] * c0[:, 2:]).ravel(),
+            -(c0[:, 2:] * inv_d[2:, 2:] * c1[2:] + c1[:-2] * inv_d[:-2, :-2] * c0[:, :-2]).ravel(),
+        ])
+        band = np.zeros((len(black), kd + 1))
+        band.ravel()[dst] = values[src]
+        ground = None
+        if all(n % 2 for n in counts):
+            d0 = diag.ravel()[black[:n_even]]
+            at = int(np.argmax(d0))
+            band[at, kd] += d0[at] or 1.0
+            ground = int(black[at])
+        factor, info = scipy.linalg.lapack.dpbtrf(band.T, lower=0, overwrite_ab=1)
+        assert info == 0
+        wrapped = np.zeros(counts)
+        wrapped[:, :-2] = c1
+        couplings = (c0.reshape(-1, 1), wrapped.reshape(-1, 1)[:max(grid.size - 2, 0)])
+        inv_d = inv_d.reshape(-1, 1)
+        return (couplings, inv_d, np.sqrt(diag * red).reshape(-1, 1), np.sqrt(inv_d),
+                black, factor, ground)
+
+    def apply_inverse_root(self, zeta) -> np.ndarray:
+        u = self._columns(zeta, center=True)
+        y = u * self.inv_sqrt_d
+        rhs = self._couple(u * self.inv_d)
+        rhs += u
+        x, info = scipy.linalg.lapack.dtbtrs(self.factor, rhs[self.black], trans="T",
+                                             overwrite_b=True)
+        assert info == 0
+        y[self.black] = x
+        return y.reshape(np.shape(zeta))
+
+    def apply_root(self, g) -> np.ndarray:
+        u = self._columns(g, center=False)
+        eg = self._couple(u)
+        eg *= self.inv_sqrt_d
+        out = u * self.sqrt_d
+        out -= eg
+        kd = self.factor.shape[0] - 1
+        out[self.black] = np.column_stack(
+            [scipy.linalg.blas.dtbmv(kd, self.factor, c) for c in u[self.black].T]
+        )
+        return out.reshape(np.shape(g))
+
+    def apply_gram_pinv(self, v) -> np.ndarray:
+        u = self._columns(v, center=True)
+        rhs = self._couple(u * self.inv_d)
+        rhs += u
+        xb, info = scipy.linalg.lapack.dpbtrs(self.factor, rhs[self.black], lower=False,
+                                              overwrite_b=True)
+        assert info == 0
+        x = np.zeros_like(u)
+        x[self.black] = xb
+        red = self._couple(x)
+        red += u
+        red *= self.inv_d
+        x += red
+        if self.ground is not None:
+            self._remove_block_mean(x)
+        return x.reshape(np.shape(v))
+
+    def _columns(self, a, center: bool) -> np.ndarray:
+        a = np.asarray(a, dtype=float)
+        u = a.reshape(len(a), -1)
+        if self.ground is not None:
+            u = u.copy(order="K") if np.may_share_memory(u, a) else u
+            if center:
+                self._remove_block_mean(u)
+            else:
+                self._singular_block(u)[...] -= u[self.ground].copy()
+        return u
+
+    def _singular_block(self, u) -> np.ndarray:
+        lead = (2 - self.grid.dim) * (1,)
+        return u.reshape(lead + self.grid.interior_counts + (-1,))[::2, ::2]
+
+    def _remove_block_mean(self, u) -> None:
+        block = self._singular_block(u)
+        block -= block.mean(axis=(0, 1))
+
+    def _couple(self, x) -> np.ndarray:
+        out, tmp = np.zeros_like(x), np.empty_like(x)
+        for c in self.couplings:
+            s, t = len(x) - len(c), tmp[:len(c)]
+            out[:-s] += np.multiply(c, x[s:], out=t)
+            out[s:] += np.multiply(c, x[:-s], out=t)
+        return out

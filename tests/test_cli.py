@@ -206,9 +206,14 @@ class TestRun:
         [
             ("mixture_config", lambda m: m["model_components"][0].update(sigma=1.0)),
             ("mixture_config", lambda m: m.update(interior=72)),
+            ("mixture_config", lambda m: m.update(interior=[24.5, 24])),
             ("wave_config", lambda m: m.update(cells=8)),
+            ("wave_config", lambda m: m.update(nt=0)),
+            ("wave_config", lambda m: m["sources"].update(count=0)),
+            ("wave_config", lambda m: m["wavelet"].update(peak_freq=0)),
         ],
-        ids=["component-extra-key", "scalar-interior", "scalar-cells"],
+        ids=["component-extra-key", "scalar-interior", "fractional-interior",
+             "scalar-cells", "no-time-steps", "no-sources", "zero-peak-frequency"],
     )
     def test_malformed_model_section_exits_1(self, request, tmp_path, capsys, config, edit):
         # Wrong types in the model section reach the model builders as a
@@ -259,10 +264,23 @@ class TestRun:
             lambda p: p["solver"].update(max_iters="ten"),
             lambda p: p["solver"].update(max_propagations=2.5),
             lambda p: p["solver"].update(cg_max_iter=True),
+            lambda p: p["solver"].update(cg_tol=0.0),
+            lambda p: p["solver"].update(cg_tol=float("nan")),
+            lambda p: p["solver"].update(cg_max_iter=0),
+            lambda p: p["solver"].update(rank_tol=0.0),
+            lambda p: p["solver"].update(rank_tol=2.0),
+            lambda p: p["solver"].update(max_iters=-1),
+            lambda p: p["solver"].update(max_propagations=-1),
+            lambda p: p["solver"].update(damping_lambda=float("nan")),
+            lambda p: p["solver"].update(sufficient_decrease=float("nan")),
+            lambda p: p["solver"].update(ls_max_halvings=0),
         ],
         ids=["snapshot-every-word", "reference-point-word", "reference-point-length",
              "solver-list",
-             "max-iters-word", "max-propagations-float", "cg-max-iter-bool"],
+             "max-iters-word", "max-propagations-float", "cg-max-iter-bool",
+             "cg-tol-zero", "cg-tol-nan", "cg-max-iter-zero", "rank-tol-zero",
+             "rank-tol-above-one", "max-iters-negative", "max-propagations-negative",
+             "damping-lambda-nan", "sufficient-decrease-nan", "ls-max-halvings-zero"],
     )
     def test_malformed_value_exits_1(self, toy_config, tmp_path, capsys, edit):
         # A value of the wrong type anywhere in the config is a config error,

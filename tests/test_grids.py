@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from assembled_operators import (
+    RedBlackReference,
     axis_central_operators,
     central_difference_matrix,
     divergence_matrix,
@@ -479,6 +480,51 @@ class TestWeightedDivergence:
         rho[3] = 0.0
         with pytest.raises(ValueError):
             build_weighted_divergence(grid_2d, rho)
+
+
+class TestRedBlackOracle:
+    """The transport factor and its actions equal their first transcription
+    (``RedBlackReference``) bit for bit, whatever the grid, the mobility, the
+    column count or the memory order of the input."""
+
+    GRIDS = {
+        "72x72": ([[-2.75, 7.25], [-2.75, 7.25]], (72, 72)),
+        "30x300": (None, (30, 300)),
+        "12x160": (None, (12, 160)),
+        "11x11": ([[0.0, 1.0], [0.0, 1.0]], (11, 11)),
+        "9x31": ([[0.0, 1.0], [0.0, 2.3]], (9, 31)),
+        "1x7": ([[0.0, 1.0], [0.0, 2.3]], (1, 7)),
+        "1d": ([[0.0, 1.0]], (9,)),
+        "dx!=dy": ([[0.0, 1.0], [0.0, 2.3]], (6, 5)),
+    }
+
+    @pytest.mark.parametrize("name", list(GRIDS))
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
+    def test_factor_and_actions_are_bit_identical(self, rng, name, kappa):
+        extents, counts = self.GRIDS[name]
+        grid = Grid.index_space(counts) if extents is None else Grid.regular(extents, counts)
+        # A density over several decades, as a mixture tail or a wave panel has.
+        rho = np.exp(3.0 * rng.standard_normal(grid.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the all-odd rank warning
+            wdiv = build_weighted_divergence(grid, rho, kappa)
+        ref = RedBlackReference(grid, rho, kappa)
+        assert np.array_equal(wdiv._factor, ref.factor)
+        assert np.array_equal(wdiv._black, ref.black)
+        assert wdiv._ground == ref.ground
+        inputs = [rng.standard_normal(grid.size)]
+        for cols in (1, 2, 144):
+            block = rng.standard_normal((grid.size, cols))
+            inputs += [block, np.asfortranarray(block)]
+        # Signed zeros: a zero sum must keep the sign that the reference gives it.
+        inputs.append(-np.abs(block[:, :2]) * (rng.random((grid.size, 2)) < 0.5))
+        for v in inputs:
+            for action in ("apply_inverse_root", "apply_root", "apply_gram_pinv"):
+                got, want = getattr(wdiv, action)(v), getattr(ref, action)(v)
+                assert got.shape == want.shape
+                assert got.flags.c_contiguous == want.flags.c_contiguous
+                assert np.array_equal(got, want), (action, v.shape)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (action, v.shape)
 
 
 class TestGrid:
