@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import read_field
-from .grids import Grid
+from .grids import Grid, integer
 from .models import (
     GaussianMixtureModel,
     LinearToyModel,
@@ -64,10 +64,10 @@ def _build_linear_toy(section: dict):
         reference = read_field(_require(section, "reference_file", "model"))
         model = LinearToyModel(a, reference.ravel())
     else:
-        rows = _require(section, "rows", "model")
-        cols = _require(section, "cols", "model")
+        rows = integer(_require(section, "rows", "model"), "rows")
+        cols = integer(_require(section, "cols", "model"), "cols")
         model, theta_true = LinearToyModel.random_positive(
-            rows, cols, int(section.get("seed", 0)),
+            rows, cols, integer(section.get("seed", 0), "seed"),
             theta_true=section.get("theta_true"),
         )
     theta0 = np.asarray(
@@ -85,7 +85,7 @@ def _model_field(spec, cells) -> np.ndarray:
         layered = spec["layered"]
         field = np.full((nx, nz), float(layered.get("background", 1.0)))
         for depth, value in layered.get("layers", []):
-            field[:, int(depth):] = float(value)
+            field[:, integer(depth, "layer depth"):] = float(value)
         return field.ravel()
     if isinstance(spec, dict) and "file" in spec:
         return read_field(spec["file"]).ravel()
@@ -96,25 +96,25 @@ def _model_field(spec, cells) -> np.ndarray:
 
 
 def _build_wave(section: dict):
-    cells = tuple(int(n) for n in _require(section, "cells", "model"))
+    cells = tuple(integer(n, "cells") for n in _require(section, "cells", "model"))
     spacing = tuple(float(h) for h in section.get("spacing", (1.0, 1.0)))
-    n_t = int(_require(section, "nt", "model"))
+    n_t = integer(_require(section, "nt", "model"), "nt")
     dt = float(_require(section, "dt", "model"))
 
     src_spec = _require(section, "sources", "model")
     if isinstance(src_spec, dict):
-        count = int(src_spec.get("count", 1))
-        row = int(src_spec.get("row", 0))
+        count = integer(src_spec.get("count", 1), "sources.count")
+        row = integer(src_spec.get("row", 0), "sources.row")
         xs = np.linspace(0, cells[0] - 1, count + 2)[1:-1].round().astype(int)
         sources = [(int(x), row) for x in xs]
     else:
-        sources = [tuple(s) for s in src_spec]
+        sources = [tuple(integer(i, "source index") for i in s) for s in src_spec]
 
     rec_spec = section.get("receivers", "top-row")
     if rec_spec == "top-row":
         receivers = [(ix, 0) for ix in range(cells[0])]
     else:
-        receivers = [tuple(r) for r in rec_spec]
+        receivers = [tuple(integer(i, "receiver index") for i in r) for r in rec_spec]
 
     wl = section.get("wavelet", {"peak_freq": 0.08})
     wavelet = ricker_wavelet(n_t, dt, float(wl["peak_freq"]), wl.get("delay"))
@@ -128,7 +128,7 @@ def _build_wave(section: dict):
         sources=sources,
         receivers=receivers,
         wavelet=wavelet,
-        sponge_width=int(sponge.get("width", 10)),
+        sponge_width=integer(sponge.get("width", 10), "sponge.width"),
         sponge_strength=float(sponge.get("strength", 0.015)),
         cfl_factor=float(section.get("cfl_factor", 0.5)),
     )
@@ -190,7 +190,7 @@ def load_experiment(path, seed_override=None, out_override=None) -> Experiment:
     try:
         output = raw.get("output", {})
         out_dir = Path(out_override) if out_override else Path(output.get("directory", "out"))
-        snapshot_every = int(output.get("snapshot_every", 0))
+        snapshot_every = integer(output.get("snapshot_every", 0), "snapshot_every")
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad output section: {exc}")
 

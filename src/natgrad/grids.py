@@ -2,11 +2,10 @@
 
 Two stencil families live here:
 
-* a staggered zero-Neumann gradient (forward differences onto interior edges)
-  whose negative transpose is the matching divergence, used by the Sobolev
-  metrics; the Laplacian is defined as -G^T G so adjoint identities hold to
-  machine precision rather than to discretization order, and its elliptic
-  solves are exact in the DCT-II eigenbasis, with no factorization;
+* the Laplacian -G^T G of a staggered zero-Neumann gradient G, used by the
+  Sobolev metrics: applied by its 5-point stencil, so adjoint identities hold
+  to machine precision rather than to discretization order, and its inverses
+  are exact scalings in the DCT-II eigenbasis, with no factorization;
 * the central-difference divergence with zero-Dirichlet velocity boundaries,
   weighted by a power of the density, used by the optimal-transport metric;
   its Gram matrix splits into index-parity blocks, and each block is factored
@@ -14,17 +13,17 @@ Two stencil families live here:
   Schur complement over its black points.
 
 Grid values are flattened in C order with the x axis slowest (index =
-ix * n_y + iy), matching the Kronecker products used to build operators.
+ix * n_y + iy).
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 # LAPACK's banded Cholesky factorization and solve, and the triangular banded
@@ -40,6 +39,13 @@ _tbmv = get_blas_funcs("tbmv", dtype=np.float64)
 # a pass runs down k rows (not along a C-order row of 2) and a wide block's
 # chunk (five 1920 x 16 arrays on the wave panel, 1.2 MB) stays in L2.
 _CHUNK = 16
+
+
+def integer(value, name: str) -> int:
+    """A count or index, as an int: an integer, not 8.5, 8.0 or true."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -66,9 +72,7 @@ class Grid:
     def regular(cls, extents, interior_counts) -> "Grid":
         """Build a grid from axis bounds; spacing is (b - a) / (count + 1)."""
         extents = tuple((float(a), float(b)) for a, b in extents)
-        counts = tuple(int(n) for n in interior_counts)
-        if counts != tuple(interior_counts):
-            raise ValueError(f"interior counts must be integers, not {interior_counts}")
+        counts = tuple(integer(n, "interior count") for n in interior_counts)
         spacings = tuple(
             (b - a) / (n + 1) for (a, b), n in zip(extents, counts)
         )
@@ -84,6 +88,12 @@ class Grid:
     @property
     def dim(self) -> int:
         return len(self.interior_counts)
+
+    @property
+    def as_2d(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """Counts and spacings as 2D: a 1D grid is (1, n), its x point inert."""
+        lead = (2 - self.dim) * (1,)
+        return lead + self.interior_counts, lead + self.spacings
 
     @property
     def size(self) -> int:
@@ -102,80 +112,70 @@ class Grid:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def neumann_gradient(grid: Grid) -> sp.csr_matrix:
-    """Staggered gradient (edges x k) with exactly the constants in its kernel:
-    per axis, forward differences onto the n-1 interior edges of n centres."""
-    counts, ops = grid.interior_counts, []
-    for axis, (n, h) in enumerate(zip(counts, grid.spacings)):
-        ones = np.ones(n - 1)
-        factors = [sp.identity(m, format="csr") for m in counts]
-        factors[axis] = (1.0 / h) * sp.diags([-ones, ones], [0, 1], shape=(n - 1, n))
-        ops.append(factors[0] if grid.dim == 1 else sp.kron(*factors, format="csr"))
-    return sp.vstack(ops, format="csr")
-
-
 class DifferentialOperatorSet:
-    """Neumann gradient/Laplacian with exact elliptic solves in the DCT basis.
-
-    The Laplacian is the literal -G^T G, so <G u, w> = <u, G^T w> holds to
-    machine precision and G 1 = 0 exactly. The orthonormal DCT-II (row k:
-    cos(pi k (j + 1/2) / n), normalized) diagonalizes each axis's G^T G with
-    eigenvalues (2 - 2 cos(pi k / n)) / h^2, and a 2D grid sums the two axes'
-    values. So both solves transform, scale and transform back with one dense
-    DCT-II matrix per axis: nothing is factored. ``eigenvalues`` holds those
-    sums per mode, in the order ``transform`` returns the modes.
+    """The zero-Neumann Laplacian -G^T G by its 5-point stencil, and its
+    eigenbasis. G is the staggered gradient (per axis, forward differences
+    onto the n-1 interior edges of n centres, so G 1 = 0 exactly). The
+    orthonormal DCT-II C (row k: cos(pi k (j + 1/2) / n), normalized)
+    diagonalizes each axis's G^T G with eigenvalues (2 - 2 cos(pi k / n)) / h^2,
+    and a 2D grid sums the two axes' values, so f(G^T G) = C^T diag(f(lam)) C
+    with one dense DCT-II matrix per axis: nothing is factored.
+    ``eigenvalues`` holds lam per mode, in the order ``transform`` returns them.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        lead = (2 - grid.dim) * (1,)  # a 1D grid as (1, n): one x point adds nothing
-        self._shape = lead + grid.interior_counts
+        self._shape, spacings = grid.as_2d
         self._dct, lam = [], 0.0
-        for n, h in zip(self._shape, lead + grid.spacings):
+        for n, h in zip(self._shape, spacings):
             k = np.arange(n)
             dct = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k, k + 0.5) / n)
             dct[0] = np.sqrt(1.0 / n)
             self._dct.append(dct)
             lam = np.add.outer(lam, (2.0 - 2.0 * np.cos(np.pi * k / n)) / (h * h))
         self.eigenvalues = lam.ravel()
-        self._h1_scale = 1.0 / (1.0 + lam)
-        self._poisson_scale = 1.0 / np.where(lam == 0.0, np.inf, lam)  # drops constants
+        # The stencil's entries are those of the assembled product -G^T G: G's
+        # are +-1/h, so a neighbour's is (1/h)(1/h) and the centre's sums one
+        # such product per edge at the point, the x edges first.
+        self._coupling = tuple((1.0 / h) * (1.0 / h) for h in spacings)
+        diag = np.zeros(self._shape)
+        for axis, c in enumerate(self._coupling):
+            head = (slice(None),) * axis
+            diag[head + (slice(1, None),)] += c
+            diag[head + (slice(None, -1),)] += c
+        self._centre = -diag[..., None]
 
-    # The assembled sparse operators serve only the closed-form L^T L of h1
-    # and hdot1, so they are built on first use.
-    @cached_property
-    def grad_neumann(self) -> sp.csr_matrix:
-        return neumann_gradient(self.grid)
-
-    @cached_property
-    def laplacian_neumann(self) -> sp.csr_matrix:
-        return (-(self.grad_neumann.T @ self.grad_neumann)).tocsr()
-
-    def solve_h1(self, v: np.ndarray) -> np.ndarray:
-        """Solve (I + G^T G) w = v, for a vector or each column of a block."""
-        return self._spectral_solve(v, self._h1_scale)
-
-    def solve_poisson_deflated(self, v: np.ndarray) -> np.ndarray:
-        """Solve G^T G w = v - mean(v) with mean(w) = 0, column by column."""
-        return self._spectral_solve(v, self._poisson_scale)
+    def apply_laplacian(self, v) -> np.ndarray:
+        """-G^T G v by its 5-point stencil, for a vector or each column of a
+        block. The terms are added into zeros in the assembled matrix's
+        column order (x-, y-, centre, y+, x+), so each entry equals the
+        sparse product's to the bit."""
+        v = np.asarray(v, dtype=float)
+        u = v.reshape(self._shape + (-1,))
+        out = np.zeros(u.shape)
+        cx, cy = self._coupling
+        out[1:] += cx * u[:-1]
+        out[:, 1:] += cy * u[:, :-1]
+        out += self._centre * u
+        out[:, :-1] += cy * u[:, 1:]
+        out[:-1] += cx * u[1:]
+        return out.reshape(v.shape)
 
     def transform(self, v, scale) -> np.ndarray:
-        """diag(scale) C v, with C the orthonormal 2D DCT-II and one scale per
-        mode (flat, as ``eigenvalues``), for a vector or each column of a block."""
+        """diag(scale) C v, with one scale per mode (flat, as ``eigenvalues``),
+        for a vector or each column of a block."""
         v = np.asarray(v, dtype=float)
-        u = self._forward(v) * scale.reshape(self._shape + (1,))
-        return u.reshape(v.shape)
-
-    def _forward(self, v) -> np.ndarray:
         (cx, cy), u = self._dct, v.reshape(self._shape + (-1,))  # columns last
         # Along x as one product over the flattened rest, along y batched.
-        return np.matmul(cy, (cx @ u.reshape(len(cx), -1)).reshape(u.shape))
+        u = np.matmul(cy, (cx @ u.reshape(len(cx), -1)).reshape(u.shape))
+        return (u * scale.reshape(self._shape + (1,))).reshape(v.shape)
 
-    def _spectral_solve(self, v, scale) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
+    def apply_spectral(self, v, scale) -> np.ndarray:
+        """C^T diag(scale) C v: the function of G^T G that takes the values
+        ``scale`` at ``eigenvalues``, for a vector or each column of a block."""
         cx, cy = self._dct
-        u = np.matmul(cy.T, self._forward(v) * scale[..., None])
-        return (cx.T @ u.reshape(len(cx), -1)).reshape(v.shape)
+        u = np.matmul(cy.T, self.transform(v, scale).reshape(self._shape + (-1,)))
+        return (cx.T @ u.reshape(len(cx), -1)).reshape(np.shape(v))
 
 
 @lru_cache(maxsize=32)
@@ -375,8 +375,7 @@ class WeightedDivergence:
 
     def _singular_block(self, u) -> np.ndarray:
         """The even-even parity block of u (k, columns), as a grid view."""
-        lead = (2 - self.grid.dim) * (1,)
-        return u.reshape(lead + self.grid.interior_counts + (-1,))[::2, ::2]
+        return u.reshape(self.grid.as_2d[0] + (-1,))[::2, ::2]
 
     def _remove_block_mean(self, u) -> None:
         """Subtract the even-even parity block's mean per column, in place."""
@@ -416,8 +415,7 @@ def _parity_layout(grid: Grid) -> tuple:
     wide. The blocks share no entry, so one band holds them all and one
     banded Cholesky factors them together.
     """
-    lead = (2 - grid.dim) * (1,)  # a 1D grid as (1, n): one x point adds nothing
-    counts, spacings = lead + grid.interior_counts, lead + grid.spacings
+    counts, spacings = grid.as_2d
     flat = np.arange(grid.size).reshape(counts)
     i, j = np.indices(counts)
     red = (i // 2 + j // 2) % 2 == 1  # block coordinates (i // 2, j // 2)

@@ -29,8 +29,8 @@ per index-parity block in red-black form: the red rows are diagonal plus
 couplings, the black rows the banded factor of the Schur complement on the
 black points. P and g_0 (the value at the grounded node, the densest black
 node) act only on the transport's singular block, present when every
-interior count is odd. L^T L itself is applied by its closed forms (G^T G,
-the DCT solves, pinv(B B^T)).
+interior count is odd. L^T L itself is applied by its closed forms (the
+stencil of G^T G, one DCT scaling for its inverses, pinv(B B^T)).
 
 Fisher-Rao and the transport metric depend on the current density and must
 be refreshed every iteration; refreshing returns a new operator, so
@@ -149,25 +149,28 @@ def _sobolev_actions(kind: MetricKind, grid: Grid, rho) -> _Actions:
     ops = build_operator_set(grid)
     lam = ops.eigenvalues
     if kind.homogeneous:
-        def gram(v):
-            return -(ops.laplacian_neumann @ v)
-
         # The mean goes first, so constants map to exactly zero; the constant
         # mode's scale is zero either way.
-        solve, center, project = ops.solve_poisson_deflated, _remove_mean, _remove_mean
+        center = project = _remove_mean
         root = np.sqrt(lam)
         inverse_root = 1.0 / np.where(lam == 0.0, np.inf, root)
+        inverse = 1.0 / np.where(lam == 0.0, np.inf, lam)
     else:
-        def gram(v):
-            return v - ops.laplacian_neumann @ v
-
-        solve, center, project = ops.solve_h1, _identity, None
+        center, project = _identity, None
         root = np.sqrt(1.0 + lam)
-        inverse_root = 1.0 / root
+        inverse_root, inverse = 1.0 / root, 1.0 / (1.0 + lam)
 
     # Orders +1 and -1 swap the roles of L and pinv(L^T).
     if kind.order == -1:
-        root, inverse_root, gram = inverse_root, root, solve
+        root, inverse_root = inverse_root, root
+
+    def gram(v):
+        # L^T L: G^T G (plus I) by its stencil, or for order -1 its
+        # (pseudo)inverse, one scaling in the DCT basis.
+        if kind.order == -1:
+            return ops.apply_spectral(v, inverse)
+        lap = ops.apply_laplacian(v)
+        return -lap if kind.homogeneous else v - lap
 
     def apply_l(v):
         return ops.transform(center(v), root)

@@ -21,12 +21,11 @@ checks what each row needs from the model and the config.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid
+from .grids import Grid, integer
 from .linalg import cg_solve, solve_least_squares_min_norm
 from .metrics import MetricKind, MetricOperator
 
@@ -71,18 +70,15 @@ class NgdConfig:
             raise ValueError("sufficient_decrease must lie in [0, 1)")
         if self.path not in ("auto", "explicit", "implicit"):
             raise ValueError(f"unknown path {self.path!r}")
-        if self.hutchinson_m is not None and self.hutchinson_m < 1:
-            raise ValueError("hutchinson_m must be at least 1")
-        # The least value of each count; None (no cap) is allowed where the
-        # default is None.
-        for name, least in (("max_iters", 0), ("max_propagations", 0),
-                            ("cg_max_iter", 1), ("ls_max_halvings", 1)):
+        # The least value of each count; None (no cap, no sketch) is allowed
+        # where the default is None.
+        for name, least in (("max_iters", 0), ("max_propagations", 0), ("cg_max_iter", 1),
+                            ("ls_max_halvings", 1), ("minibatch_size", 1),
+                            ("hutchinson_m", 1), ("seed", 0)):
             value = getattr(self, name)
-            if value is None and name in ("max_propagations", "cg_max_iter"):
+            if value is None and getattr(NgdConfig, name) is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            if value < least:
+            if integer(value, name) < least:
                 raise ValueError(f"{name} must be at least {least}, not {value}")
 
     def metric_kind(self) -> MetricKind | None:

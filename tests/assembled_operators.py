@@ -9,7 +9,25 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from natgrad.grids import build_weighted_divergence, neumann_gradient
+from natgrad.grids import build_weighted_divergence
+
+
+def neumann_gradient(grid) -> sp.csr_matrix:
+    """Staggered gradient (edges x k) with exactly the constants in its kernel:
+    per axis, forward differences onto the n-1 interior edges of n centres."""
+    counts, ops = grid.interior_counts, []
+    for axis, (n, h) in enumerate(zip(counts, grid.spacings)):
+        ones = np.ones(n - 1)
+        factors = [sp.identity(m, format="csr") for m in counts]
+        factors[axis] = (1.0 / h) * sp.diags([-ones, ones], [0, 1], shape=(n - 1, n))
+        ops.append(factors[0] if grid.dim == 1 else sp.kron(*factors, format="csr"))
+    return sp.vstack(ops, format="csr")
+
+
+def neumann_laplacian(grid) -> sp.csr_matrix:
+    """-G^T G assembled, the matrix the Sobolev stencil must equal bit for bit."""
+    g = neumann_gradient(grid)
+    return (-(g.T @ g)).tocsr()
 
 
 def central_difference_matrix(n: int) -> sp.csr_matrix:

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import natgrad
 from natgrad import WaveFwiModel, cli
 from natgrad.fields import read_field, write_field
 
@@ -82,6 +87,17 @@ def wave_config(tmp_path):
 def read_trace(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def test_cli_import_loads_no_scipy_sparse():
+    # Every metric is matrix-free (the Sobolev Laplacian by its stencil), so
+    # a natgrad process never loads scipy.sparse.
+    code = ("import sys, natgrad.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(natgrad.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestRun:
@@ -207,13 +223,30 @@ class TestRun:
             ("mixture_config", lambda m: m["model_components"][0].update(sigma=1.0)),
             ("mixture_config", lambda m: m.update(interior=72)),
             ("mixture_config", lambda m: m.update(interior=[24.5, 24])),
+            ("mixture_config", lambda m: m.update(interior=[24, True])),
             ("wave_config", lambda m: m.update(cells=8)),
             ("wave_config", lambda m: m.update(nt=0)),
             ("wave_config", lambda m: m["sources"].update(count=0)),
             ("wave_config", lambda m: m["wavelet"].update(peak_freq=0)),
+            ("wave_config", lambda m: m.update(cells=[8.5, 8])),
+            ("wave_config", lambda m: m.update(nt=True)),
+            ("wave_config", lambda m: m.update(nt=100.5)),
+            ("wave_config", lambda m: m["sources"].update(count=1.7)),
+            ("wave_config", lambda m: m["sources"].update(row=0.5)),
+            ("wave_config", lambda m: m.update(sources=[[3.5, 0]])),
+            ("wave_config", lambda m: m.update(receivers=[[2, True], [3, 0]])),
+            ("wave_config", lambda m: m.update(sponge={"width": 10.5})),
+            ("wave_config", lambda m: m["true_model"]["layered"].update(layers=[[4.5, 1.44]])),
+            ("toy_config", lambda m: m.update(rows=20.5)),
+            ("toy_config", lambda m: m.update(cols=True, theta0=[0.5])),
+            ("toy_config", lambda m: m.update(seed=3.5)),
         ],
-        ids=["component-extra-key", "scalar-interior", "fractional-interior",
-             "scalar-cells", "no-time-steps", "no-sources", "zero-peak-frequency"],
+        ids=["component-extra-key", "scalar-interior", "fractional-interior", "bool-interior",
+             "scalar-cells", "no-time-steps", "no-sources", "zero-peak-frequency",
+             "fractional-cells", "bool-nt", "fractional-nt", "fractional-source-count",
+             "fractional-source-row", "fractional-source-index", "bool-receiver-index",
+             "fractional-sponge-width", "fractional-layer-depth", "fractional-rows",
+             "bool-cols", "fractional-seed"],
     )
     def test_malformed_model_section_exits_1(self, request, tmp_path, capsys, config, edit):
         # Wrong types in the model section reach the model builders as a
@@ -258,6 +291,8 @@ class TestRun:
         "edit",
         [
             lambda p: p["output"].update(snapshot_every="often"),
+            lambda p: p["output"].update(snapshot_every=2.5),
+            lambda p: p["output"].update(snapshot_every=True),
             lambda p: p.update(reference_point="origin"),
             lambda p: p.update(reference_point=[1.0, 2.0]),
             lambda p: p.update(solver=[1, 2]),
@@ -274,13 +309,21 @@ class TestRun:
             lambda p: p["solver"].update(damping_lambda=float("nan")),
             lambda p: p["solver"].update(sufficient_decrease=float("nan")),
             lambda p: p["solver"].update(ls_max_halvings=0),
+            lambda p: p["solver"].update(seed=2.5),
+            lambda p: p["solver"].update(seed=True),
+            lambda p: p["solver"].update(seed=-1),
+            lambda p: p["solver"].update(minibatch_size=10.5),
+            lambda p: p["solver"].update(hutchinson_m=2.5),
         ],
-        ids=["snapshot-every-word", "reference-point-word", "reference-point-length",
+        ids=["snapshot-every-word", "snapshot-every-fraction", "snapshot-every-bool",
+             "reference-point-word", "reference-point-length",
              "solver-list",
              "max-iters-word", "max-propagations-float", "cg-max-iter-bool",
              "cg-tol-zero", "cg-tol-nan", "cg-max-iter-zero", "rank-tol-zero",
              "rank-tol-above-one", "max-iters-negative", "max-propagations-negative",
-             "damping-lambda-nan", "sufficient-decrease-nan", "ls-max-halvings-zero"],
+             "damping-lambda-nan", "sufficient-decrease-nan", "ls-max-halvings-zero",
+             "seed-fraction", "seed-bool", "seed-negative", "minibatch-size-fraction",
+             "hutchinson-m-fraction"],
     )
     def test_malformed_value_exits_1(self, toy_config, tmp_path, capsys, edit):
         # A value of the wrong type anywhere in the config is a config error,

@@ -10,6 +10,8 @@ from assembled_operators import (
     axis_central_operators,
     central_difference_matrix,
     divergence_matrix,
+    neumann_gradient,
+    neumann_laplacian,
 )
 from natgrad import grids
 from natgrad.grids import (
@@ -17,7 +19,6 @@ from natgrad.grids import (
     Grid,
     build_operator_set,
     build_weighted_divergence,
-    neumann_gradient,
 )
 from natgrad.linalg import qr_column_pivoted, solve_least_squares_min_norm
 from natgrad.metrics import build_metric
@@ -47,20 +48,60 @@ class TestCentralDifference:
 class TestNeumannOperators:
     def test_gradient_kills_constants_exactly(self, grid_2d):
         ops = build_operator_set(grid_2d)
-        assert np.abs(ops.grad_neumann @ np.ones(grid_2d.size)).max() == 0.0
-        assert np.abs(ops.laplacian_neumann @ np.ones(grid_2d.size)).max() == 0.0
+        assert np.abs(neumann_gradient(grid_2d) @ np.ones(grid_2d.size)).max() == 0.0
+        assert np.abs(ops.apply_laplacian(np.ones(grid_2d.size))).max() == 0.0
 
     def test_laplacian_is_negative_gram(self, grid_2d):
         ops = build_operator_set(grid_2d)
-        gram = (ops.grad_neumann.T @ ops.grad_neumann).toarray()
-        np.testing.assert_allclose(ops.laplacian_neumann.toarray(), -gram, atol=0)
+        g = neumann_gradient(grid_2d)
+        gram = (g.T @ g).toarray()
+        np.testing.assert_allclose(ops.apply_laplacian(np.eye(grid_2d.size)), -gram, atol=0)
+
+    # 72x72 (the mixture grid), the 30x300 and 12x160 index-space data
+    # panels, dx != dy on odd, even and square grids, n = 1 axes, 1D and a
+    # single point.
+    STENCIL_GRIDS = [
+        Grid.regular([[-2.75, 7.25], [-2.75, 7.25]], [72, 72]),
+        Grid.index_space([30, 300]),
+        Grid.index_space([12, 160]),
+        Grid.regular([[0.0, 1.0], [0.0, 2.3]], [7, 11]),
+        Grid.regular([[0.0, 1.7], [0.0, 1.0]], [13, 6]),
+        Grid.regular([[0.0, 1.0], [0.0, 3.0]], [4, 4]),
+        Grid.regular([[0.0, 1.0], [0.0, 2.0]], [1, 7]),
+        Grid.regular([[0.0, 1.0], [0.0, 2.0]], [5, 1]),
+        Grid.regular([[0.0, 1.0]], [9]),
+        Grid.index_space([1]),
+    ]
+
+    @pytest.mark.parametrize(
+        "grid", STENCIL_GRIDS, ids=lambda g: "x".join(map(str, g.interior_counts))
+    )
+    def test_stencil_equals_assembled_product_bit_for_bit(self, rng, grid):
+        # The stencil adds its terms in the sparse product's order, so every
+        # entry and every sign of zero must match, for vectors and blocks in
+        # either memory order.
+        ops = DifferentialOperatorSet(grid)
+        lap = neumann_laplacian(grid)
+        for shape in [(grid.size,), (grid.size, 1), (grid.size, 3), (grid.size, 144)]:
+            for order in "CF":
+                v = np.asarray(rng.standard_normal(shape), order=order)
+                flat = v.ravel(order="K")  # a view, so zeros land in v
+                flat[::7], flat[3::11] = 0.0, -0.0
+                out, ref = ops.apply_laplacian(v), lap @ v
+                assert out.shape == ref.shape
+                assert np.array_equal(out, ref)
+                assert np.array_equal(np.signbit(out), np.signbit(ref))
+        for v in (np.zeros(grid.size), -np.zeros(grid.size), np.ones(grid.size)):
+            out, ref = ops.apply_laplacian(v), lap @ v
+            assert np.array_equal(out, ref)
+            assert np.array_equal(np.signbit(out), np.signbit(ref))
 
     def test_adjoint_exactness(self, grid_2d, rng):
-        ops = build_operator_set(grid_2d)
+        g = neumann_gradient(grid_2d)
         u = rng.standard_normal(grid_2d.size)
-        w = rng.standard_normal(ops.grad_neumann.shape[0])
-        lhs = (ops.grad_neumann @ u) @ w
-        rhs = u @ (ops.grad_neumann.T @ w)
+        w = rng.standard_normal(g.shape[0])
+        lhs = (g @ u) @ w
+        rhs = u @ (g.T @ w)
         assert abs(lhs - rhs) <= 1e-14 * max(abs(lhs), 1.0)
 
     def test_axis_operators_act_separably(self, rng):
@@ -92,24 +133,25 @@ class TestNeumannOperators:
 
 
 class TestEllipticInverses:
+    # The h-1 L^T L is (I + G^T G)^-1 and the hdot-1 one (G^T G)^+, each one
+    # scaling in the DCT basis.
     def test_h1_roundtrip(self, grid_2d, rng):
-        ops = build_operator_set(grid_2d)
+        g = neumann_gradient(grid_2d)
         u = rng.standard_normal(grid_2d.size)
-        gram = ops.grad_neumann.T @ ops.grad_neumann
+        gram = g.T @ g
         v = u + gram @ u
-        np.testing.assert_allclose(ops.solve_h1(v), u, atol=1e-10)
+        np.testing.assert_allclose(build_metric("h-1", grid_2d).apply_LtL(v), u, atol=1e-10)
 
     def test_poisson_deflated_constant_maps_to_zero(self, grid_2d):
-        ops = build_operator_set(grid_2d)
-        w = ops.solve_poisson_deflated(np.ones(grid_2d.size))
+        w = build_metric("hdot-1", grid_2d).apply_LtL(np.ones(grid_2d.size))
         np.testing.assert_allclose(w, np.zeros(grid_2d.size), atol=1e-12)
 
     def test_poisson_deflated_roundtrip(self, grid_2d, rng):
-        ops = build_operator_set(grid_2d)
+        g = neumann_gradient(grid_2d)
         v = rng.standard_normal(grid_2d.size)
-        w = ops.solve_poisson_deflated(v)
+        w = build_metric("hdot-1", grid_2d).apply_LtL(v)
         assert abs(w.mean()) <= 1e-12
-        back = ops.grad_neumann.T @ (ops.grad_neumann @ w)
+        back = g.T @ (g @ w)
         np.testing.assert_allclose(back, v - v.mean(), atol=1e-10)
 
     # 1D, 2D odd and even, non-square with anisotropic spacing, the 30x300
@@ -129,14 +171,14 @@ class TestEllipticInverses:
     )
     @pytest.mark.parametrize("cols", [None, 3], ids=["vector", "block"])
     def test_spectral_solves_match_assembled_gram(self, rng, grid, cols):
-        ops = DifferentialOperatorSet(grid)
-        g = ops.grad_neumann
+        g = neumann_gradient(grid)
         gtg = g.T @ g  # assembled sparse G^T G
+        solve_h1 = build_metric("h-1", grid).apply_LtL
         v = rng.standard_normal(grid.size if cols is None else (grid.size, cols))
-        w = ops.solve_h1(v)
+        w = solve_h1(v)
         assert w.shape == v.shape
         assert np.linalg.norm(w + gtg @ w - v) <= 1e-12 * np.linalg.norm(v)
-        w = ops.solve_poisson_deflated(v)
+        w = build_metric("hdot-1", grid).apply_LtL(v)
         assert w.shape == v.shape
         rhs = v - v.mean(axis=0)
         assert np.linalg.norm(gtg @ w - rhs) <= 1e-12 * np.linalg.norm(v)
@@ -145,7 +187,7 @@ class TestEllipticInverses:
             dense = gtg.toarray()
             ref = np.linalg.solve(np.eye(grid.size) + dense, v)
             tol = 1e-12 * np.abs(ref).max()
-            np.testing.assert_allclose(ops.solve_h1(v), ref, rtol=0, atol=tol)
+            np.testing.assert_allclose(solve_h1(v), ref, rtol=0, atol=tol)
             ref = np.linalg.pinv(dense) @ v
             tol = 1e-12 * max(np.abs(ref).max(), 1.0)
             np.testing.assert_allclose(w, ref, rtol=0, atol=tol)
