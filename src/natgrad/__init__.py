@@ -9,7 +9,7 @@ from .linalg import (
     qr_column_pivoted,
     solve_least_squares_min_norm,
 )
-from .metrics import MetricKind, MetricOperator, build_metric
+from .metrics import MetricKind, MetricOperator
 from .models import (
     GaussianComponent,
     GaussianMixtureModel,
@@ -44,7 +44,6 @@ __all__ = [
     "solve_least_squares_min_norm",
     "MetricKind",
     "MetricOperator",
-    "build_metric",
     "GaussianComponent",
     "GaussianMixtureModel",
     "LinearToyModel",

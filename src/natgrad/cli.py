@@ -29,7 +29,7 @@ import numpy as np
 from .config import ConfigError, Experiment, load_experiment
 from .fields import write_field
 from .grids import Grid
-from .metrics import MetricKind, MetricOperator
+from .metrics import MetricOperator
 from .solver import (
     GD_LABEL,
     NgdConfig,
@@ -58,7 +58,8 @@ def _write_trace(path: Path, records) -> None:
             )
 
 
-def _run_single(exp: Experiment, out_dir: Path) -> OptimizeResult:
+def _run_single(exp: Experiment) -> OptimizeResult:
+    out_dir = exp.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     callback = None
     if exp.snapshot_every > 0:
@@ -88,7 +89,7 @@ def _run_single(exp: Experiment, out_dir: Path) -> OptimizeResult:
 
 def cmd_run(args) -> int:
     exp = load_experiment(args.config, args.seed, args.out)
-    result = _run_single(exp, exp.output_dir)
+    result = _run_single(exp)
     print(
         f"{exp.solver.metric}: {len(result.records) - 1} iterations, "
         f"final loss {result.final_loss:.6e}, "
@@ -117,15 +118,11 @@ def cmd_compare(args) -> int:
 
     rows = []
     for name, solver in zip(metrics, solvers):
-        sub = Experiment(
-            model=exp.model, theta0=exp.theta0, solver=solver,
-            output_dir=exp.output_dir / name.replace(":", "_"),
-            snapshot_every=exp.snapshot_every,
-            reference_point=exp.reference_point,
-        )
         # Shared model: every run pays for its own first forward solve.
-        sub.model.reset_accounting()
-        result = _run_single(sub, sub.output_dir)
+        exp.model.reset_accounting()
+        result = _run_single(
+            replace(exp, solver=solver, output_dir=exp.output_dir / name.replace(":", "_"))
+        )
         row = {
             "metric": name,
             "final_loss": result.final_loss,
@@ -211,11 +208,11 @@ def _check_info_identity(metric_name, rng) -> tuple[bool, str]:
     grid = Grid.index_space([4, 4])
     rho = rng.uniform(0.5, 2.0, grid.size)
     # State-free metrics ignore the density.
-    op = MetricOperator(MetricKind.parse(metric_name), grid, rho)
+    op = MetricOperator(metric_name, grid, rho)
     z = rng.standard_normal((grid.size, 3))
     g = op.info_matrix(z).matrix
     entrywise = np.empty_like(g)
-    cols = [op.apply_L(z[:, j]) for j in range(3)]
+    cols = [op.apply_L_matrix(z[:, j]) for j in range(3)]
     for i in range(3):
         for j in range(3):
             entrywise[i, j] = cols[i] @ cols[j]

@@ -44,7 +44,19 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _section(value, keys, where: str) -> dict:
+    """value, once it is an object whose every key is one of keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"the {where} section must be an object")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return value
+
+
 def _build_gaussian_mixture(section: dict):
+    _section(section, ("kind", "domain", "interior", "model_components", "free",
+                       "reference_components", "theta0"), "model")
     domain = _require(section, "domain", "model")
     interior = _require(section, "interior", "model")
     grid = Grid.regular(domain, interior)
@@ -60,10 +72,12 @@ def _build_gaussian_mixture(section: dict):
 
 def _build_linear_toy(section: dict):
     if "matrix_file" in section:
+        _section(section, ("kind", "matrix_file", "reference_file", "theta0"), "model")
         a = read_field(section["matrix_file"])
         reference = read_field(_require(section, "reference_file", "model"))
         model = LinearToyModel(a, reference.ravel())
     else:
+        _section(section, ("kind", "rows", "cols", "seed", "theta_true", "theta0"), "model")
         rows = integer(_require(section, "rows", "model"), "rows")
         cols = integer(_require(section, "cols", "model"), "cols")
         model, theta_true = LinearToyModel.random_positive(
@@ -79,16 +93,21 @@ def _build_linear_toy(section: dict):
 def _model_field(spec, cells) -> np.ndarray:
     """Materialize a model field from a constant, layers, file, or inline list."""
     nx, nz = cells
-    if isinstance(spec, dict) and "constant" in spec:
-        return np.full(nx * nz, float(spec["constant"]))
-    if isinstance(spec, dict) and "layered" in spec:
-        layered = spec["layered"]
-        field = np.full((nx, nz), float(layered.get("background", 1.0)))
-        for depth, value in layered.get("layers", []):
-            field[:, integer(depth, "layer depth"):] = float(value)
-        return field.ravel()
-    if isinstance(spec, dict) and "file" in spec:
-        return read_field(spec["file"]).ravel()
+    if isinstance(spec, dict):
+        if len(spec) != 1:
+            raise ConfigError(f"a model field object takes one key, not {sorted(spec)}")
+        [(form, arg)] = spec.items()
+        if form == "constant":
+            return np.full(nx * nz, float(arg))
+        if form == "layered":
+            layered = _section(arg, ("background", "layers"), "layered")
+            field = np.full((nx, nz), float(layered.get("background", 1.0)))
+            for depth, value in layered.get("layers", []):
+                field[:, integer(depth, "layer depth"):] = float(value)
+            return field.ravel()
+        if form == "file":
+            return read_field(arg).ravel()
+        raise ConfigError(f"unknown model field form {form!r}")
     arr = np.asarray(spec, dtype=float)
     if arr.size != nx * nz:
         raise ConfigError(f"model field has {arr.size} entries, expected {nx * nz}")
@@ -96,41 +115,38 @@ def _model_field(spec, cells) -> np.ndarray:
 
 
 def _build_wave(section: dict):
+    _section(section, ("kind", "cells", "spacing", "nt", "dt", "sources", "receivers",
+                       "wavelet", "sponge", "true_model", "initial_model"), "model")
     cells = tuple(integer(n, "cells") for n in _require(section, "cells", "model"))
     spacing = tuple(float(h) for h in section.get("spacing", (1.0, 1.0)))
     n_t = integer(_require(section, "nt", "model"), "nt")
     dt = float(_require(section, "dt", "model"))
 
-    src_spec = _require(section, "sources", "model")
-    if isinstance(src_spec, dict):
-        count = integer(src_spec.get("count", 1), "sources.count")
-        row = integer(src_spec.get("row", 0), "sources.row")
+    sources = _require(section, "sources", "model")
+    if isinstance(sources, dict):
+        spec = _section(sources, ("count", "row"), "sources")
+        count = integer(spec.get("count", 1), "sources.count")
         xs = np.linspace(0, cells[0] - 1, count + 2)[1:-1].round().astype(int)
-        sources = [(int(x), row) for x in xs]
-    else:
-        sources = [tuple(integer(i, "source index") for i in s) for s in src_spec]
+        sources = [(int(x), spec.get("row", 0)) for x in xs]
 
-    rec_spec = section.get("receivers", "top-row")
-    if rec_spec == "top-row":
+    receivers = section.get("receivers", "top-row")
+    if receivers == "top-row":
         receivers = [(ix, 0) for ix in range(cells[0])]
-    else:
-        receivers = [tuple(integer(i, "receiver index") for i in r) for r in rec_spec]
 
-    wl = section.get("wavelet", {"peak_freq": 0.08})
+    wl = _section(section.get("wavelet", {"peak_freq": 0.08}), ("peak_freq", "delay"),
+                  "wavelet")
     wavelet = ricker_wavelet(n_t, dt, float(wl["peak_freq"]), wl.get("delay"))
 
-    sponge = section.get("sponge", {})
+    sponge = _section(section.get("sponge", {}), ("width", "strength"), "sponge")
     model = WaveFwiModel(
         cells=cells,
         spacing=spacing,
-        n_t=n_t,
         dt=dt,
         sources=sources,
         receivers=receivers,
         wavelet=wavelet,
-        sponge_width=integer(sponge.get("width", 10), "sponge.width"),
+        sponge_width=sponge.get("width", 10),
         sponge_strength=float(sponge.get("strength", 0.015)),
-        cfl_factor=float(section.get("cfl_factor", 0.5)),
     )
     theta0 = model.check_theta(
         _model_field(_require(section, "initial_model", "model"), cells))
@@ -146,6 +162,8 @@ _BUILDERS = {
 }
 
 _SOLVER_KEYS = {f.name for f in fields(NgdConfig)}
+_OUTPUT_KEYS = ("directory", "snapshot_every")
+_TOP_KEYS = ("model", "solver", "output", "reference_point")
 
 
 def load_experiment(path, seed_override=None, out_override=None) -> Experiment:
@@ -156,8 +174,7 @@ def load_experiment(path, seed_override=None, out_override=None) -> Experiment:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    _section(raw, _TOP_KEYS, "top-level")
 
     model_section = _require(raw, "model", "top-level")
     kind = _require(model_section, "kind", "model")
@@ -172,13 +189,7 @@ def load_experiment(path, seed_override=None, out_override=None) -> Experiment:
     except (TypeError, ValueError, KeyError, OSError) as exc:
         raise ConfigError(f"bad model section: {exc}")
 
-    solver_section = raw.get("solver", {})
-    if not isinstance(solver_section, dict):
-        raise ConfigError("the solver section must be an object")
-    solver_section = dict(solver_section)
-    unknown = set(solver_section) - _SOLVER_KEYS
-    if unknown:
-        raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
+    solver_section = dict(_section(raw.get("solver", {}), _SOLVER_KEYS, "solver"))
     if seed_override is not None:
         solver_section["seed"] = int(seed_override)
     try:
@@ -187,11 +198,11 @@ def load_experiment(path, seed_override=None, out_override=None) -> Experiment:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver section: {exc}")
 
+    output = _section(raw.get("output", {}), _OUTPUT_KEYS, "output")
     try:
-        output = raw.get("output", {})
         out_dir = Path(out_override) if out_override else Path(output.get("directory", "out"))
         snapshot_every = integer(output.get("snapshot_every", 0), "snapshot_every")
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad output section: {exc}")
 
     ref_point = raw.get("reference_point")

@@ -57,33 +57,37 @@ class Grid:
     """
 
     interior_counts: tuple[int, ...]
-    spacings: tuple[float, ...]
     extents: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         if len(self.interior_counts) not in (1, 2):
             raise ValueError("only 1D and 2D grids are supported")
+        if len(self.extents) != len(self.interior_counts):
+            raise ValueError(f"{len(self.extents)} axis extents for "
+                             f"{len(self.interior_counts)} interior counts")
         if any(n < 1 for n in self.interior_counts):
             raise ValueError("interior counts must be >= 1")
-        if any(h <= 0 for h in self.spacings):
-            raise ValueError("spacings must be positive")
+        if not all(0.0 < h < float("inf") for h in self.spacings):  # NaN fails too
+            raise ValueError("spacings must be positive and finite")
 
     @classmethod
     def regular(cls, extents, interior_counts) -> "Grid":
-        """Build a grid from axis bounds; spacing is (b - a) / (count + 1)."""
+        """Build a grid from axis bounds [a, b] and interior counts."""
         extents = tuple((float(a), float(b)) for a, b in extents)
         counts = tuple(integer(n, "interior count") for n in interior_counts)
-        spacings = tuple(
-            (b - a) / (n + 1) for (a, b), n in zip(extents, counts)
-        )
-        return cls(counts, spacings, extents)
+        return cls(counts, extents)
 
     @classmethod
     def index_space(cls, interior_counts) -> "Grid":
         """Grid with unit spacing, used for data panels (e.g. receiver x time)."""
-        counts = tuple(int(n) for n in interior_counts)
-        extents = tuple((0.0, float(n + 1)) for n in counts)
-        return cls(counts, tuple(1.0 for _ in counts), extents)
+        return cls.regular([(0, n + 1) for n in interior_counts], interior_counts)
+
+    @property
+    def spacings(self) -> tuple[float, ...]:
+        """(b - a) / (count + 1) per axis."""
+        return tuple(
+            (b - a) / (n + 1) for (a, b), n in zip(self.extents, self.interior_counts)
+        )
 
     @property
     def dim(self) -> int:
@@ -124,7 +128,6 @@ class DifferentialOperatorSet:
     """
 
     def __init__(self, grid: Grid):
-        self.grid = grid
         self._shape, spacings = grid.as_2d
         self._dct, lam = [], 0.0
         for n, h in zip(self._shape, spacings):
@@ -219,7 +222,6 @@ class WeightedDivergence:
     """
 
     grid: Grid
-    mobility_exponent: float
     weights: np.ndarray = field(repr=False)
     # The couplings of each point to the points two further along axis 0 and
     # along axis 1, at flat distances 2 n_1 and 2, so each is k minus its
@@ -249,7 +251,7 @@ class WeightedDivergence:
     # patches apply_pinv by name, so both stay until it reads spans instead.
     def apply_pinv(self, zeta) -> np.ndarray:
         """Minimum-norm solution of B y = zeta (the action of pinv(B))."""
-        return self.apply_bt(self._solve_gram(zeta))
+        return self.apply_bt(self.apply_gram_pinv(zeta))
 
     def apply_bt(self, g) -> np.ndarray:
         """Apply B^T, the matching (negative) weighted gradient, by stencil."""
@@ -269,8 +271,12 @@ class WeightedDivergence:
         return out.reshape((-1,) + g.shape[1:])
 
     def apply_gram_pinv(self, v) -> np.ndarray:
-        """Apply pinv(B B^T), equal to pinv(B)^T pinv(B)."""
-        return self._solve_gram(v)
+        """Apply pinv(B B^T), equal to pinv(B)^T pinv(B): w_b = S^-1 (v_b -
+        E^T (v_r / d)), then w_r = (v_r - E w_b) / d."""
+        x = self._by_chunks(self._gram_solve, v, center=True)
+        if self.rank_deficient:
+            self._remove_block_mean(x.reshape(len(x), -1))
+        return x
 
     def apply_inverse_root(self, zeta) -> np.ndarray:
         """Apply R^-T, a k-row root of pinv(B B^T), after removing the
@@ -290,13 +296,6 @@ class WeightedDivergence:
             return np.array(g, dtype=float)
         return self._columns(g, center=True).reshape(np.shape(g))
 
-    def _solve_gram(self, v) -> np.ndarray:
-        """w_b = S^-1 (v_b - E^T (v_r / d)), then w_r = (v_r - E w_b) / d."""
-        x = self._by_chunks(self._gram_solve, v, center=True)
-        if self.rank_deficient:
-            self._remove_block_mean(x.reshape(len(x), -1))
-        return x
-
     def _by_chunks(self, action, a, center: bool) -> np.ndarray:
         """``action(u, out, work, couplings)`` on F-contiguous chunks u of a
         (see ``_columns``), into an output in a's memory order."""
@@ -304,9 +303,6 @@ class WeightedDivergence:
         out = np.empty_like(u)
         k = len(u)
         work = np.empty((4, min(u.shape[1], _CHUNK), k)).transpose(0, 2, 1)
-        if u.shape[1] == 1:  # a vector: one chunk, no column copies
-            action(np.asfortranarray(u), out, work, self._couplings)
-            return out.reshape(np.shape(a))
         for j in range(0, u.shape[1], _CHUNK):
             o = out[:, j:j + _CHUNK]
             n = o.shape[1]  # couplings once per column, zero into the next one
@@ -533,8 +529,7 @@ def build_weighted_divergence(
     if not 0.0 <= mobility_exponent <= 1.0:
         raise ValueError("mobility exponent must lie in [0, 1]")
     weights = rho**mobility_exponent if mobility_exponent != 0.0 else np.ones_like(rho)
-    wdiv = WeightedDivergence(grid, mobility_exponent, weights,
-                              *_factor_parity_blocks(grid, weights * weights))
+    wdiv = WeightedDivergence(grid, weights, *_factor_parity_blocks(grid, weights * weights))
     if wdiv.rank_deficient:
         warnings.warn(
             "every interior count is odd: the weighted divergence loses full row "

@@ -205,11 +205,14 @@ class MetricOperator:
     single grid is one panel), and L is block diagonal over them. A
     state-dependent metric weights each panel by its own slice of ``rho``; a
     state-free one shares one set of actions across every panel. Every action
-    takes a state vector or a (k, p) block of state columns.
+    takes a state vector or a (k, p) block of state columns. ``kind`` is a
+    ``MetricKind`` or a metric name as in configs.
     """
 
-    def __init__(self, kind: MetricKind, grid: Grid, rho: np.ndarray | None = None,
+    def __init__(self, kind: MetricKind | str, grid: Grid, rho: np.ndarray | None = None,
                  panels: int = 1):
+        if isinstance(kind, str):
+            kind = MetricKind.parse(kind)
         build = _ACTIONS[kind.family]
         if kind.state_dependent:
             if rho is None:
@@ -248,9 +251,6 @@ class MetricOperator:
             return self
         return MetricOperator(self.kind, self.grid, rho, self.panels)
 
-    def apply_L(self, v) -> np.ndarray:
-        return self._map("L", v)
-
     def apply_Lt_pinv(self, grad) -> np.ndarray:
         return self._map("Lt_pinv", grad)
 
@@ -269,8 +269,8 @@ class MetricOperator:
         return self._map("project", g)
 
     def apply_L_matrix(self, z) -> np.ndarray:
-        """Apply L to a (k, p) matrix as one block."""
-        return self.apply_L(z)
+        """Apply L to a state vector or to a (k, p) matrix as one block."""
+        return self._map("L", z)
 
     def info_matrix(self, z) -> InfoMatrix:
         """Assemble (L Z)^T (L Z), symmetrized."""
@@ -282,9 +282,3 @@ class MetricOperator:
 # The benchmark tracer still patches methods by this name; the alias goes
 # once it reads spans instead (ROADMAP item 3).
 BlockMetric = MetricOperator
-
-
-def build_metric(kind: MetricKind | str, grid: Grid, rho=None) -> MetricOperator:
-    if isinstance(kind, str):
-        kind = MetricKind.parse(kind)
-    return MetricOperator(kind, grid, rho)

@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..grids import Grid
+from ..grids import Grid, integer
 from .base import ForwardModel
 
 # Fewest ghost-padded cells a source group marches. Two sources of n x n
@@ -74,6 +74,9 @@ from .base import ForwardModel
 #   2 groups / 1       1.35-1.43  1.42-1.59
 # At 676 cells a split may lose; from 784 on its median gains 20-54%.
 MIN_GROUP_CELLS = 1_000
+
+# check_theta's bound: dt <= CFL_FACTOR * min(dx, dz) * sqrt(least squared slowness).
+CFL_FACTOR = 0.5
 
 
 # A process waiting on a pipe polls it for up to this long before it blocks.
@@ -94,6 +97,8 @@ def _wait(conn) -> None:
 
 def ricker_wavelet(n_t: int, dt: float, peak_freq: float, delay: float | None = None):
     """Ricker wavelet samples; the delay defaults to 1.5 periods."""
+    if n_t < 1:
+        raise ValueError(f"the wavelet needs n_t >= 1 time steps, not {n_t}")
     if not 0.0 < peak_freq < float("inf"):
         raise ValueError(f"peak frequency must be positive and finite, not {peak_freq}")
     if delay is None:
@@ -165,7 +170,6 @@ class _SourceGroup:
 
     def __init__(self, model: WaveFwiModel, first: int, stop: int):
         self.first, self.stop = first, stop
-        self.n_sources = stop - first
         self.n_t, self.dt, self.dx, self.dz = model.n_t, model.dt, model.dx, model.dz
         self.wavelet = model.wavelet
         self.grid_shape = (model.npx, model.npz)  # the sponge-padded grid
@@ -473,30 +477,27 @@ class WaveFwiModel(ForwardModel):
         self,
         cells: tuple[int, int],
         spacing: tuple[float, float],
-        n_t: int,
         dt: float,
         sources,
         receivers,
         wavelet,
         sponge_width: int = 10,
         sponge_strength: float = 0.015,
-        cfl_factor: float = 0.5,
     ):
         super().__init__()
-        self.nx, self.nz = int(cells[0]), int(cells[1])
+        self.nx, self.nz = (integer(n, "cells") for n in cells)
         self.dx, self.dz = float(spacing[0]), float(spacing[1])
-        self.n_t = int(n_t)
         self.dt = float(dt)
-        self.sources = [tuple(map(int, s)) for s in sources]
-        self.receivers = [tuple(map(int, r)) for r in receivers]
+        self.sources = [tuple(integer(i, "source index") for i in s) for s in sources]
+        self.receivers = [tuple(integer(i, "receiver index") for i in r) for r in receivers]
         self.wavelet = np.asarray(wavelet, dtype=float)
-        if self.n_t < 1 or not self.sources or not self.receivers:
-            raise ValueError("the model needs a time step, a source and a receiver")
-        if self.wavelet.shape != (self.n_t,):
-            raise ValueError("wavelet must have one sample per time step")
-        self.cfl_factor = float(cfl_factor)
+        if self.wavelet.ndim != 1 or not self.wavelet.size:
+            raise ValueError("the wavelet must be a non-empty 1-D array")
+        self.n_t = len(self.wavelet)
+        if not self.sources or not self.receivers:
+            raise ValueError("the model needs a source and a receiver")
 
-        w = int(sponge_width)
+        w = integer(sponge_width, "sponge width")
         self.pad = w
         self.npx, self.npz = self.nx + 2 * w, self.nz + 2 * w
         ix = np.arange(self.npx)
@@ -514,6 +515,8 @@ class WaveFwiModel(ForwardModel):
         rec = np.asarray(self.receivers, dtype=int)
         src = np.asarray(self.sources, dtype=int)
         for name, arr in (("receiver", rec), ("source", src)):
+            if arr.shape[1:] != (2,):
+                raise ValueError(f"each {name} needs two indices (x, z)")
             if np.any(arr < 0) or np.any(arr[:, 0] >= self.nx) or np.any(arr[:, 1] >= self.nz):
                 raise ValueError(f"{name} index out of the model grid")
         if len(set(self.receivers)) != len(self.receivers):
@@ -577,7 +580,7 @@ class WaveFwiModel(ForwardModel):
         theta = super().check_theta(theta)
         if not np.all(theta > 0.0):  # also rejects NaN, which would march
             raise ValueError("squared slowness must be strictly positive")
-        limit = self.cfl_factor * min(self.dx, self.dz) * np.sqrt(theta.min())
+        limit = CFL_FACTOR * min(self.dx, self.dz) * np.sqrt(theta.min())
         if self.dt > limit:
             raise ValueError(
                 f"time step {self.dt} violates the CFL bound {limit:.6g}"

@@ -272,10 +272,8 @@ class OptimizeResult:
 
 
 def build_metric_for_model(model, kind, rho=None):
-    """Metric operator on the model's metric domain at rho; state-free kinds
-    ignore rho, state-dependent ones require it."""
-    if isinstance(kind, str):
-        kind = MetricKind.parse(kind)
+    """Metric operator of kind (a MetricKind or a name) on the model's metric
+    domain at rho; state-free kinds ignore rho, state-dependent ones need it."""
     grid, panels = model.metric_domain
     return MetricOperator(kind, grid, rho, panels)
 

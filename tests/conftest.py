@@ -30,7 +30,6 @@ def make_wave_model(nx=8, nz=8, n_t=120, dt=0.4, n_sources=1, peak_freq=0.1):
     model = WaveFwiModel(
         cells=(nx, nz),
         spacing=(1.0, 1.0),
-        n_t=n_t,
         dt=dt,
         sources=[(int(x), 0) for x in xs],
         receivers=[(ix, 0) for ix in range(nx)],

@@ -13,7 +13,7 @@ import pytest
 from assembled_operators import divergence_matrix
 from natgrad.grids import Grid, build_weighted_divergence
 from natgrad.linalg import qr_column_pivoted, solve_least_squares_min_norm
-from natgrad.metrics import MetricKind, build_metric
+from natgrad.metrics import MetricKind, MetricOperator
 from natgrad.models import GaussianMixtureModel, LinearToyModel, WaveFwiModel, ricker_wavelet
 from natgrad.solver import (
     NgdConfig,
@@ -57,7 +57,7 @@ def make_wave(nx, nz, n_t, dt=0.4, n_sources=2, peak_freq=0.1):
     wavelet = ricker_wavelet(n_t, dt, peak_freq)
     xs = np.linspace(0, nx - 1, n_sources + 2)[1:-1].round().astype(int)
     model = WaveFwiModel(
-        cells=(nx, nz), spacing=(1.0, 1.0), n_t=n_t, dt=dt,
+        cells=(nx, nz), spacing=(1.0, 1.0), dt=dt,
         sources=[(int(x), 0) for x in xs],
         receivers=[(ix, 0) for ix in range(nx)],
         wavelet=wavelet, sponge_width=10,
@@ -195,11 +195,11 @@ class TestCriterion3MetricIdentities:
             kind = MetricKind.parse(name)
             if kind.family == "wasserstein":
                 with pytest.warns(UserWarning):
-                    op = build_metric(kind, grid, rho)
+                    op = MetricOperator(kind, grid, rho)
             else:
-                op = build_metric(kind, grid, rho if kind.state_dependent else None)
+                op = MetricOperator(kind, grid, rho if kind.state_dependent else None)
             g = op.info_matrix(z).matrix
-            cols = [op.apply_L(z[:, j]) for j in range(6)]
+            cols = [op.apply_L_matrix(z[:, j]) for j in range(6)]
             entrywise = np.array([[ci @ cj for cj in cols] for ci in cols])
             err = float(np.abs(g - entrywise).max())
             worst_rel = max(worst_rel, err / max(np.abs(g).max(), 1.0))
@@ -211,8 +211,8 @@ class TestCriterion3MetricIdentities:
         z_e = rng.standard_normal((grid_e.size, 5))
         grad = rng.standard_normal(grid_e.size)
         ones = np.ones(grid_e.size)
-        eta_w2 = direction_explicit(z_e, build_metric("w2", grid_e, ones), grad)
-        eta_unw = direction_explicit(z_e, build_metric("w2:k=0", grid_e, ones), grad)
+        eta_w2 = direction_explicit(z_e, MetricOperator("w2", grid_e, ones), grad)
+        eta_unw = direction_explicit(z_e, MetricOperator("w2:k=0", grid_e, ones), grad)
         rel = np.linalg.norm(eta_w2 - eta_unw) / np.linalg.norm(eta_unw)
 
         elapsed = time.time() - t0
@@ -317,7 +317,7 @@ class TestCriterion6FwiBudget:
         wavelet = ricker_wavelet(n_t, dt, 0.09)
         xs = np.linspace(0, nx - 1, 6)[1:-1].round().astype(int)
         model = WaveFwiModel(
-            cells=(nx, nz), spacing=(1.0, 1.0), n_t=n_t, dt=dt,
+            cells=(nx, nz), spacing=(1.0, 1.0), dt=dt,
             sources=[(int(x), 0) for x in xs],
             receivers=[(ix, 0) for ix in range(nx)],
             wavelet=wavelet, sponge_width=10,
@@ -425,7 +425,7 @@ class TestCriterion8InvarianceStructure:
         z = rng.standard_normal((60, 6))
         grad_rho = rng.standard_normal(60)
         grid = Grid.regular([[0, 1], [0, 1]], [6, 10])
-        metric = build_metric("h1", grid)
+        metric = MetricOperator("h1", grid)
         m = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
         eta = direction_explicit(z, metric, grad_rho)
         eta_re = direction_explicit(z @ m, metric, grad_rho)
@@ -449,7 +449,7 @@ class TestCriterion8InvarianceStructure:
         orth_worst = 0.0
         for name in ALL_METRICS:
             kind = MetricKind.parse(name)
-            op = build_metric(kind, grid8, rho8 if kind.state_dependent else None)
+            op = MetricOperator(kind, grid8, rho8 if kind.state_dependent else None)
             eta8 = direction_explicit(z8, op, g8)
             y8 = op.apply_L_matrix(z8)
             resi = y8.T @ (op.apply_Lt_pinv(g8) + y8 @ eta8)

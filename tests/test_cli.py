@@ -240,17 +240,40 @@ class TestRun:
             ("toy_config", lambda m: m.update(rows=20.5)),
             ("toy_config", lambda m: m.update(cols=True, theta0=[0.5])),
             ("toy_config", lambda m: m.update(seed=3.5)),
+            ("mixture_config", lambda m: m.update(domain=[[-2.75, 7.25]])),
+            ("mixture_config", lambda m: m.update(domain=[[-2.75, 7.25]] * 3)),
+            ("mixture_config", lambda m: m.update(domain=[[-2.75, float("nan")]] * 2)),
+            ("mixture_config", lambda m: m.update(intrior=[24, 24])),
+            ("toy_config", lambda m: m.update(reference_file="ref.f64")),
+            ("wave_config", lambda m: m.update(spong={"width": 3})),
+            ("wave_config", lambda m: m.update(cfl_factor=0.5)),
+            ("wave_config", lambda m: m["sources"].update(rows=0)),
+            ("wave_config", lambda m: m["wavelet"].update(freq=0.1)),
+            ("wave_config", lambda m: m.update(sponge={"width": 10, "strenght": 0.01})),
+            ("wave_config", lambda m: m.update(sponge=10)),
+            ("wave_config", lambda m: m["true_model"]["layered"].update(layer=[[2, 1.2]])),
+            ("wave_config", lambda m: m["initial_model"].update(file="m.f64")),
+            ("wave_config", lambda m: m.update(initial_model={"const": 1.1})),
+            ("wave_config", lambda m: m.update(initial_model=[1.1] * 63)),
+            ("wave_config", lambda m: m.update(sources=[[3]])),
         ],
         ids=["component-extra-key", "scalar-interior", "fractional-interior", "bool-interior",
              "scalar-cells", "no-time-steps", "no-sources", "zero-peak-frequency",
              "fractional-cells", "bool-nt", "fractional-nt", "fractional-source-count",
              "fractional-source-row", "fractional-source-index", "bool-receiver-index",
              "fractional-sponge-width", "fractional-layer-depth", "fractional-rows",
-             "bool-cols", "fractional-seed"],
+             "bool-cols", "fractional-seed", "domain-one-axis", "domain-three-axes",
+             "nan-domain",
+             "mixture-unknown-key", "toy-unread-key", "misspelled-sponge",
+             "leftover-cfl-factor", "sources-unknown-key", "wavelet-unknown-key",
+             "sponge-unknown-key", "sponge-not-object", "layered-unknown-key",
+             "model-field-two-forms", "model-field-unknown-form", "inline-model-field-length",
+             "one-index-source"],
     )
     def test_malformed_model_section_exits_1(self, request, tmp_path, capsys, config, edit):
         # Wrong types in the model section reach the model builders as a
-        # TypeError; it must be reported as a config error, not a traceback.
+        # TypeError, and a key no builder reads would be ignored; each must
+        # be reported as a config error, not a traceback or a silent default.
         with open(request.getfixturevalue(config)) as fh:
             payload = json.load(fh)
         edit(payload["model"])
@@ -314,6 +337,8 @@ class TestRun:
             lambda p: p["solver"].update(seed=-1),
             lambda p: p["solver"].update(minibatch_size=10.5),
             lambda p: p["solver"].update(hutchinson_m=2.5),
+            lambda p: p.update(solvr={"metric": "h1"}),
+            lambda p: p["output"].update(dir="elsewhere"),
         ],
         ids=["snapshot-every-word", "snapshot-every-fraction", "snapshot-every-bool",
              "reference-point-word", "reference-point-length",
@@ -323,11 +348,12 @@ class TestRun:
              "rank-tol-above-one", "max-iters-negative", "max-propagations-negative",
              "damping-lambda-nan", "sufficient-decrease-nan", "ls-max-halvings-zero",
              "seed-fraction", "seed-bool", "seed-negative", "minibatch-size-fraction",
-             "hutchinson-m-fraction"],
+             "hutchinson-m-fraction", "top-level-unknown-key", "output-unknown-key"],
     )
     def test_malformed_value_exits_1(self, toy_config, tmp_path, capsys, edit):
-        # A value of the wrong type anywhere in the config is a config error,
-        # reported before the output directory is made, not a traceback.
+        # A value of the wrong type, or a key nothing reads, anywhere in the
+        # config is a config error, reported before the output directory is
+        # made, not a traceback.
         with open(toy_config) as fh:
             payload = json.load(fh)
         edit(payload)
@@ -454,6 +480,24 @@ class TestCompare:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_reference_point_adds_distance(self, toy_config, tmp_path, capsys):
+        with open(toy_config) as fh:
+            payload = json.load(fh)
+        ref = [0.6, 0.7, 0.8, 0.9, 1.0]
+        payload.update(reference_point=ref)
+        cfg = write_config(tmp_path / "ref.json", payload)
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "-c", cfg, "-m", "gd,l2", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["metric", "final_loss", "propagations", "theta_distance"]
+        for row, line in zip(rows, lines, strict=True):
+            theta = read_field(out / row["metric"] / "theta_final.f64")
+            dist = float(row["theta_distance"])
+            assert dist == float(np.linalg.norm(theta - ref))
+            assert line.startswith(row["metric"]) and line.endswith(f"  dist={dist:.4f}")
+
     def test_mismatched_steps_rejected(self, toy_config):
         assert cli.main(["compare", "-c", toy_config, "-m", "gd,l2",
                          "--steps", "0.1"]) == 1
@@ -511,6 +555,34 @@ class TestFieldIo:
         np.testing.assert_array_equal(back, arr)
         header = (tmp_path / "f.f64.hdr").read_text()
         assert "shape 4 6" in header and "little-endian" in header
+
+    def test_toy_from_matrix_files_matches_generated(self, toy_config, tmp_path):
+        # rows 20, cols 5, seed 3 as in toy_config, dumped and read back.
+        model, _ = natgrad.LinearToyModel.random_positive(20, 5, 3)
+        write_field(tmp_path / "a.f64", model.a)
+        write_field(tmp_path / "ref.f64", model.reference)
+        with open(toy_config) as fh:
+            payload = json.load(fh)
+        payload["model"] = {"kind": "linear-toy", "matrix_file": str(tmp_path / "a.f64"),
+                            "reference_file": str(tmp_path / "ref.f64"),
+                            "theta0": payload["model"]["theta0"]}
+        cfg = write_config(tmp_path / "files.json", payload)
+        cli.main(["run", "-c", toy_config, "--out", str(tmp_path / "seeded")])
+        cli.main(["run", "-c", cfg, "--out", str(tmp_path / "files")])
+        for name in ("trace.csv", "theta_final.f64"):
+            assert ((tmp_path / "files" / name).read_bytes()
+                    == (tmp_path / "seeded" / name).read_bytes())
+
+    def test_wave_inline_model_field_matches_constant(self, wave_config, tmp_path):
+        with open(wave_config) as fh:
+            payload = json.load(fh)
+        payload["model"]["initial_model"] = [1.1] * 64
+        cfg = write_config(tmp_path / "inline.json", payload)
+        cli.main(["run", "-c", wave_config, "--out", str(tmp_path / "constant")])
+        cli.main(["run", "-c", cfg, "--out", str(tmp_path / "inline")])
+        for name in ("trace.csv", "theta_final.f64"):
+            assert ((tmp_path / "inline" / name).read_bytes()
+                    == (tmp_path / "constant" / name).read_bytes())
 
     def test_wave_config_with_model_file(self, tmp_path):
         field = np.full((8, 8), 1.2)

@@ -21,7 +21,7 @@ from natgrad.grids import (
     build_weighted_divergence,
 )
 from natgrad.linalg import qr_column_pivoted, solve_least_squares_min_norm
-from natgrad.metrics import build_metric
+from natgrad.metrics import MetricOperator
 
 
 class TestCentralDifference:
@@ -140,16 +140,16 @@ class TestEllipticInverses:
         u = rng.standard_normal(grid_2d.size)
         gram = g.T @ g
         v = u + gram @ u
-        np.testing.assert_allclose(build_metric("h-1", grid_2d).apply_LtL(v), u, atol=1e-10)
+        np.testing.assert_allclose(MetricOperator("h-1", grid_2d).apply_LtL(v), u, atol=1e-10)
 
     def test_poisson_deflated_constant_maps_to_zero(self, grid_2d):
-        w = build_metric("hdot-1", grid_2d).apply_LtL(np.ones(grid_2d.size))
+        w = MetricOperator("hdot-1", grid_2d).apply_LtL(np.ones(grid_2d.size))
         np.testing.assert_allclose(w, np.zeros(grid_2d.size), atol=1e-12)
 
     def test_poisson_deflated_roundtrip(self, grid_2d, rng):
         g = neumann_gradient(grid_2d)
         v = rng.standard_normal(grid_2d.size)
-        w = build_metric("hdot-1", grid_2d).apply_LtL(v)
+        w = MetricOperator("hdot-1", grid_2d).apply_LtL(v)
         assert abs(w.mean()) <= 1e-12
         back = g.T @ (g @ w)
         np.testing.assert_allclose(back, v - v.mean(), atol=1e-10)
@@ -173,12 +173,12 @@ class TestEllipticInverses:
     def test_spectral_solves_match_assembled_gram(self, rng, grid, cols):
         g = neumann_gradient(grid)
         gtg = g.T @ g  # assembled sparse G^T G
-        solve_h1 = build_metric("h-1", grid).apply_LtL
+        solve_h1 = MetricOperator("h-1", grid).apply_LtL
         v = rng.standard_normal(grid.size if cols is None else (grid.size, cols))
         w = solve_h1(v)
         assert w.shape == v.shape
         assert np.linalg.norm(w + gtg @ w - v) <= 1e-12 * np.linalg.norm(v)
-        w = build_metric("hdot-1", grid).apply_LtL(v)
+        w = MetricOperator("hdot-1", grid).apply_LtL(v)
         assert w.shape == v.shape
         rhs = v - v.mean(axis=0)
         assert np.linalg.norm(gtg @ w - rhs) <= 1e-12 * np.linalg.norm(v)
@@ -214,9 +214,9 @@ class TestEllipticInverses:
         monkeypatch.setattr(
             "natgrad.metrics.build_operator_set", lambda g: DifferentialOperatorSet(g)
         )
-        metric = build_metric(name, grid)
+        metric = MetricOperator(name, grid)
         v = rng.standard_normal(grid.size)
-        for out in (metric.apply_L(v), metric.apply_Lt_pinv(v), metric.apply_LtL(v),
+        for out in (metric.apply_L_matrix(v), metric.apply_Lt_pinv(v), metric.apply_LtL(v),
                     metric.apply_L_matrix(rng.standard_normal((grid.size, 2)))):
             assert np.all(np.isfinite(out))
 
@@ -584,6 +584,23 @@ class TestGrid:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Grid((0,), (1.0,), ((0.0, 1.0),))
+            Grid((0,), ((0.0, 1.0),))
         with pytest.raises(ValueError):
-            Grid((2, 2, 2), (1.0, 1.0, 1.0), ((0.0, 1.0),) * 3)
+            Grid((2, 2, 2), ((0.0, 1.0),) * 3)
+        for extents in ((1.0, 1.0), (0.0, np.nan), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="spacings must be positive and finite"):
+                Grid((2,), (extents,))
+
+    @pytest.mark.parametrize("extents", [[[0, 1]], [[0, 1]] * 3])
+    def test_extents_must_match_counts(self, extents):
+        with pytest.raises(ValueError, match="axis extents for 2 interior counts"):
+            Grid.regular(extents, [24, 24])
+
+    def test_index_space_is_regular_with_unit_spacing(self):
+        grid = Grid.index_space([3, 5])
+        assert grid == Grid.regular([[0, 4], [0, 6]], [3, 5])
+        assert grid.spacings == (1.0, 1.0)
+
+    def test_index_space_rejects_fractional_count(self):
+        with pytest.raises(ValueError, match="interior count must be an integer"):
+            Grid.index_space([4.6])

@@ -8,7 +8,7 @@ import pytest
 from assembled_operators import divergence_matrix, neumann_gradient, stacked_metric_root
 from natgrad.grids import Grid, build_weighted_divergence
 from natgrad.linalg import solve_least_squares_min_norm
-from natgrad.metrics import MetricKind, MetricOperator, build_metric
+from natgrad.metrics import MetricKind, MetricOperator
 from natgrad.models import GaussianMixtureModel
 from natgrad.models.wave import normalize_to_density
 from natgrad.solver import direction_explicit
@@ -47,46 +47,46 @@ class TestMetricKind:
 
 class TestBuildAndRefresh:
     def test_l2_identity_action(self, grid_2d, rng):
-        op = build_metric("l2", grid_2d)
+        op = MetricOperator("l2", grid_2d)
         v = rng.standard_normal(grid_2d.size)
-        np.testing.assert_array_equal(op.apply_L(v), v)
+        np.testing.assert_array_equal(op.apply_L_matrix(v), v)
 
     def test_fisher_rao_elementwise(self):
         grid = Grid.index_space([3, 1])
-        op = build_metric("fisher-rao", grid, rho=np.array([4.0, 1.0, 0.25]))
-        np.testing.assert_allclose(op.apply_L([2.0, 3.0, 1.0]), [1.0, 3.0, 2.0])
+        op = MetricOperator("fisher-rao", grid, rho=np.array([4.0, 1.0, 0.25]))
+        np.testing.assert_allclose(op.apply_L_matrix([2.0, 3.0, 1.0]), [1.0, 3.0, 2.0])
         np.testing.assert_allclose(
-            build_metric("fisher-rao", Grid.index_space([2, 1]),
+            MetricOperator("fisher-rao", Grid.index_space([2, 1]),
                          rho=np.array([4.0, 1.0])).apply_Lt_pinv([1.0, 2.0]),
             [2.0, 2.0],
         )
 
     def test_state_dependent_requires_density(self, grid_2d):
         with pytest.raises(ValueError):
-            build_metric("w2", grid_2d)
+            MetricOperator("w2", grid_2d)
         with pytest.raises(ValueError):
-            build_metric("fisher-rao", grid_2d, rho=-np.ones(grid_2d.size))
+            MetricOperator("fisher-rao", grid_2d, rho=-np.ones(grid_2d.size))
 
     def test_refresh_noop_for_state_free(self, grid_2d, rng):
         for name in ("l2", "h1", "h-1", "hdot1", "hdot-1"):
-            op = build_metric(name, grid_2d)
+            op = MetricOperator(name, grid_2d)
             assert op.refresh(rng.uniform(1, 2, grid_2d.size)) is op
 
     def test_refresh_rebuilds_fisher_rao(self, grid_2d, rng):
         rho = rng.uniform(0.5, 2.0, grid_2d.size)
-        op = build_metric("fisher-rao", grid_2d, rho=rho)
+        op = MetricOperator("fisher-rao", grid_2d, rho=rho)
         rho2 = rng.uniform(0.5, 2.0, grid_2d.size)
         op2 = op.refresh(rho2)
         v = rng.standard_normal(grid_2d.size)
-        np.testing.assert_allclose(op2.apply_L(v), v / np.sqrt(rho2))
+        np.testing.assert_allclose(op2.apply_L_matrix(v), v / np.sqrt(rho2))
 
     def test_refresh_rebuilds_transport_roundtrip(self, grid_2d, rng):
         rho = rng.uniform(0.5, 2.0, grid_2d.size)
-        op = build_metric("w2", grid_2d, rho=rho)
+        op = MetricOperator("w2", grid_2d, rho=rho)
         rho2 = rng.uniform(0.5, 2.0, grid_2d.size)
         op2 = op.refresh(rho2)
         zeta = rng.standard_normal(grid_2d.size)
-        y = op2.apply_L(zeta)
+        y = op2.apply_L_matrix(zeta)
         b = op2.apply_Lt_pinv(np.eye(grid_2d.size)).T  # B, from its transpose
         assert np.linalg.norm(b @ y - zeta) <= 1e-10 * np.linalg.norm(zeta)
 
@@ -97,29 +97,29 @@ class TestBuildAndRefresh:
         z = rng.standard_normal((k, 3))
         for name in ALL_METRICS:
             kind = MetricKind.parse(name)
-            op = build_metric(kind, grid_2d, rho if kind.state_dependent else None)
+            op = MetricOperator(kind, grid_2d, rho if kind.state_dependent else None)
             assert op.apply_L_matrix(z).shape == (k, 3), name
             assert op.apply_Lt_pinv(z[:, 0]).shape == (k,), name
 
 
 class TestActionTables:
     def test_hdot1_kills_constants(self, grid_2d):
-        op = build_metric("hdot1", grid_2d)
+        op = MetricOperator("hdot1", grid_2d)
         np.testing.assert_allclose(
-            op.apply_L(np.ones(grid_2d.size)), np.zeros(grid_2d.size), atol=0
+            op.apply_L_matrix(np.ones(grid_2d.size)), np.zeros(grid_2d.size), atol=0
         )
 
     def test_hdot_minus1_kills_constants(self, grid_2d):
-        op = build_metric("hdot-1", grid_2d)
+        op = MetricOperator("hdot-1", grid_2d)
         np.testing.assert_allclose(
-            op.apply_L(np.ones(grid_2d.size)), np.zeros(grid_2d.size), atol=0
+            op.apply_L_matrix(np.ones(grid_2d.size)), np.zeros(grid_2d.size), atol=0
         )
 
     def test_w2_pinv_roundtrip(self, grid_2d, rng):
         rho = rng.uniform(0.5, 2.0, grid_2d.size)
-        op = build_metric("w2", grid_2d, rho=rho)
+        op = MetricOperator("w2", grid_2d, rho=rho)
         zeta = rng.standard_normal(grid_2d.size)
-        y = op.apply_L(zeta)
+        y = op.apply_L_matrix(zeta)
         b = op.apply_Lt_pinv(np.eye(grid_2d.size)).T  # B, from its transpose
         assert np.linalg.norm(b @ y - zeta) <= 1e-10 * np.linalg.norm(zeta)
 
@@ -133,7 +133,7 @@ class TestActionTables:
         for rho in (np.ones(grid.size), rng.uniform(0.5, 2.0, grid.size)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the all-odd rank warning
-                op = build_metric("w2", grid, rho=rho)
+                op = MetricOperator("w2", grid, rho=rho)
                 bt = divergence_matrix(build_weighted_divergence(grid, rho)).T
             for v in (g[:, 0], g):
                 got = np.linalg.norm(op.apply_Lt_pinv(v), axis=0)
@@ -144,18 +144,18 @@ class TestActionTables:
         rho = rng.uniform(0.5, 2.0, grid_2d.size)
         for name in ("l2", "fisher-rao", "h1", "h-1", "w2"):
             kind = MetricKind.parse(name)
-            op = build_metric(kind, grid_2d, rho if kind.state_dependent else None)
+            op = MetricOperator(kind, grid_2d, rho if kind.state_dependent else None)
             v = rng.standard_normal(grid_2d.size)
             g = rng.standard_normal(grid_2d.size)
-            lhs = op.apply_L(v) @ op.apply_Lt_pinv(g)
+            lhs = op.apply_L_matrix(v) @ op.apply_Lt_pinv(g)
             assert abs(lhs - v @ g) <= 1e-10 * max(abs(v @ g), 1.0)
 
     def test_adjoint_consistency_homogeneous_projects_mean(self, grid_2d, rng):
         for name in ("hdot1", "hdot-1"):
-            op = build_metric(name, grid_2d)
+            op = MetricOperator(name, grid_2d)
             v = rng.standard_normal(grid_2d.size)
             g = rng.standard_normal(grid_2d.size) + 2.0
-            lhs = op.apply_L(v) @ op.apply_Lt_pinv(g)
+            lhs = op.apply_L_matrix(v) @ op.apply_Lt_pinv(g)
             rhs = v @ (g - g.mean())
             assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
 
@@ -164,7 +164,7 @@ class TestActionTables:
         z = rng.standard_normal((grid_2d.size, 4))
         for name in ALL_METRICS:
             kind = MetricKind.parse(name)
-            op = build_metric(kind, grid_2d, rho if kind.state_dependent else None)
+            op = MetricOperator(kind, grid_2d, rho if kind.state_dependent else None)
             y = op.apply_L_matrix(z)
             gram_via_stack = z.T @ np.column_stack(
                 [op.apply_LtL(z[:, j]) for j in range(4)]
@@ -176,7 +176,7 @@ class TestInfoMatrix:
     def test_l2_orthonormal_columns(self, rng):
         grid = Grid.index_space([4, 4])
         q, _ = np.linalg.qr(rng.standard_normal((16, 5)))
-        g = build_metric("l2", grid).info_matrix(q).matrix
+        g = MetricOperator("l2", grid).info_matrix(q).matrix
         np.testing.assert_allclose(g, np.eye(5), atol=1e-13)
 
     def test_fisher_rao_weighted_sums(self, rng):
@@ -184,7 +184,7 @@ class TestInfoMatrix:
         grid = Grid.index_space([5, 1])
         rho = rng.uniform(0.5, 2.0, 5)
         z = rng.standard_normal((5, 3))
-        g = build_metric("fisher-rao", grid, rho=rho).info_matrix(z).matrix
+        g = MetricOperator("fisher-rao", grid, rho=rho).info_matrix(z).matrix
         expected = np.einsum("ki,k,kj->ij", z, 1.0 / rho, z)
         np.testing.assert_allclose(g, expected, atol=1e-13)
 
@@ -193,7 +193,7 @@ class TestInfoMatrix:
         grad = neumann_gradient(grid_2d)
         gram = (grad.T @ grad).toarray()
         expected = z.T @ z + z.T @ gram @ z
-        g = build_metric("h1", grid_2d).info_matrix(z).matrix
+        g = MetricOperator("h1", grid_2d).info_matrix(z).matrix
         np.testing.assert_allclose(g, expected, atol=1e-11)
 
     def test_entrywise_identity_all_metrics(self, rng):
@@ -206,11 +206,11 @@ class TestInfoMatrix:
             kind = MetricKind.parse(name)
             if kind.family == "wasserstein":
                 with pytest.warns(UserWarning):
-                    op = build_metric(kind, grid, rho)
+                    op = MetricOperator(kind, grid, rho)
             else:
-                op = build_metric(kind, grid, rho if kind.state_dependent else None)
+                op = MetricOperator(kind, grid, rho if kind.state_dependent else None)
             g = op.info_matrix(z).matrix
-            cols = [op.apply_L(z[:, j]) for j in range(6)]
+            cols = [op.apply_L_matrix(z[:, j]) for j in range(6)]
             entrywise = np.array([[ci @ cj for cj in cols] for ci in cols])
             assert np.abs(g - entrywise).max() <= 1e-12 * max(np.abs(g).max(), 1.0)
 
@@ -219,7 +219,7 @@ class TestInfoMatrix:
         z = rng.standard_normal((grid_2d.size, 5))
         for name in ALL_METRICS:
             kind = MetricKind.parse(name)
-            op = build_metric(kind, grid_2d, rho if kind.state_dependent else None)
+            op = MetricOperator(kind, grid_2d, rho if kind.state_dependent else None)
             g = op.info_matrix(z).matrix
             assert np.abs(g - g.T).max() <= 1e-12
             eigs = np.linalg.eigvalsh(g)
@@ -229,8 +229,8 @@ class TestInfoMatrix:
         # G(c * rho) = G(rho) / c.
         rho = rng.uniform(0.5, 2.0, grid_2d.size)
         z = rng.standard_normal((grid_2d.size, 3))
-        g1 = build_metric("fisher-rao", grid_2d, rho=rho).info_matrix(z).matrix
-        g4 = build_metric("fisher-rao", grid_2d, rho=4.0 * rho).info_matrix(z).matrix
+        g1 = MetricOperator("fisher-rao", grid_2d, rho=rho).info_matrix(z).matrix
+        g4 = MetricOperator("fisher-rao", grid_2d, rho=4.0 * rho).info_matrix(z).matrix
         np.testing.assert_allclose(g4, g1 / 4.0, atol=1e-12 * np.abs(g1).max())
 
 
@@ -243,8 +243,8 @@ class TestTransportCoincidence:
         z = rng.standard_normal((grid_2d.size, 4))
         grad = rng.standard_normal(grid_2d.size)
         ones = np.ones(grid_2d.size)
-        op_w2 = build_metric("w2", grid_2d, rho=ones)
-        op_unw = build_metric("w2:k=0", grid_2d, rho=ones)
+        op_w2 = MetricOperator("w2", grid_2d, rho=ones)
+        op_unw = MetricOperator("w2:k=0", grid_2d, rho=ones)
         eta_w2 = direction_explicit(z, op_w2, grad)
         eta_unw = direction_explicit(z, op_unw, grad)
         rel = np.linalg.norm(eta_w2 - eta_unw) / np.linalg.norm(eta_unw)
@@ -256,8 +256,8 @@ class TestTransportCoincidence:
         z = rng.standard_normal((grid_2d.size, 4))
         grad = rng.standard_normal(grid_2d.size)
         c = 2.7
-        op_c = build_metric("w2", grid_2d, rho=np.full(grid_2d.size, c))
-        op_unw = build_metric("w2:k=0", grid_2d, rho=np.ones(grid_2d.size))
+        op_c = MetricOperator("w2", grid_2d, rho=np.full(grid_2d.size, c))
+        op_unw = MetricOperator("w2:k=0", grid_2d, rho=np.ones(grid_2d.size))
         eta_c = direction_explicit(z, op_c, grad)
         eta_unw = direction_explicit(z, op_unw, grad)
         rel = np.linalg.norm(eta_c - c * eta_unw) / np.linalg.norm(eta_c)
@@ -279,11 +279,11 @@ class TestKRowRoots:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the all-odd rank warning
             damp_op = (None if damping in (None, "identity")
-                       else build_metric(damping, grid, rho))
+                       else MetricOperator(damping, grid, rho))
             damp_rows = (np.eye(4) if damp_op is None
                          else stacked_metric_root(damping, grid, rho) @ z)
             for name in ALL_METRICS:
-                op = build_metric(name, grid, rho if name in ("fisher-rao", "w2") else None)
+                op = MetricOperator(name, grid, rho if name in ("fisher-rao", "w2") else None)
                 eta = direction_explicit(z, op, grad, damping_lambda=lam,
                                          damping_metric=damp_op)
                 stacked = stacked_metric_root(name, grid, rho)
@@ -302,13 +302,13 @@ class TestTangentProjection:
         rho = np.ones(grid_2d.size)
         for name in ("l2", "fisher-rao", "h1", "h-1", "w2"):
             kind = MetricKind.parse(name)
-            op = build_metric(kind, grid_2d, rho if kind.state_dependent else None)
+            op = MetricOperator(kind, grid_2d, rho if kind.state_dependent else None)
             assert not op.needs_tangent_projection
         for name in ("hdot1", "hdot-1"):
-            assert build_metric(name, grid_2d).needs_tangent_projection
+            assert MetricOperator(name, grid_2d).needs_tangent_projection
 
     def test_homogeneous_projection_removes_mean(self, grid_2d, rng):
-        op = build_metric("hdot1", grid_2d)
+        op = MetricOperator("hdot1", grid_2d)
         g = rng.standard_normal(grid_2d.size) + 5.0
         proj = op.project_state_gradient(g)
         np.testing.assert_allclose(proj, g - g.mean(), atol=1e-14)
@@ -348,7 +348,7 @@ class TestPanels:
             assert op.needs_tangent_projection == singles[0].needs_tangent_projection
             v = rng.standard_normal(3 * grid.size)
             z = rng.standard_normal((3 * grid.size, 4))
-            for action, arg in (("apply_L", v), ("apply_Lt_pinv", v), ("apply_LtL", v),
+            for action, arg in (("apply_L_matrix", v), ("apply_Lt_pinv", v), ("apply_LtL", v),
                                 ("project_state_gradient", v), ("apply_L_matrix", z)):
                 got = getattr(op, action)(arg)
                 want = np.concatenate([
@@ -381,10 +381,10 @@ class TestPanels:
             np.testing.assert_array_equal(fresh.rho, rho)
             v = rng.standard_normal(2 * self.PANEL.size)
             want = np.concatenate([
-                MetricOperator(kind, self.PANEL, r).apply_L(part)
+                MetricOperator(kind, self.PANEL, r).apply_L_matrix(part)
                 for r, part in zip(np.split(rho, 2), np.split(v, 2))
             ])
-            np.testing.assert_array_equal(fresh.apply_L(v), want)
+            np.testing.assert_array_equal(fresh.apply_L_matrix(v), want)
 
     def test_wrong_leading_dimension_raises(self, rng):
         k = self.PANEL.size
@@ -392,7 +392,7 @@ class TestPanels:
             op, _ = self._pair(MetricKind.parse(name), self.PANEL, 2, rng)
             for bad in (np.ones(k), np.ones((2 * k + 1, 3)), np.ones((2 * k, 3, 1))):
                 with pytest.raises(ValueError):
-                    op.apply_L(bad)
+                    op.apply_L_matrix(bad)
         with pytest.raises(ValueError):  # a density that is not two panels long
             MetricOperator(MetricKind.parse("fisher-rao"), self.PANEL, np.ones(2 * k + 1), 2)
 
@@ -415,10 +415,10 @@ class TestColumnBlocks:
         ops = {}
         for name in ALL_METRICS:
             kind = MetricKind.parse(name)
-            ops[name] = build_metric(kind, even, rho if kind.state_dependent else None)
+            ops[name] = MetricOperator(kind, even, rho if kind.state_dependent else None)
             ops[f"block {name}"] = MetricOperator(kind, panel, densities(data), panels=2)
         with pytest.warns(UserWarning):
-            ops["w2 odd"] = build_metric("w2", odd, rng.uniform(0.5, 2.0, odd.size))
+            ops["w2 odd"] = MetricOperator("w2", odd, rng.uniform(0.5, 2.0, odd.size))
         with pytest.warns(UserWarning):
             ops["block w2 odd"] = MetricOperator(
                 MetricKind.parse("w2"), odd_panel,
@@ -428,7 +428,7 @@ class TestColumnBlocks:
             k = op.grid.size * op.panels
             z = rng.standard_normal((k, 5))
             block = op.apply_L_matrix(z)
-            loop = np.column_stack([op.apply_L(z[:, j]) for j in range(5)])
+            loop = np.column_stack([op.apply_L_matrix(z[:, j]) for j in range(5)])
             assert block.shape == (k, 5), label
             err = np.abs(block - loop).max()
             assert err <= 1e-12 * np.abs(loop).max(), f"{label}: {err:.1e}"
@@ -458,7 +458,7 @@ class TestContinuumOracle:
             grid, comps, ["c0.mean.0", "c0.mean.1"], comps
         )
         theta = np.zeros(2)
-        metric = build_metric(name, grid, model.solve_forward(theta))
+        metric = MetricOperator(name, grid, model.solve_forward(theta))
         info = metric.info_matrix(model.jacobian(theta)).matrix
         h2 = grid.spacings[0] * grid.spacings[1]
         return np.abs(info * h2 / value - np.eye(2)).max()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from natgrad.grids import Grid
-from natgrad.metrics import MetricKind, build_metric
+from natgrad.metrics import MetricKind, MetricOperator
 from natgrad.models import GaussianMixtureModel, LinearToyModel
 from natgrad.solver import (
     NgdConfig,
@@ -81,7 +81,7 @@ class TestDirectionExplicit:
         grad_rho = rng.standard_normal(grid.size)
         for name in ALL_METRICS:
             kind = MetricKind.parse(name)
-            metric = build_metric(kind, grid, rho if kind.state_dependent else None)
+            metric = MetricOperator(kind, grid, rho if kind.state_dependent else None)
             eta = direction_explicit(z, metric, grad_rho)
             y = metric.apply_L_matrix(z)
             residual = y.T @ (metric.apply_Lt_pinv(grad_rho) + y @ eta)
@@ -290,7 +290,7 @@ class TestOptimize:
         z = rng.standard_normal((60, 6))
         grad_rho = rng.standard_normal(60)
         grid = Grid.regular([[0, 1], [0, 1]], [6, 10])
-        metric = build_metric("h-1", grid)
+        metric = MetricOperator("h-1", grid)
         m = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
         eta_orig = direction_explicit(z, metric, grad_rho)
         eta_re = direction_explicit(z @ m, metric, grad_rho)

@@ -19,7 +19,7 @@ from conftest import make_wave_model
 class TestForward:
     def test_zero_wavelet_gives_zero_traces(self):
         model = WaveFwiModel(
-            cells=(6, 6), spacing=(1.0, 1.0), n_t=50, dt=0.4,
+            cells=(6, 6), spacing=(1.0, 1.0), dt=0.4,
             sources=[(3, 0)], receivers=[(i, 0) for i in range(6)],
             wavelet=np.zeros(50),
         )
@@ -29,7 +29,7 @@ class TestForward:
     def test_source_linearity_exact(self):
         n_t, dt = 80, 0.4
         w = ricker_wavelet(n_t, dt, 0.1)
-        kw = dict(cells=(6, 6), spacing=(1.0, 1.0), n_t=n_t, dt=dt,
+        kw = dict(cells=(6, 6), spacing=(1.0, 1.0), dt=dt,
                   sources=[(3, 0)], receivers=[(i, 0) for i in range(6)])
         m = np.ones(36)
         base = WaveFwiModel(wavelet=w, **kw).solve_forward(m)
@@ -40,7 +40,7 @@ class TestForward:
         # Centered source in a homogeneous medium: receivers mirror-equal.
         n_t, dt = 100, 0.4
         model = WaveFwiModel(
-            cells=(9, 8), spacing=(1.0, 1.0), n_t=n_t, dt=dt,
+            cells=(9, 8), spacing=(1.0, 1.0), dt=dt,
             sources=[(4, 0)], receivers=[(i, 0) for i in range(9)],
             wavelet=ricker_wavelet(n_t, dt, 0.1),
         )
@@ -49,7 +49,7 @@ class TestForward:
 
     def test_cfl_violation_rejected(self):
         model = WaveFwiModel(
-            cells=(6, 6), spacing=(1.0, 1.0), n_t=10, dt=2.0,
+            cells=(6, 6), spacing=(1.0, 1.0), dt=2.0,
             sources=[(3, 0)], receivers=[(0, 0)], wavelet=np.zeros(10),
         )
         with pytest.raises(ValueError, match="CFL"):
@@ -166,7 +166,7 @@ def _sources_model(sources, n_t=120, dt=0.4, nx=8, nz=8):
     m_true = np.full((nx, nz), 1.0)
     m_true[:, nz // 2 :] = 1.44
     model = WaveFwiModel(
-        cells=(nx, nz), spacing=(1.0, 1.0), n_t=n_t, dt=dt, sources=sources,
+        cells=(nx, nz), spacing=(1.0, 1.0), dt=dt, sources=sources,
         receivers=[(ix, 0) for ix in range(nx)],
         wavelet=ricker_wavelet(n_t, dt, 0.1),
     )
@@ -270,7 +270,7 @@ def _anisotropic_model(extra_receivers=()):
     (and any extra ones given)."""
     n_t, dt = 150, 0.3
     model = WaveFwiModel(
-        cells=(9, 7), spacing=(1.0, 0.8), n_t=n_t, dt=dt,
+        cells=(9, 7), spacing=(1.0, 0.8), dt=dt,
         sources=[(1, 0), (4, 3), (8, 6)],
         receivers=[(0, 0), (8, 6), (3, 6), (0, 6), (8, 0), (5, 2), *extra_receivers],
         wavelet=ricker_wavelet(n_t, dt, 0.12), sponge_width=3,
@@ -330,10 +330,42 @@ class TestLayout:
     def test_duplicate_receivers_rejected(self):
         with pytest.raises(ValueError):
             WaveFwiModel(
-                cells=(6, 6), spacing=(1.0, 1.0), n_t=10, dt=0.4,
+                cells=(6, 6), spacing=(1.0, 1.0), dt=0.4,
                 sources=[(3, 0)], receivers=[(0, 0), (0, 0)],
                 wavelet=np.zeros(10),
             )
+
+    def test_step_count_is_the_wavelet_length(self):
+        kw = dict(cells=(6, 6), spacing=(1.0, 1.0), dt=0.4, sources=[(3, 0)],
+                  receivers=[(0, 0)])
+        assert WaveFwiModel(wavelet=np.zeros(17), **kw).n_t == 17
+        for wavelet in (np.zeros(0), np.zeros((2, 17)), 0.0):
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                WaveFwiModel(wavelet=wavelet, **kw)
+        with pytest.raises(ValueError, match="n_t >= 1"):
+            ricker_wavelet(0, 0.4, 0.1)
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(cells=(8.5, 8)), dict(sources=[(3.7, 0)]), dict(receivers=[(2, True)]),
+         dict(sponge_width=2.5)],
+        ids=["fractional-cells", "fractional-source", "bool-receiver", "fractional-sponge"],
+    )
+    def test_fractional_counts_and_indices_rejected(self, change):
+        # A fraction is an error, never truncated: (8.5, 8) is not an 8 x 8 model.
+        kw = dict(cells=(8, 8), spacing=(1.0, 1.0), dt=0.4, sources=[(3, 0)],
+                  receivers=[(0, 0)], wavelet=np.zeros(10))
+        with pytest.raises(ValueError, match="must be an integer"):
+            WaveFwiModel(**{**kw, **change})
+
+    @pytest.mark.parametrize("change", [dict(sources=[(3,)]), dict(receivers=[(0, 0, 1)])],
+                             ids=["one-index-source", "three-index-receiver"])
+    def test_locations_take_two_indices(self, change):
+        # A location is (x, z): one index cannot place it, a third is not read.
+        kw = dict(cells=(8, 8), spacing=(1.0, 1.0), dt=0.4, sources=[(3, 0)],
+                  receivers=[(0, 0)], wavelet=np.zeros(10))
+        with pytest.raises(ValueError, match="needs two indices"):
+            WaveFwiModel(**{**kw, **change})
 
 
 @pytest.fixture
@@ -346,7 +378,7 @@ def _split_model(n_t=80):
     """Three sources, dx != dz, 5,796 padded cells: two groups on two CPUs."""
     nx, nz = 24, 20
     model = WaveFwiModel(
-        cells=(nx, nz), spacing=(1.0, 0.8), n_t=n_t, dt=0.3,
+        cells=(nx, nz), spacing=(1.0, 0.8), dt=0.3,
         sources=[(2, 0), (11, 5), (21, 17)],
         receivers=[(ix, 0) for ix in range(nx)] + [(5, nz - 1), (nx - 1, 9)],
         wavelet=ricker_wavelet(n_t, 0.3, 0.12),
