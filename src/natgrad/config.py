@@ -106,7 +106,13 @@ def _model_field(spec, cells) -> np.ndarray:
                 field[:, integer(depth, "layer depth"):] = float(value)
             return field.ravel()
         if form == "file":
-            return read_field(arg).ravel()
+            field = read_field(arg)
+            if field.shape not in ((nx, nz), (nx * nz,)):
+                raise ConfigError(
+                    f"model field file has shape {field.shape}, "
+                    f"expected ({nx}, {nz}) or ({nx * nz},)"
+                )
+            return field.ravel()
         raise ConfigError(f"unknown model field form {form!r}")
     arr = np.asarray(spec, dtype=float)
     if arr.size != nx * nz:

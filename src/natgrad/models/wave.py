@@ -36,10 +36,15 @@ folds into per-cell coefficients built once per model:
 zero on the ghost ring, so the ghosts stay 0 and no neighbour wraps. Each
 step is a handful of contiguous whole-batch ufuncs over the "core" range
 (every cell but the first and last ghost row of the batch); the reverse step
-is their literal transpose. The forward cache keeps only w, time-major in the
-same layout; the Born source and the adjoint correlation are formed one step
-at a time inside the linearized and the reverse solves, so neither stores
-more than per-step buffers.
+is their literal transpose. Every range a march writes starts on a 64-byte
+boundary (``_aligned_zeros``): the core of each field buffer, the scratch and
+correlation buffers, and each row of a time-major stack, whose row stride is
+rounded up to whole cache lines. A vectorised ufunc whose output is
+misaligned splits stores across cache lines; the values are the same either
+way. The forward cache keeps only w, time-major in the same layout; the Born
+source and the adjoint correlation are formed one step at a time inside the
+linearized and the reverse solves, so neither stores more than per-step
+buffers.
 
 Source groups: sources are independent in every march, so the model splits
 them into contiguous groups that march at the same time, group 0 in the
@@ -77,6 +82,18 @@ MIN_GROUP_CELLS = 1_000
 
 # check_theta's bound: dt <= CFL_FACTOR * min(dx, dz) * sqrt(least squared slowness).
 CFL_FACTOR = 0.5
+
+
+# Floats per 64-byte cache line: the alignment of every buffer a march writes.
+_LINE = 8
+
+
+def _aligned_zeros(size: int, lead: int = 0) -> np.ndarray:
+    """Flat float zeros of the given size whose entry ``lead`` starts on a
+    64-byte boundary: a slice of a buffer one cache line longer."""
+    raw = np.zeros(size + _LINE)
+    shift = (-(raw.ctypes.data + 8 * lead) % (8 * _LINE)) // 8
+    return raw[shift:shift + size]
 
 
 # A process waiting on a pipe polls it for up to this long before it blocks.
@@ -218,6 +235,13 @@ class _SourceGroup:
         return _Stencil(*(self._padded(g)[self._core] for g in (cb, cs * kx, cs)))
 
     # --- marches ---------------------------------------------------------------
+    def _stack(self) -> np.ndarray:
+        """(n_t, flat batch) zeros whose every row's core range starts on a
+        64-byte boundary: the row stride is rounded up to whole lines."""
+        stride = -(-self._size // _LINE) * _LINE
+        rows = _aligned_zeros(self.n_t * stride, self._row).reshape(self.n_t, stride)
+        return rows[:, :self._size]
+
     def _views(self, buf) -> tuple[np.ndarray, ...]:
         """Core range of a flat batch buffer, then its z-1, z+1, x-1, x+1
         neighbours: five contiguous views of equal length."""
@@ -234,8 +258,8 @@ class _SourceGroup:
         time derivative of every step is written to its row n.
         """
         cb, cx, _ = stencil
-        a, b, c = (self._views(np.zeros(self._size)) for _ in range(3))
-        t = np.empty_like(cb)
+        a, b, c = (self._views(_aligned_zeros(self._size, self._row)) for _ in range(3))
+        t = _aligned_zeros(cb.size)
         traces = np.empty((self.n_t, self._rec_core.size))
         if u_tt is not None:
             u_core, two_dt2 = u_tt[:, self._core], 2.0 / self.dt**2
@@ -276,11 +300,10 @@ class _SourceGroup:
         to the core range of its row n.
         """
         cb, cx, _ = self.stencil
-        abar, bbar = np.zeros(cb.size), np.zeros(cb.size)
-        w0, wzm, wzp, wxm, wxp = self._views(np.zeros(self._size))
-        t = np.empty_like(cb)
+        abar, bbar, t = (_aligned_zeros(cb.size) for _ in range(3))
+        w0, wzm, wzp, wxm, wxp = self._views(_aligned_zeros(self._size, self._row))
         if correlate:
-            u_core, acc = self.u_tt[:, self._core], np.zeros(self._size)
+            u_core, acc = self.u_tt[:, self._core], _aligned_zeros(self._size, self._row)
             acc_core = acc[self._core]
         steps = data.reshape(-1, self.n_t).T.copy()  # row n: every trace at step n
         for n in range(self.n_t - 1, -1, -1):
@@ -329,7 +352,7 @@ class _SourceGroup:
         old stack is dropped first, and a failed march keeps no cache."""
         self.drop(None)
         stencil = self._stencil(theta)
-        u_tt = np.zeros((self.n_t, self._size))
+        u_tt = self._stack()
         traces = self._record(stencil, u_tt)
         self.stencil, self.u_tt = stencil, u_tt
         return traces
@@ -374,7 +397,7 @@ class _SourceGroup:
 
     def adjoint_fields(self, data) -> np.ndarray:
         """The (n_sources, n_t, npx, npz) adjoint fields for the group's traces."""
-        stack = np.zeros((self.n_t, self._size))
+        stack = self._stack()
         self._reverse_loop(data, stack=stack)
         return _interior(stack, self._batch)
 

@@ -84,6 +84,12 @@ def wave_config(tmp_path):
     )
 
 
+def _initial_model_from_wrong_shape(model):
+    """Start the 8x8 wave model from a (4, 16) dump: 64 entries, wrong grid."""
+    write_field("m4x16.f64", np.full((4, 16), 1.1))
+    model.update(initial_model={"file": "m4x16.f64"})
+
+
 def read_trace(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -256,6 +262,7 @@ class TestRun:
             ("wave_config", lambda m: m.update(initial_model={"const": 1.1})),
             ("wave_config", lambda m: m.update(initial_model=[1.1] * 63)),
             ("wave_config", lambda m: m.update(sources=[[3]])),
+            ("wave_config", _initial_model_from_wrong_shape),
         ],
         ids=["component-extra-key", "scalar-interior", "fractional-interior", "bool-interior",
              "scalar-cells", "no-time-steps", "no-sources", "zero-peak-frequency",
@@ -268,12 +275,14 @@ class TestRun:
              "leftover-cfl-factor", "sources-unknown-key", "wavelet-unknown-key",
              "sponge-unknown-key", "sponge-not-object", "layered-unknown-key",
              "model-field-two-forms", "model-field-unknown-form", "inline-model-field-length",
-             "one-index-source"],
+             "one-index-source", "model-field-file-shape"],
     )
-    def test_malformed_model_section_exits_1(self, request, tmp_path, capsys, config, edit):
+    def test_malformed_model_section_exits_1(self, request, monkeypatch, tmp_path, capsys,
+                                             config, edit):
         # Wrong types in the model section reach the model builders as a
         # TypeError, and a key no builder reads would be ignored; each must
         # be reported as a config error, not a traceback or a silent default.
+        monkeypatch.chdir(tmp_path)  # where an edit writes the dumps it names
         with open(request.getfixturevalue(config)) as fh:
             payload = json.load(fh)
         edit(payload["model"])

@@ -194,21 +194,17 @@ class TestEllipticInverses:
 
     @pytest.mark.parametrize("name", ["h1", "h-1", "hdot1", "hdot-1"])
     def test_metric_factors_nothing(self, rng, monkeypatch, name):
-        # Every dense and sparse factorization entry point raises; building a
-        # fresh operator set (as in a fresh process) and applying every
-        # action of the metric must not reach one.
+        # Every dense factorization entry point raises; building a fresh
+        # operator set (as in a fresh process) and applying every action of
+        # the metric must not reach one. natgrad imports no scipy.sparse
+        # (test_cli_import_loads_no_scipy_sparse), so its solvers need no patch.
         import scipy.linalg
-        import scipy.sparse.linalg
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a Sobolev metric called a factorization")
 
-        for mod, names in (
-            (scipy.sparse.linalg, ("splu", "spilu", "factorized", "spsolve")),
-            (scipy.linalg, ("lu_factor", "cho_factor", "cholesky", "cholesky_banded", "solve")),
-        ):
-            for fn in names:
-                monkeypatch.setattr(mod, fn, forbidden)
+        for fn in ("lu_factor", "cho_factor", "cholesky", "cholesky_banded", "solve"):
+            monkeypatch.setattr(scipy.linalg, fn, forbidden)
         monkeypatch.setattr("natgrad.grids._pbtrf", forbidden)
         grid = Grid.regular([[0.0, 1.0], [0.0, 1.0]], [7, 5])
         monkeypatch.setattr(

@@ -642,3 +642,88 @@ class TestReceiverJacobian:
         # must stay on the CG route.
         model, _ = make_wave_model()
         assert not model.has_explicit_jacobian
+
+
+def _fwi_model():
+    """The fwi-w2-budget model's layout: four sources on 30x30 cells, sponge 10."""
+    return WaveFwiModel(
+        cells=(30, 30), spacing=(1.0, 1.0), dt=0.4,
+        sources=[(6, 0), (12, 0), (17, 0), (23, 0)],
+        receivers=[(ix, 0) for ix in range(30)],
+        wavelet=ricker_wavelet(300, 0.4, 0.09),
+    )
+
+
+class TestAlignment:
+    """Every range a march writes starts on a 64-byte boundary, and where it
+    starts changes no output bit."""
+
+    @pytest.mark.parametrize("size, lead", [
+        (1, 0), (7, 3), (8, 7), (100, 9), (5300, 0),
+        (2 * 52 * 52, 52), (34 * 34, 34), (2 * 34 * 34, 34),
+    ])
+    def test_aligned_zeros(self, size, lead):
+        buf = wave._aligned_zeros(size, lead)
+        assert buf.shape == (size,) and buf.dtype == float and not buf.any()
+        assert buf[lead:].ctypes.data % 64 == 0
+
+    @pytest.mark.parametrize("build, n", [
+        (_fwi_model, 1), (_fwi_model, 2),
+        # wave12: two groups of 1,156 cells, a row length that is no whole line.
+        (lambda: make_wave_model(12, 12, 160, n_sources=2)[0], 1),
+        (lambda: make_wave_model(12, 12, 160, n_sources=2)[0], 2),
+    ], ids=["fwi-1-group", "fwi-2-groups", "wave12-1-group", "wave12-2-groups"])
+    def test_every_stack_row_core_is_aligned(self, build, n, cpus):
+        cpus(n)
+        model = build()
+        assert model.n_groups == n
+        for group in model._groups:
+            stack = group._stack()
+            assert stack.shape == (group.n_t, group._size) and not stack.any()
+            assert all(row.ctypes.data % 64 == 0 for row in stack[:, group._core])
+
+    @pytest.mark.parametrize("build, n, n_groups", [
+        (lambda: make_wave_model(12, 12, 160, n_sources=2)[0], 1, 1),
+        (lambda: make_wave_model(12, 12, 160, n_sources=2)[0], 2, 2),
+        # dx != dz; group 0 holds two sources, a worker the third.
+        (lambda: _split_model(n_t=40), 2, 2),
+    ], ids=["wave12-2-source-group", "wave12-2-groups", "split-dx-ne-dz"])
+    def test_misaligned_buffers_change_no_bit(self, build, n, n_groups, cpus, monkeypatch):
+        cpus(n)
+        rng = np.random.default_rng(7)
+        shape = build()
+        theta = 1.0 + 0.2 * rng.random(shape.param_dim)
+        eta = rng.standard_normal(shape.param_dim)
+        fields = rng.standard_normal(shape.field_shape)
+        data = rng.standard_normal(shape.state_dim)
+        del shape
+
+        def outputs():
+            # A fresh model, so any worker forks with the helper in place now.
+            model = build()
+            assert model.n_groups == n_groups
+            rho = model.solve_forward(theta)
+            lam = model.apply_drho_h_transpose_inverse(data)
+            return {
+                "reference": model.reference,
+                "forward": rho,
+                "born": model.apply_drho_h_inverse(model.apply_dtheta_h(eta)),
+                "drive": model.apply_drho_h_inverse(fields),
+                "reverse": lam.correlation,
+                "adjoint_fields": np.asarray(lam),
+                "receiver_jacobian": model.receiver_jacobian(),
+            }
+
+        want = outputs()
+        aligned = wave._aligned_zeros
+
+        def one_float_off(size, lead=0):
+            buf = aligned(size + 1, lead)[1:]
+            assert buf[lead:].ctypes.data % 64 == 8
+            return buf
+
+        monkeypatch.setattr(wave, "_aligned_zeros", one_float_off)
+        got = outputs()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+            assert np.array_equal(np.signbit(got[key]), np.signbit(want[key])), key
