@@ -174,8 +174,7 @@ def _check_fd_gradient(model, theta0, rng) -> tuple[bool, str]:
 def _check_adjoint_dot(model, theta0, rng) -> tuple[bool, str]:
     model.solve_forward(theta0)
     probe = rng.standard_normal(model.state_dim)
-    # Lazy adjoint fields re-run their solve on every conversion: convert once.
-    lam = np.asarray(model.apply_drho_h_transpose_inverse(probe))
+    lam = model.materialize(model.apply_drho_h_transpose_inverse(probe))
     u = rng.standard_normal(lam.shape)
     left = model.apply_drho_h_inverse(u) @ probe
     right = float(np.vdot(u, lam))
@@ -187,7 +186,7 @@ def _check_direction_equivalence(model, theta0, metric_name) -> tuple[bool, str]
     rho = model.solve_forward(theta0)
     _, grad_rho = model.loss_and_grad_rho(rho)
     metric = build_metric_for_model(model, metric_name, model.metric_state(rho))
-    z = assemble_jacobian(model)
+    z = assemble_jacobian(model, theta0)
     # Damp both routes identically so CG converges on ill-conditioned models;
     # the scale is one information-matrix product Z^T L^T L Z probe, taken
     # from the assembled Z instead of a linearized and an adjoint solve.

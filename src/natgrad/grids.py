@@ -528,7 +528,7 @@ def build_weighted_divergence(
         raise ValueError("density must be strictly positive")
     if not 0.0 <= mobility_exponent <= 1.0:
         raise ValueError("mobility exponent must lie in [0, 1]")
-    weights = rho**mobility_exponent if mobility_exponent != 0.0 else np.ones_like(rho)
+    weights = rho**mobility_exponent
     wdiv = WeightedDivergence(grid, weights, *_factor_parity_blocks(grid, weights * weights))
     if wdiv.rank_deficient:
         warnings.warn(

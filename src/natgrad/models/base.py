@@ -13,21 +13,17 @@ exposes whichever Jacobian access it has:
       apply_dtheta_h(eta)                  d_theta h . eta
       apply_dtheta_h_transpose(lam)        d_theta h^T . lam
 
-  Constraint fields are one array. For models whose observation is the full
-  constraint state (the linear toy), rhs/lam vectors live in R^k. For the
-  wave model they are space-time stacks with a leading source axis,
-  (n_sources, n_t, npx, npz); the inverse action returns receiver traces and
-  the transposed inverse takes trace-space input, so the two remain exact
-  adjoints of each other between those spaces. ``apply_dtheta_h`` may return
-  a lazy array-like (the wave model's Born source) that supports negation and
-  ``np.asarray``; ``apply_drho_h_inverse`` accepts it, its negation, or any
-  array-like of the field shape. Likewise ``apply_drho_h_transpose_inverse``
-  may return lazy adjoint fields (the wave model's ``AdjointFields``) that
-  carry what ``apply_dtheta_h_transpose`` needs, their correlation with the
-  cached forward fields, and have ``shape``; ``apply_dtheta_h_transpose``
-  accepts them (from the current forward solve only) or any array-like of
-  the field shape. ``np.asarray`` on them re-runs the adjoint solve, which
-  is charged to ``propagation_counter``.
+  For models whose observation is the full constraint state (the linear
+  toy), constraint fields are vectors in R^k. For the wave model they are
+  space-time stacks with a leading source axis, (n_sources, n_t, npx, npz);
+  the inverse action returns receiver traces and the transposed inverse
+  takes trace-space input, so the two remain exact adjoints of each other
+  between those spaces. The wave model keeps two of them as records:
+  ``apply_dtheta_h`` returns a ``BornSource`` and
+  ``apply_drho_h_transpose_inverse`` an ``AdjointFields``, which the other
+  two actions take in place of arrays. ``materialize(fields)`` is the one
+  conversion to an array (``np.asarray`` where fields are arrays already);
+  materializing ``AdjointFields`` re-runs their reverse solve, charged.
 
 Every model tracks ``propagation_counter``: one unit per forward, adjoint, or
 linearized-forward solve (per source for the wave model, whose batched solves
@@ -117,6 +113,10 @@ class ForwardModel:
     def metric_state(self, rho) -> np.ndarray:
         """The density that state-dependent metrics are weighted with."""
         return np.asarray(rho, dtype=float)
+
+    def materialize(self, fields) -> np.ndarray:
+        """The array of constraint fields that an action returned."""
+        return np.asarray(fields)
 
     # --- capability probes ------------------------------------------------
     @property

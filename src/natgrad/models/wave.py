@@ -62,6 +62,7 @@ import os
 import signal
 import time
 import weakref
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -69,15 +70,8 @@ import numpy as np
 from ..grids import Grid, integer
 from .base import ForwardModel
 
-# Fewest ghost-padded cells a source group marches. Two sources of n x n
-# cells (sponge 10, n_t 160) split into two groups against one, over one
-# linearized plus one adjoint solve, the models alternated call by call, BLAS
-# threads 1, 2-core VM; speedup range over 7 rounds per size:
-#   cells per source   676        784        900        1,024      1,156
-#   2 groups / 1       0.85-1.18  1.23-1.29  0.81-1.28  0.99-1.44  1.29-1.50
-#   cells per source   1,444      1,764
-#   2 groups / 1       1.35-1.43  1.42-1.59
-# At 676 cells a split may lose; from 784 on its median gains 20-54%.
+# Fewest ghost-padded cells a source group marches: below it a split's fixed
+# per-step overhead outweighs the second process (README has the sweep).
 MIN_GROUP_CELLS = 1_000
 
 # check_theta's bound: dt <= CFL_FACTOR * min(dx, dz) * sqrt(least squared slowness).
@@ -684,15 +678,15 @@ class WaveFwiModel(ForwardModel):
         return self.reference
 
     # --- constraint actions ------------------------------------------------------
-    def _require_cache(self, lazy=None) -> np.ndarray:
+    def _require_cache(self, record=None) -> np.ndarray:
         """The cached forward solve's theta; raises unless there is one and
-        the lazy fields, if given, belong to it."""
+        the BornSource or AdjointFields record, if given, belongs to it."""
         if self._cache is None:
             raise RuntimeError("forward wavefields not cached; run solve_forward first")
         theta = self._cache[0]
-        if lazy is not None and lazy.theta is not theta:
+        if record is not None and record.theta is not theta:
             raise RuntimeError(
-                f"{type(lazy).__name__} belongs to another forward solve"
+                f"{type(record).__name__} belongs to another forward solve"
             )
         return theta
 
@@ -719,13 +713,13 @@ class WaveFwiModel(ForwardModel):
         if data.shape != (self.state_dim,):
             raise ValueError(f"data vector must have length {self.state_dim}")
         correlation = self._call("reverse", data.reshape(self.n_sources, -1), split=True)
-        return AdjointFields(self, theta, data, correlation)
+        return AdjointFields(theta, data, correlation)
 
     def apply_dtheta_h(self, eta) -> BornSource:
         """Model perturbation to the Born source fields eta * u_tt."""
         theta = self._require_cache()
         eta = np.asarray(eta, dtype=float)[self._pad_flat].reshape(self.npx, self.npz)
-        return BornSource(self, theta, eta)
+        return BornSource(theta, eta)
 
     def apply_dtheta_h_transpose(self, lam_fields) -> np.ndarray:
         """Zero-lag correlation of adjoint fields with u_tt, summed over sources.
@@ -788,61 +782,42 @@ class WaveFwiModel(ForwardModel):
                 z[:, first + k] = -np.fft.irfft(y_hat, n_fft, axis=1)[:, :n_t]
         return z.reshape(self.state_dim, p)
 
-    def _materialize(self, lazy) -> np.ndarray:
-        """The (n_sources, n_t, npx, npz) stack of a lazy BornSource or
-        AdjointFields; the latter re-marches its reverse solve."""
-        self._require_cache(lazy)
-        if isinstance(lazy, BornSource):
-            return self._call("born_fields", lazy.eta)
-        return self._call("adjoint_fields", lazy.data.reshape(self.n_sources, -1), split=True)
+    def materialize(self, fields) -> np.ndarray:
+        """The (n_sources, n_t, npx, npz) stack of a BornSource or
+        AdjointFields of the cached forward solve; the latter re-marches its
+        reverse solve, charged one propagation per source."""
+        self._require_cache(fields)
+        if isinstance(fields, BornSource):
+            return self._call("born_fields", fields.eta)
+        return self._call("adjoint_fields", fields.data.reshape(self.n_sources, -1), split=True)
 
 
+@dataclass(frozen=True)
 class BornSource:
-    """The Born source fields eta * u_tt of every source, never materialized.
+    """The Born source fields eta * u_tt of every source, never stored.
 
     eta is the (npx, npz) padded model perturbation and theta the model's
     cached parameters at creation; the source is valid while that forward
     solve is cached. The linearized solve forms each time step's slice as it
-    marches. Negation flips the stored perturbation, which is exact, and
-    ``np.asarray`` builds the full (n_sources, n_t, npx, npz) stack.
+    marches; ``WaveFwiModel.materialize`` builds the full stack.
     """
 
-    def __init__(self, model, theta, eta):
-        self.model = model
-        self.theta = theta
-        self.eta = eta
-
-    def __neg__(self) -> BornSource:
-        return BornSource(self.model, self.theta, -self.eta)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(self.model._materialize(self), dtype=dtype)
+    theta: np.ndarray
+    eta: np.ndarray
 
 
+@dataclass(frozen=True)
 class AdjointFields:
-    """Adjoint fields of one reverse solve, kept as their per-source zero-lag
-    correlation with u_tt, (n_sources, npx, npz), which the solve
-    accumulated.
+    """Adjoint fields of one reverse solve for trace-space ``data``, kept as
+    their per-source zero-lag correlation with u_tt, (n_sources, npx, npz),
+    which the solve accumulated.
 
-    ``apply_dtheta_h_transpose`` sums the correlation over sources. ``shape``
-    is the field shape; ``np.asarray`` (and iteration, over sources)
-    re-marches the reverse solve storing every step, charged as one
-    propagation per source. Both need the forward solve of their creation
-    (parameters ``theta``) to be the cached one.
+    ``apply_dtheta_h_transpose`` sums the correlation over sources;
+    ``WaveFwiModel.materialize`` re-marches the reverse solve storing every
+    step. Both need the forward solve of their creation (parameters
+    ``theta``) to be the cached one.
     """
 
-    def __init__(self, model, theta, data, correlation):
-        self.model = model
-        self.theta = theta
-        self.data = data
-        self.correlation = correlation
-
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return self.model.field_shape
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(self.model._materialize(self), dtype=dtype)
-
-    def __iter__(self):
-        return iter(np.asarray(self))
+    theta: np.ndarray
+    data: np.ndarray
+    correlation: np.ndarray

@@ -171,7 +171,7 @@ def gl_action(model, metric, eta) -> np.ndarray:
     One linearized forward gives gamma = Z eta, the metric weights it, and one
     adjoint solve brings it back to parameter space.
     """
-    gamma = model.apply_drho_h_inverse(-model.apply_dtheta_h(eta))
+    gamma = model.apply_drho_h_inverse(model.apply_dtheta_h(-eta))
     weighted = metric.apply_LtL(gamma) if metric is not None else gamma
     lam = model.apply_drho_h_transpose_inverse(weighted)
     return -model.apply_dtheta_h_transpose(lam)
@@ -200,19 +200,14 @@ def direction_implicit(model, metric, grad_theta, cfg: NgdConfig, damping_metric
     return report.solution, report
 
 
-def assemble_jacobian(model) -> np.ndarray:
-    """Dense Jacobian at the cached forward solve, for the check oracles: the
-    model's ``receiver_jacobian`` where it has one, else column by column from
-    the constraint actions (one linearized solve per parameter)."""
-    if hasattr(model, "receiver_jacobian"):
-        return model.receiver_jacobian()
-    p = model.param_dim
-    cols = []
-    for j in range(p):
-        e = np.zeros(p)
-        e[j] = 1.0
-        cols.append(model.apply_drho_h_inverse(-model.apply_dtheta_h(e)))
-    return np.stack(cols, axis=1)
+def assemble_jacobian(model, theta) -> np.ndarray:
+    """Dense Jacobian at theta, for the check oracles: the model's
+    ``jacobian``, or the wave model's ``receiver_jacobian``, after a forward
+    solve at theta (free when that solve is cached)."""
+    model.solve_forward(theta)
+    if model.has_explicit_jacobian:
+        return model.jacobian(theta)
+    return model.receiver_jacobian()
 
 
 def hutchinson_jacobian(model, m: int, rng: np.random.Generator) -> np.ndarray:

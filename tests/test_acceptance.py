@@ -139,14 +139,15 @@ class TestCriterion2PathEquivalence:
         ok = True
 
         toy, _ = LinearToyModel.random_positive(50, 10, seed=7)
-        rho_t = toy.solve_forward(np.full(10, 0.8))
+        theta_t, theta_w = np.full(10, 0.8), np.full(144, 1.05)
+        rho_t = toy.solve_forward(theta_t)
         _, grad_rho_t = toy.loss_and_grad_rho(rho_t)
-        z_t = assemble_jacobian(toy)
+        z_t = assemble_jacobian(toy, theta_t)
 
         wave = make_wave(12, 12, 160, n_sources=2)
-        rho_w = wave.solve_forward(np.full(144, 1.05))
+        rho_w = wave.solve_forward(theta_w)
         _, grad_rho_w = wave.loss_and_grad_rho(rho_w)
-        z_w = assemble_jacobian(wave)
+        z_w = assemble_jacobian(wave, theta_w)
         probe = np.full(144, 1.0 / 12.0)
 
         for name in ALL_METRICS:

@@ -1,6 +1,7 @@
 """End-to-end CLI: configs, outputs, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -549,11 +550,25 @@ class TestCheck:
 
         def broken(self, data_rhs):
             fields = original(self, data_rhs)
-            return [f * 1.001 for f in fields]
+            return dataclasses.replace(fields, data=1.001 * fields.data)
 
         monkeypatch.setattr(WaveFwiModel, "apply_drho_h_transpose_inverse", broken)
         assert cli.main(["check", "-c", wave_config]) == 3
         assert "FAIL  adjoint-dot-product" in capsys.readouterr().out
+
+    def test_scaled_toy_actions_detected(self, toy_config, monkeypatch, capsys):
+        # Fault injection: both d_theta h actions off by 0.1%. The explicit
+        # route reads the model's own Jacobian A, so it no longer agrees
+        # with the matrix-free route built from the actions.
+        for name in ("apply_dtheta_h", "apply_dtheta_h_transpose"):
+            original = getattr(natgrad.LinearToyModel, name)
+
+            def scaled(self, v, original=original):
+                return 1.001 * original(self, v)
+
+            monkeypatch.setattr(natgrad.LinearToyModel, name, scaled)
+        assert cli.main(["check", "-c", toy_config]) == 3
+        assert "FAIL  direction-equivalence" in capsys.readouterr().out
 
 
 class TestFieldIo:

@@ -143,7 +143,7 @@ class TestDirectionImplicit:
         theta = np.full(model.param_dim, 0.8)
         rho = model.solve_forward(theta)
         _, grad_rho = model.loss_and_grad_rho(rho)
-        z = assemble_jacobian(model)
+        z = assemble_jacobian(model, theta)
         for name in ALL_METRICS:
             metric = build_metric_for_model(model, name, model.metric_state(rho))
             eta_explicit = direction_explicit(z, metric, grad_rho)

@@ -76,7 +76,7 @@ class TestAdjointness:
         model, _ = wave_model
         model.solve_forward(np.full(model.param_dim, 1.1))
         probe = rng.standard_normal(model.state_dim)
-        lam = model.apply_drho_h_transpose_inverse(probe)
+        lam = model.materialize(model.apply_drho_h_transpose_inverse(probe))
         assert lam.shape == model.field_shape
         fields = rng.standard_normal(lam.shape)
         left = model.apply_drho_h_inverse(fields) @ probe
@@ -87,7 +87,7 @@ class TestAdjointness:
         model, _ = wave_model
         model.solve_forward(np.full(model.param_dim, 1.1))
         eta = rng.standard_normal(model.param_dim)
-        fields = np.asarray(model.apply_dtheta_h(eta))
+        fields = model.materialize(model.apply_dtheta_h(eta))
         assert fields.shape == model.field_shape
         lam = rng.standard_normal(fields.shape)
         left = float(np.vdot(fields, lam))
@@ -132,8 +132,7 @@ class TestGradient:
     def test_born_matches_trace_finite_differences(self, wave_model):
         model, _ = wave_model
         m0 = np.full(model.param_dim, 1.1)
-        model.solve_forward(m0)
-        z = assemble_jacobian(model)
+        z = assemble_jacobian(model, m0)
         h = 1e-6
         j = model.param_dim // 2
         e = np.zeros(model.param_dim)
@@ -160,6 +159,23 @@ class TestAccounting:
         model, _ = make_wave_model()
         with pytest.raises(RuntimeError):
             model.apply_dtheta_h(np.ones(model.param_dim))
+
+    def test_adjoint_fields_march_only_through_materialize(self, rng):
+        # AdjointFields are a record, not an array-like: no numpy call or
+        # iteration on them can start a charged march.
+        model, _ = make_wave_model(n_sources=2)
+        model.solve_forward(np.full(model.param_dim, 1.1))
+        lam = model.apply_drho_h_transpose_inverse(rng.standard_normal(model.state_dim))
+        u = rng.standard_normal(model.field_shape)
+        count = model.propagation_counter
+        for use in (lambda: np.vdot(u, lam), lambda: np.asarray(lam), lambda: list(lam)):
+            try:
+                use()
+            except (TypeError, ValueError):
+                pass
+            assert model.propagation_counter == count
+        assert model.materialize(lam).shape == model.field_shape
+        assert model.propagation_counter == count + model.n_sources
 
 
 def _sources_model(sources, n_t=120, dt=0.4, nx=8, nz=8):
@@ -218,7 +234,7 @@ class TestBatchedSources:
         # The Born source is formed per step in the linearized solve and the
         # correlation is accumulated per step in the reverse solve, so both
         # need only per-step buffers.
-        born = -model.apply_dtheta_h(eta)
+        born = model.apply_dtheta_h(-eta)
         assert peak_bytes(lambda: model.apply_drho_h_inverse(born)) <= 32 * batch
         assert peak_bytes(lambda: gl_action(model, None, eta)) <= 32 * batch
 
@@ -295,9 +311,8 @@ class TestKernel:
         model = _anisotropic_model()
         model.solve_forward(np.full(model.param_dim, 1.1))
         lam = model.apply_drho_h_transpose_inverse(rng.standard_normal(model.state_dim))
-        assert lam.shape == model.field_shape
         count = model.propagation_counter
-        fields = np.asarray(lam)
+        fields = model.materialize(lam)
         assert model.propagation_counter == count + model.n_sources
         assert fields.shape == model.field_shape
         lazy = model.apply_dtheta_h_transpose(lam)
@@ -429,8 +444,8 @@ class TestSourceGroups:
                 "gradient": gradient_adjoint(model, grad_rho),
                 "gl_action": gl_action(model, metric, eta),
                 "gl_action_l2": gl_action(model, None, eta),
-                "adjoint_fields": np.asarray(lam),
-                "born_source": np.asarray(-model.apply_dtheta_h(eta)),
+                "adjoint_fields": model.materialize(lam),
+                "born_source": model.materialize(model.apply_dtheta_h(-eta)),
                 "linearized_from_fields": model.apply_drho_h_inverse(fields),
                 "propagations": model.propagation_counter,
             }
@@ -589,7 +604,7 @@ def _column_jacobian(model) -> np.ndarray:
     for j in range(model.param_dim):
         e = np.zeros(model.param_dim)
         e[j] = 1.0
-        columns.append(model.apply_drho_h_inverse(-model.apply_dtheta_h(e)))
+        columns.append(model.apply_drho_h_inverse(model.apply_dtheta_h(-e)))
     return np.stack(columns, axis=1)
 
 
@@ -619,9 +634,10 @@ class TestReceiverJacobian:
 
     def test_assemble_jacobian_uses_it(self):
         model = _anisotropic_model()
-        model.solve_forward(np.full(model.param_dim, 1.1))
+        theta = np.full(model.param_dim, 1.1)
+        model.solve_forward(theta)
         count = model.propagation_counter
-        assemble_jacobian(model)
+        assemble_jacobian(model, theta)  # the forward solve is cached: no charge
         assert model.propagation_counter == count + 2 * model.n_sources
 
     def test_requires_cached_forward(self):
@@ -710,7 +726,7 @@ class TestAlignment:
                 "born": model.apply_drho_h_inverse(model.apply_dtheta_h(eta)),
                 "drive": model.apply_drho_h_inverse(fields),
                 "reverse": lam.correlation,
-                "adjoint_fields": np.asarray(lam),
+                "adjoint_fields": model.materialize(lam),
                 "receiver_jacobian": model.receiver_jacobian(),
             }
 
