@@ -77,6 +77,11 @@ MIN_GROUP_CELLS = 1_000
 # check_theta's bound: dt <= CFL_FACTOR * min(dx, dz) * sqrt(least squared slowness).
 CFL_FACTOR = 0.5
 
+# Most padded cells one block of receiver_jacobian's FFT products spans. A
+# block holds whole parameters, so one parameter that replicates more cells
+# (a sponge corner owns (sponge width + 1)^2) is a block of its own.
+JACOBIAN_BLOCK_CELLS = 256
+
 
 # Floats per 64-byte cache line: the alignment of every buffer a march writes.
 _LINE = 8
@@ -158,6 +163,18 @@ class _Stencil(NamedTuple):
     cb: np.ndarray
     cx: np.ndarray
     cs: np.ndarray
+
+
+def _parameter_blocks(edges) -> list[tuple[int, int]]:
+    """(a, b) ranges that cover the parameters in order, parameter j owning
+    cells edges[j] up to edges[j + 1]: each spans at most
+    JACOBIAN_BLOCK_CELLS cells, or is one parameter that alone spans more."""
+    bounds = [0]
+    for j in range(1, len(edges) - 1):
+        if edges[j + 1] - edges[bounds[-1]] > JACOBIAN_BLOCK_CELLS:
+            bounds.append(j)
+    bounds.append(len(edges) - 1)
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _interior(stack, batch) -> np.ndarray:
@@ -753,33 +770,51 @@ class WaveFwiModel(ForwardModel):
         convolutions run as FFT products, summed over a parameter's cells
         before the inverse transform, so each (source, receiver) pair needs
         only param_dim inverse transforms.
+
+        Beyond Z and the reverse marches, the working memory is u_tt's
+        spectrum and one receiver's: each receiver's Green's function is
+        transformed alone, and its products with u_tt are formed, summed and
+        transformed back one block of parameters at a time
+        (``_parameter_blocks``), straight into Z. Every product and sum is
+        the one of an all-at-once transform, in the same order, so the
+        blocks change no bit of Z.
         """
         self._require_cache()
         n_s, n_r, n_t, p = self.n_sources, self.n_receivers, self.n_t, self.param_dim
         order = np.argsort(self._pad_flat, kind="stable")
-        starts = np.searchsorted(self._pad_flat[order], np.arange(p))
+        # Parameter j replicates the cells edges[j] up to edges[j + 1] of order.
+        edges = np.searchsorted(self._pad_flat[order], np.arange(p + 1))
         n_fft = 2 * n_t  # no wrap-around in the first n_t samples
 
-        def spectra(fields) -> np.ndarray:
-            """(n, n_t, npx, npz) fields to (n, freq, cell) spectra, the
+        def spectrum(field) -> np.ndarray:
+            """An (n_t, npx, npz) field to its (cell, freq) spectrum, the
             cells ordered by the parameter they replicate."""
-            series = fields.reshape(len(fields), n_t, -1)[:, :, order]
-            return np.fft.rfft(series, n_fft, axis=1)
+            return np.fft.rfft(field.reshape(n_t, -1)[:, order].T, n_fft)
 
         ones = np.ones((self.npx, self.npz))  # born_fields(1) is u_tt itself
-        u_hat = spectra(self._call("born_fields", ones))
+        u_tt = self._call("born_fields", ones)
+        u_hat = np.empty((n_s, order.size, n_t + 1), dtype=complex)
+        for s in range(n_s):
+            u_hat[s] = spectrum(u_tt[s])
+        del u_tt
+        # Each block's parameter range, cell range and reduceat offsets.
+        blocks = [(a, b, slice(edges[a], edges[b]), edges[a:b] - edges[a])
+                  for a, b in _parameter_blocks(edges)]
         z = np.empty((n_s, n_r, n_t, p))
         for first in range(0, n_r, n_s):
             stop = min(first + n_s, n_r)
             impulses = np.zeros((n_s, n_r, n_t))
             impulses[np.arange(stop - first), np.arange(first, stop), -1] = 1.0
             green = self._call("adjoint_fields", impulses.reshape(n_s, -1), split=True)
-            g_hat = spectra(green[:stop - first, ::-1])
-            del green
             for k in range(stop - first):
-                # (source, freq, parameter) for receiver first + k, then time.
-                y_hat = np.add.reduceat(u_hat * g_hat[k], starts, axis=2)
-                z[:, first + k] = -np.fft.irfft(y_hat, n_fft, axis=1)[:, :n_t]
+                g_hat = spectrum(green[k, ::-1])
+                z_r = z[:, first + k]  # (source, time, parameter)
+                for a, b, cells, offsets in blocks:
+                    # (source, parameter, freq) for parameters a..b-1, then time.
+                    y_hat = np.add.reduceat(u_hat[:, cells] * g_hat[cells], offsets, axis=1)
+                    y = np.fft.irfft(y_hat, n_fft)[:, :, :n_t]
+                    np.negative(y.transpose(0, 2, 1), out=z_r[:, :, a:b])
+            del green, g_hat  # before the next march allocates its own
         return z.reshape(self.state_dim, p)
 
     def materialize(self, fields) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Assembled matrices of the operators natgrad applies by stencil or by a
 k-row root: oracles that the matrix-free metric actions are checked against;
-and the red-black transport factor as first written, which natgrad's must
-equal bit for bit."""
+and the red-black transport factor and the wave model's receiver Jacobian as
+first written, which natgrad's must equal bit for bit."""
 
 import warnings
 
@@ -226,3 +226,33 @@ class RedBlackReference:
             out[:-s] += np.multiply(c, x[s:], out=t)
             out[s:] += np.multiply(c, x[:-s], out=t)
         return out
+
+
+def receiver_jacobian_all_at_once(model) -> np.ndarray:
+    """``WaveFwiModel.receiver_jacobian`` as first written: the spectra of
+    u_tt and of every Green's function of a reverse march are held at once,
+    as (source, freq, cell) stacks, and each receiver's product with u_tt is
+    formed, summed per parameter and transformed back whole. The model's
+    parameter-block streaming must equal it bit for bit."""
+    model._require_cache()
+    n_s, n_r, n_t, p = model.n_sources, model.n_receivers, model.n_t, model.param_dim
+    order = np.argsort(model._pad_flat, kind="stable")
+    starts = np.searchsorted(model._pad_flat[order], np.arange(p))
+    n_fft = 2 * n_t
+
+    def spectra(fields):
+        series = fields.reshape(len(fields), n_t, -1)[:, :, order]
+        return np.fft.rfft(series, n_fft, axis=1)
+
+    u_hat = spectra(model._call("born_fields", np.ones((model.npx, model.npz))))
+    z = np.empty((n_s, n_r, n_t, p))
+    for first in range(0, n_r, n_s):
+        stop = min(first + n_s, n_r)
+        impulses = np.zeros((n_s, n_r, n_t))
+        impulses[np.arange(stop - first), np.arange(first, stop), -1] = 1.0
+        green = model._call("adjoint_fields", impulses.reshape(n_s, -1), split=True)
+        g_hat = spectra(green[:stop - first, ::-1])
+        for k in range(stop - first):
+            y_hat = np.add.reduceat(u_hat * g_hat[k], starts, axis=2)
+            z[:, first + k] = -np.fft.irfft(y_hat, n_fft, axis=1)[:, :n_t]
+    return z.reshape(model.state_dim, p)

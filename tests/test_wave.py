@@ -13,6 +13,7 @@ from natgrad.metrics import MetricKind
 from natgrad.models import WaveFwiModel, ricker_wavelet, wave
 from natgrad.solver import assemble_jacobian, build_metric_for_model, gl_action, gradient_adjoint
 
+from assembled_operators import receiver_jacobian_all_at_once
 from conftest import make_wave_model
 
 
@@ -631,6 +632,61 @@ class TestReceiverJacobian:
         want = _column_jacobian(model)
         assert z.shape == want.shape == (model.state_dim, model.param_dim)
         assert np.abs(z - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("block_cells", [None, 1, 10**9],
+                             ids=["default-blocks", "one-parameter-blocks", "one-block"])
+    @pytest.mark.parametrize("build, n", [
+        (lambda: make_wave_model(12, 12, 160, n_sources=2)[0], 1),
+        (lambda: make_wave_model(12, 12, 160, n_sources=2)[0], 2),
+        (lambda: _split_model(n_t=40), 2),
+    ], ids=["wave12-1-group", "wave12-2-groups", "split-dx-ne-dz"])
+    def test_blocks_equal_all_at_once_bit_for_bit(self, build, n, block_cells, cpus,
+                                                  monkeypatch):
+        cpus(n)
+        model = build()
+        assert model.n_groups == n
+        model.solve_forward(1.0 + 0.2 * np.random.default_rng(5).random(model.param_dim))
+        if block_cells is not None:
+            monkeypatch.setattr(wave, "JACOBIAN_BLOCK_CELLS", block_cells)
+        z = model.receiver_jacobian()
+        want = receiver_jacobian_all_at_once(model)
+        assert np.array_equal(z, want)
+        assert np.array_equal(np.signbit(z), np.signbit(want))
+
+    @pytest.mark.parametrize("limit", [1, 11, 121, 256, 10**9])
+    def test_parameter_blocks_hold_whole_parameters(self, limit, monkeypatch):
+        model = make_wave_model(12, 12, 160, n_sources=2)[0]
+        edges = np.searchsorted(np.sort(model._pad_flat), np.arange(model.param_dim + 1))
+        cells = np.diff(edges)
+        assert cells.max() == (model.pad + 1) ** 2  # a sponge corner
+        monkeypatch.setattr(wave, "JACOBIAN_BLOCK_CELLS", limit)
+        blocks = wave._parameter_blocks(edges)
+        # The blocks cover every parameter in order, one or more each.
+        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+        assert blocks[-1][1] == model.param_dim and all(a < b for a, b in blocks)
+        for a, b in blocks:
+            assert b == a + 1 or cells[a:b].sum() <= limit
+            # Each block is as long as the limit allows.
+            assert b == model.param_dim or cells[a:b + 1].sum() > limit
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_working_memory_is_z_and_three_spectrum_stacks(self, n, cpus):
+        # u_tt's spectrum is one (source, cell, freq) complex stack; besides
+        # Z and the Green's function march, every other buffer is one
+        # receiver's or one parameter block's.
+        cpus(n)
+        model = make_wave_model(12, 12, 160, n_sources=2)[0]
+        assert model.n_groups == n
+        model.solve_forward(np.full(model.param_dim, 1.05))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            z = model.receiver_jacobian()
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        stack = model.n_sources * (model.n_t + 1) * model.npx * model.npz * 16
+        assert peak <= z.nbytes + 3 * stack
 
     def test_assemble_jacobian_uses_it(self):
         model = _anisotropic_model()
