@@ -628,9 +628,17 @@ class WaveFwiModel(ForwardModel):
 
     # --- source groups ---------------------------------------------------------
     def _call(self, name: str, arg, split: bool = False):
+        """``_each``'s results joined in source order (a single group's as
+        it is)."""
+        results = self._each(name, arg, split)
+        if len(results) == 1 or results[0] is None:
+            return results[0]
+        return np.concatenate(results)
+
+    def _each(self, name: str, arg, split: bool = False) -> list:
         """Group method ``name`` on every group at once, each given arg or,
         with split, its slice of arg's leading source axis; returns the
-        results joined in source order (a single group's as it is).
+        groups' results, in source order.
 
         Group 0 runs here while the workers run theirs. A method in
         ``_SourceGroup.MARCHES`` is charged one propagation per source, also
@@ -664,9 +672,7 @@ class WaveFwiModel(ForwardModel):
         finally:
             if name in _SourceGroup.MARCHES:
                 self.propagation_counter += self.n_sources
-        if len(results) == 1 or results[0] is None:
-            return results[0]
-        return np.concatenate(results)
+        return results
 
     def _drop_stacks(self) -> None:
         if self._workers:
@@ -772,30 +778,36 @@ class WaveFwiModel(ForwardModel):
         only param_dim inverse transforms.
 
         Beyond Z and the reverse marches, the working memory is u_tt's
-        spectrum and one receiver's: each receiver's Green's function is
-        transformed alone, and its products with u_tt are formed, summed and
-        transformed back one block of parameters at a time
-        (``_parameter_blocks``), straight into Z. Every product and sum is
-        the one of an all-at-once transform, in the same order, so the
-        blocks change no bit of Z.
+        spectrum and one parameter block's buffers. The groups' fields are
+        used as they arrive, never joined into one stack. Each receiver's
+        Green's function is transformed one block of parameters at a time
+        (``_parameter_blocks``), over that block's cells only, and its
+        products with u_tt are formed, summed and transformed back straight
+        into Z. Every transform, product and sum is the one of an
+        all-at-once version, in the same order, so the blocks change no bit
+        of Z.
         """
         self._require_cache()
         n_s, n_r, n_t, p = self.n_sources, self.n_receivers, self.n_t, self.param_dim
         order = np.argsort(self._pad_flat, kind="stable")
         # Parameter j replicates the cells edges[j] up to edges[j + 1] of order.
         edges = np.searchsorted(self._pad_flat[order], np.arange(p + 1))
+        rows, cols = np.unravel_index(order, (self.npx, self.npz))
         n_fft = 2 * n_t  # no wrap-around in the first n_t samples
 
-        def spectrum(field) -> np.ndarray:
-            """An (n_t, npx, npz) field to its (cell, freq) spectrum, the
-            cells ordered by the parameter they replicate."""
-            return np.fft.rfft(field.reshape(n_t, -1)[:, order].T, n_fft)
+        def spectrum(field, cells=slice(None)) -> np.ndarray:
+            """An (n_t, npx, npz) field's (cell, freq) spectrum over the cells
+            order[cells], which are ordered by the parameter they replicate."""
+            return np.fft.rfft(field[:, rows[cells], cols[cells]].T, n_fft)
+
+        def fields(parts) -> list[np.ndarray]:
+            """The groups' (n_t, npx, npz) fields, in source order."""
+            return [field for part in parts for field in part]
 
         ones = np.ones((self.npx, self.npz))  # born_fields(1) is u_tt itself
-        u_tt = self._call("born_fields", ones)
         u_hat = np.empty((n_s, order.size, n_t + 1), dtype=complex)
-        for s in range(n_s):
-            u_hat[s] = spectrum(u_tt[s])
+        for s, u_tt in enumerate(fields(self._each("born_fields", ones))):
+            u_hat[s] = spectrum(u_tt)
         del u_tt
         # Each block's parameter range, cell range and reduceat offsets.
         blocks = [(a, b, slice(edges[a], edges[b]), edges[a:b] - edges[a])
@@ -805,16 +817,16 @@ class WaveFwiModel(ForwardModel):
             stop = min(first + n_s, n_r)
             impulses = np.zeros((n_s, n_r, n_t))
             impulses[np.arange(stop - first), np.arange(first, stop), -1] = 1.0
-            green = self._call("adjoint_fields", impulses.reshape(n_s, -1), split=True)
+            green = fields(self._each("adjoint_fields", impulses.reshape(n_s, -1), split=True))
             for k in range(stop - first):
-                g_hat = spectrum(green[k, ::-1])
                 z_r = z[:, first + k]  # (source, time, parameter)
                 for a, b, cells, offsets in blocks:
+                    g_hat = spectrum(green[k][::-1], cells)
                     # (source, parameter, freq) for parameters a..b-1, then time.
-                    y_hat = np.add.reduceat(u_hat[:, cells] * g_hat[cells], offsets, axis=1)
+                    y_hat = np.add.reduceat(u_hat[:, cells] * g_hat, offsets, axis=1)
                     y = np.fft.irfft(y_hat, n_fft)[:, :, :n_t]
                     np.negative(y.transpose(0, 2, 1), out=z_r[:, :, a:b])
-            del green, g_hat  # before the next march allocates its own
+            del green  # before the next march allocates its own
         return z.reshape(self.state_dim, p)
 
     def materialize(self, fields) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, integer
+from .grids import _CHUNK, Grid, integer
 from .linalg import cg_solve, solve_least_squares_min_norm
 from .metrics import MetricKind, MetricOperator
 
@@ -130,18 +130,36 @@ def direction_explicit(
     Solves min || pinv(L^T) grad_rho + (L Z) eta ||; with damping the stack is
     augmented by sqrt(lambda) rows of the regularizer (identity by default),
     which reproduces the damped normal equations exactly.
+
+    The stack is one Fortran-ordered matrix, allocated once: L Z (and the
+    damping metric's) is written into it one block of ``_CHUNK`` columns at
+    a time, the width at which the metric actions' blocked products give
+    the bits of a whole-Z product, and the identity's rows are written as
+    they are. No full-size L Z exists beside it.
     """
     z = np.asarray(z, dtype=float)
-    y = metric.apply_L_matrix(z) if metric is not None else z.copy()
+    if z.ndim != 2:
+        raise ValueError(f"expected a 2D Jacobian, got shape {z.shape}")
+    k, p = z.shape
     rhs = metric.apply_Lt_pinv(grad_rho) if metric is not None else np.asarray(grad_rho, float)
-    if damping_lambda > 0.0:
+    damped = damping_lambda > 0.0
+    extra = (p if damping_metric is None else k) if damped else 0
+    y = np.empty((k + extra, p), order="F")
+    top, bottom = y[:k], y[k:]
+    if metric is None:
+        top[...] = z
+    if damped:
         root = math.sqrt(damping_lambda)
+        rhs = np.concatenate([rhs, np.zeros(extra)])
         if damping_metric is None:
-            extra = root * np.eye(z.shape[1])
-        else:
-            extra = root * damping_metric.apply_L_matrix(z)
-        y = np.vstack([y, extra])
-        rhs = np.concatenate([rhs, np.zeros(extra.shape[0])])
+            bottom[...] = 0.0
+            np.fill_diagonal(bottom, root)
+    for j in range(0, p, _CHUNK):
+        block = slice(j, j + _CHUNK)
+        if metric is not None:
+            top[:, block] = metric.apply_L_matrix(z[:, block])
+        if damped and damping_metric is not None:
+            np.multiply(damping_metric.apply_L_matrix(z[:, block]), root, out=bottom[:, block])
     return -solve_least_squares_min_norm(y, rhs, tol=rank_tol)
 
 

@@ -1,8 +1,10 @@
 """Assembled matrices of the operators natgrad applies by stencil or by a
 k-row root: oracles that the matrix-free metric actions are checked against;
-and the red-black transport factor and the wave model's receiver Jacobian as
-first written, which natgrad's must equal bit for bit."""
+and the red-black transport factor, the wave model's receiver Jacobian and
+the explicit direction's least-squares stack as first written, which
+natgrad's must equal bit for bit."""
 
+import math
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from natgrad.grids import build_weighted_divergence
+from natgrad.linalg import solve_least_squares_min_norm
 
 
 def neumann_gradient(grid) -> sp.csr_matrix:
@@ -256,3 +259,23 @@ def receiver_jacobian_all_at_once(model) -> np.ndarray:
             y_hat = np.add.reduceat(u_hat * g_hat[k], starts, axis=2)
             z[:, first + k] = -np.fft.irfft(y_hat, n_fft, axis=1)[:, :n_t]
     return z.reshape(model.state_dim, p)
+
+
+def direction_explicit_whole(z, metric, grad_rho, rank_tol=1e-10, damping_lambda=0.0,
+                             damping_metric=None) -> np.ndarray:
+    """``solver.direction_explicit`` as first written: L Z and the damping
+    rows formed whole, one ``apply_L_matrix`` call each, then joined by
+    ``np.vstack``. The block-filled stack must give its direction bit for
+    bit."""
+    z = np.asarray(z, dtype=float)
+    y = metric.apply_L_matrix(z) if metric is not None else z.copy()
+    rhs = metric.apply_Lt_pinv(grad_rho) if metric is not None else np.asarray(grad_rho, float)
+    if damping_lambda > 0.0:
+        root = math.sqrt(damping_lambda)
+        if damping_metric is None:
+            extra = root * np.eye(z.shape[1])
+        else:
+            extra = root * damping_metric.apply_L_matrix(z)
+        y = np.vstack([y, extra])
+        rhs = np.concatenate([rhs, np.zeros(extra.shape[0])])
+    return -solve_least_squares_min_norm(y, rhs, tol=rank_tol)

@@ -5,8 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from assembled_operators import divergence_matrix, neumann_gradient, stacked_metric_root
-from natgrad.grids import Grid, build_weighted_divergence
+from assembled_operators import (
+    direction_explicit_whole,
+    divergence_matrix,
+    neumann_gradient,
+    stacked_metric_root,
+)
+from natgrad.grids import _CHUNK, Grid, build_weighted_divergence
 from natgrad.linalg import solve_least_squares_min_norm
 from natgrad.metrics import MetricKind, MetricOperator
 from natgrad.models import GaussianMixtureModel
@@ -434,6 +439,72 @@ class TestColumnBlocks:
             assert err <= 1e-12 * np.abs(loop).max(), f"{label}: {err:.1e}"
             g = op.info_matrix(z).matrix
             np.testing.assert_array_equal(g, g.T)
+
+
+class TestBlockFilledStack:
+    """``direction_explicit`` writes L Z into its one least-squares matrix
+    one block of ``_CHUNK`` columns at a time; the direction must equal the
+    whole-Z stack's bit for bit."""
+
+    # (panel grid, panels, columns): the wave check's receiver x time panels
+    # (9 blocks, the last of 6 columns), and an all-odd domain whose
+    # transport metric is rank-deficient (3 blocks, the last of 7).
+    DOMAINS = {"wave-panels": ((12, 160), 2, 150), "all-odd": ((9, 7), 3, 39)}
+
+    @staticmethod
+    def _operator(name, grid, panels, rho):
+        kind = MetricKind.parse(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the all-odd transport
+            return MetricOperator(kind, grid, rho if kind.state_dependent else None, panels)
+
+    @pytest.mark.parametrize("damping", [None, "identity", "metric"])
+    @pytest.mark.parametrize("domain", list(DOMAINS))
+    @pytest.mark.parametrize("name", ALL_METRICS)
+    def test_blocks_equal_whole_stack_bit_for_bit(self, name, domain, damping, rng):
+        counts, panels, p = self.DOMAINS[domain]
+        grid = Grid.index_space(list(counts))
+        k = grid.size * panels
+        assert p > 2 * _CHUNK and p % _CHUNK
+        rho = np.concatenate([normalize_to_density(d)
+                              for d in np.split(rng.standard_normal(k), panels)])
+        metric = self._operator(name, grid, panels, rho)
+        # The damping metric is another family's, so two L act on one Z.
+        other = ALL_METRICS[(ALL_METRICS.index(name) + 1) % len(ALL_METRICS)]
+        damping_metric = self._operator(other, grid, panels, rho) if damping == "metric" else None
+        lam = 0.0 if damping is None else 1e-3
+        z = rng.standard_normal((k, p))
+        grad_rho = rng.standard_normal(k)
+        got = direction_explicit(z, metric, grad_rho, damping_lambda=lam,
+                                 damping_metric=damping_metric)
+        want = direction_explicit_whole(z, metric, grad_rho, damping_lambda=lam,
+                                        damping_metric=damping_metric)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("damped", [False, True])
+    def test_no_action_sees_more_than_one_block(self, damped, rng, monkeypatch):
+        # The whole-Z stack hands apply_L_matrix all 144 columns of the wave
+        # check's Jacobian at once, and holds that full-size L Z beside the
+        # least-squares matrix.
+        widths = []
+        apply = MetricOperator.apply_L_matrix
+
+        def spy(self, z):
+            widths.append(z.shape[1])
+            return apply(self, z)
+
+        monkeypatch.setattr(MetricOperator, "apply_L_matrix", spy)
+        grid = Grid.index_space([12, 160])
+        z = rng.standard_normal((2 * grid.size, 144))
+        rho = np.full(2 * grid.size, 1.0)
+        metric = MetricOperator("w2", grid, rho, 2)
+        damping_metric = MetricOperator("hdot1", grid, None, 2) if damped else None
+        direction_explicit(z, metric, rng.standard_normal(len(z)),
+                           damping_lambda=1e-3 if damped else 0.0,
+                           damping_metric=damping_metric)
+        assert max(widths) == _CHUNK
+        assert sum(widths) == z.shape[1] * (2 if damped else 1)
 
 
 class TestContinuumOracle:

@@ -56,6 +56,23 @@ class TestForward:
         with pytest.raises(ValueError, match="CFL"):
             model.solve_forward(np.ones(36))
 
+    @pytest.mark.parametrize("spacing", [(1.25, 0.8), (0.8, 1.25)])
+    def test_cfl_rule_is_half_the_shorter_spacing(self, spacing):
+        # dt <= 0.5 min(dx, dz) sqrt(min m): the least squared slowness that
+        # keeps dt = 0.3 is (0.3 / 0.4)^2, and one cell below it is enough
+        # to reject the medium.
+        model = WaveFwiModel(
+            cells=(6, 5), spacing=spacing, dt=0.3,
+            sources=[(3, 0)], receivers=[(0, 0)], wavelet=np.zeros(10),
+        )
+        edge = (0.3 / (0.5 * min(spacing))) ** 2
+        medium = np.full(model.param_dim, 2.0)
+        medium[7] = edge * (1.0 + 1e-9)
+        model.check_theta(medium)
+        medium[7] = edge * (1.0 - 1e-9)
+        with pytest.raises(ValueError, match="CFL"):
+            model.check_theta(medium)
+
     def test_nonpositive_medium_rejected(self, wave_model):
         model, _ = wave_model
         bad = np.ones(model.param_dim)
@@ -282,12 +299,12 @@ def _reference_traces(model, theta):
     return np.concatenate(panels)
 
 
-def _anisotropic_model(extra_receivers=()):
+def _anisotropic_model(extra_receivers=(), spacing=(1.0, 0.8)):
     """Three sources, dx != dz, receivers on the cells next to the sponge
     (and any extra ones given)."""
     n_t, dt = 150, 0.3
     model = WaveFwiModel(
-        cells=(9, 7), spacing=(1.0, 0.8), dt=dt,
+        cells=(9, 7), spacing=spacing, dt=dt,
         sources=[(1, 0), (4, 3), (8, 6)],
         receivers=[(0, 0), (8, 6), (3, 6), (0, 6), (8, 0), (5, 2), *extra_receivers],
         wavelet=ricker_wavelet(n_t, dt, 0.12), sponge_width=3,
@@ -301,12 +318,19 @@ def _anisotropic_model(extra_receivers=()):
 class TestKernel:
     """The folded, ghost-padded stencil against a plain transcription."""
 
-    def test_traces_match_plain_leapfrog(self, rng):
-        model = _anisotropic_model()
+    @staticmethod
+    def _check_traces(model, rng):
         theta = 1.0 + 0.3 * rng.random(model.param_dim)
         got = model.solve_forward(theta)
         want = _reference_traces(model, theta)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_traces_match_plain_leapfrog(self, rng):
+        self._check_traces(_anisotropic_model(), rng)
+
+    def test_traces_match_plain_leapfrog_with_no_unit_spacing(self, rng):
+        # dx = 1 hides a 1/dx in place of 1/dx^2.
+        self._check_traces(_anisotropic_model(spacing=(1.25, 0.8)), rng)
 
     def test_lazy_adjoint_fields_match_materialized(self, rng):
         model = _anisotropic_model()
@@ -687,6 +711,28 @@ class TestReceiverJacobian:
             tracemalloc.stop()
         stack = model.n_sources * (model.n_t + 1) * model.npx * model.npz * 16
         assert peak <= z.nbytes + 3 * stack
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_working_memory_is_z_one_spectrum_one_march_and_blocks(self, n, cpus):
+        # Beyond Z and u_tt's spectrum: one march's fields, used where they
+        # arrive (never joined), and a few buffers of one parameter block.
+        # Joining the march and transforming whole Green's functions peaked
+        # at 18.4 and 18.1 MiB against this 15.5 MiB bound.
+        cpus(n)
+        model = make_wave_model(12, 12, 160, n_sources=2)[0]
+        assert model.n_groups == n
+        model.solve_forward(np.full(model.param_dim, 1.05))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            z = model.receiver_jacobian()
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        spectrum = model.n_sources * (model.n_t + 1) * model.npx * model.npz * 16
+        march = model.n_sources * model.n_t * model.npx * model.npz * 8
+        block = model.n_sources * (model.n_t + 1) * wave.JACOBIAN_BLOCK_CELLS * 16
+        assert peak <= z.nbytes + spectrum + march + 3 * block
 
     def test_assemble_jacobian_uses_it(self):
         model = _anisotropic_model()
