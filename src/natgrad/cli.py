@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -172,12 +173,15 @@ def _check_fd_gradient(model, theta0, rng) -> tuple[bool, str]:
 
 
 def _check_adjoint_dot(model, theta0, rng) -> tuple[bool, str]:
+    """<Z eta, p> against <eta, Z^T p> for random eta and p, through the
+    action compositions that CG and the gradient run. fsum rounds each dot
+    product once, so the result does not depend on the BLAS thread count."""
     model.solve_forward(theta0)
+    eta = rng.standard_normal(model.param_dim)
     probe = rng.standard_normal(model.state_dim)
-    lam = model.materialize(model.apply_drho_h_transpose_inverse(probe))
-    u = rng.standard_normal(lam.shape)
-    left = model.apply_drho_h_inverse(u) @ probe
-    right = float(np.vdot(u, lam))
+    z_eta = model.apply_drho_h_inverse(model.apply_dtheta_h(eta))
+    zt_probe = model.apply_dtheta_h_transpose(model.apply_drho_h_transpose_inverse(probe))
+    left, right = math.fsum(z_eta * probe), math.fsum(eta * zt_probe)
     rel = abs(left - right) / max(abs(left), abs(right), 1e-300)
     return rel < 1e-10, f"rel err {rel:.3e}"
 

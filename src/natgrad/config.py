@@ -103,7 +103,10 @@ def _model_field(spec, cells) -> np.ndarray:
             layered = _section(arg, ("background", "layers"), "layered")
             field = np.full((nx, nz), float(layered.get("background", 1.0)))
             for depth, value in layered.get("layers", []):
-                field[:, integer(depth, "layer depth"):] = float(value)
+                depth = integer(depth, "layer depth")
+                if not 0 <= depth < nz:
+                    raise ConfigError(f"layer depth {depth} is outside 0..{nz - 1}")
+                field[:, depth:] = float(value)
             return field.ravel()
         if form == "file":
             field = read_field(arg)

@@ -18,12 +18,12 @@ exposes whichever Jacobian access it has:
   space-time stacks with a leading source axis, (n_sources, n_t, npx, npz);
   the inverse action returns receiver traces and the transposed inverse
   takes trace-space input, so the two remain exact adjoints of each other
-  between those spaces. The wave model keeps two of them as records:
-  ``apply_dtheta_h`` returns a ``BornSource`` and
-  ``apply_drho_h_transpose_inverse`` an ``AdjointFields``, which the other
-  two actions take in place of arrays. ``materialize(fields)`` is the one
-  conversion to an array (``np.asarray`` where fields are arrays already);
-  materializing ``AdjointFields`` re-runs their reverse solve, charged.
+  between those spaces. The wave model's fields never leave it as arrays:
+  ``apply_dtheta_h`` returns a ``BornSource``, which only
+  ``apply_drho_h_inverse`` takes, and ``apply_drho_h_transpose_inverse``
+  an ``AdjointFields``, which only ``apply_dtheta_h_transpose`` takes. So
+  every caller composes the actions as the adjoint-state method does:
+  Z eta = d_rho h^-1 d_theta h eta and Z^T g = d_theta h^T d_rho h^-T g.
 
 Every model tracks ``propagation_counter``: one unit per forward, adjoint, or
 linearized-forward solve (per source for the wave model, whose batched solves
@@ -113,10 +113,6 @@ class ForwardModel:
     def metric_state(self, rho) -> np.ndarray:
         """The density that state-dependent metrics are weighted with."""
         return np.asarray(rho, dtype=float)
-
-    def materialize(self, fields) -> np.ndarray:
-        """The array of constraint fields that an action returned."""
-        return np.asarray(fields)
 
     # --- capability probes ------------------------------------------------
     @property

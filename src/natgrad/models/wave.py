@@ -111,14 +111,23 @@ def _wait(conn) -> None:
     conn.poll(None)
 
 
+def _positive(value, name: str) -> float:
+    """value as a float, once it is positive and finite (NaN is neither)."""
+    value = float(value)
+    if not 0.0 < value < float("inf"):
+        raise ValueError(f"{name} must be positive and finite, not {value}")
+    return value
+
+
 def ricker_wavelet(n_t: int, dt: float, peak_freq: float, delay: float | None = None):
     """Ricker wavelet samples; the delay defaults to 1.5 periods."""
     if n_t < 1:
         raise ValueError(f"the wavelet needs n_t >= 1 time steps, not {n_t}")
-    if not 0.0 < peak_freq < float("inf"):
-        raise ValueError(f"peak frequency must be positive and finite, not {peak_freq}")
+    peak_freq = _positive(peak_freq, "peak frequency")
     if delay is None:
         delay = 1.5 / peak_freq
+    elif not np.isfinite(delay):
+        raise ValueError(f"wavelet delay must be finite, not {delay}")
     t = dt * np.arange(n_t) - delay
     arg = (np.pi * peak_freq * t) ** 2
     return (1.0 - 2.0 * arg) * np.exp(-arg)
@@ -194,7 +203,7 @@ class _SourceGroup:
     cached forward solve.
     """
 
-    MARCHES = frozenset({"forward", "born", "drive", "reverse", "adjoint_fields"})
+    MARCHES = frozenset({"forward", "born", "reverse", "adjoint_fields"})
 
     def __init__(self, model: WaveFwiModel, first: int, stop: int):
         self.first, self.stop = first, stop
@@ -387,19 +396,6 @@ class _SourceGroup:
 
         return self._forward_loop(self.stencil, inject)
 
-    def drive(self, rhs) -> np.ndarray:
-        """Linearized traces for (n_sources, n_t, npx, npz) source fields."""
-        f = np.zeros(self._batch)
-        f_in, f_core = f[:, 1:-1, 1:-1], f.reshape(-1)[self._core]
-        cs = self.stencil.cs
-
-        def inject(n, c, t):
-            f_in[...] = rhs[:, n]
-            np.multiply(cs, f_core, out=t)
-            c += t
-
-        return self._forward_loop(self.stencil, inject)
-
     def reverse(self, data) -> np.ndarray:
         """Per-source (n_sources, npx, npz) zero-lag correlation of the
         adjoint fields for the group's traces with u_tt."""
@@ -412,15 +408,9 @@ class _SourceGroup:
         self._reverse_loop(data, stack=stack)
         return _interior(stack, self._batch)
 
-    def born_fields(self, eta) -> np.ndarray:
-        """The (n_sources, n_t, npx, npz) Born source fields eta * u_tt."""
-        return _interior(self._padded(eta) * self.u_tt, self._batch)
-
-    def correlate(self, lam) -> np.ndarray:
-        """Zero-lag correlation of (n_sources, n_t, npx, npz) fields with
-        u_tt, summed over the group's sources, as a (1, npx, npz) array: one
-        entry on the model's group axis."""
-        return np.einsum("stij,stij->ij", lam, _interior(self.u_tt, self._batch))[None]
+    def cached_u_tt(self, _) -> np.ndarray:
+        """The cached u_tt as an (n_sources, n_t, npx, npz) view."""
+        return _interior(self.u_tt, self._batch)
 
 
 def _attempt(method, arg):
@@ -520,8 +510,10 @@ class WaveFwiModel(ForwardModel):
     ):
         super().__init__()
         self.nx, self.nz = (integer(n, "cells") for n in cells)
-        self.dx, self.dz = float(spacing[0]), float(spacing[1])
-        self.dt = float(dt)
+        if len(spacing) != 2:
+            raise ValueError(f"spacing takes two entries (dx, dz), not {len(spacing)}")
+        self.dx, self.dz = (_positive(h, "spacing") for h in spacing)
+        self.dt = _positive(dt, "time step")
         self.sources = [tuple(integer(i, "source index") for i in s) for s in sources]
         self.receivers = [tuple(integer(i, "receiver index") for i in r) for r in receivers]
         self.wavelet = np.asarray(wavelet, dtype=float)
@@ -532,6 +524,8 @@ class WaveFwiModel(ForwardModel):
             raise ValueError("the model needs a source and a receiver")
 
         w = integer(sponge_width, "sponge width")
+        if w < 0 or not np.isfinite(sponge_strength):
+            raise ValueError("the sponge needs width >= 0 and a finite strength")
         self.pad = w
         self.npx, self.npz = self.nx + 2 * w, self.nz + 2 * w
         ix = np.arange(self.npx)
@@ -541,6 +535,8 @@ class WaveFwiModel(ForwardModel):
         depth_z = np.maximum(np.maximum(w - iz, iz - (w + self.nz - 1)), 0)
         depth = np.maximum(depth_x[:, None], depth_z[None, :]).astype(float)
         self.damp = np.exp(-((sponge_strength * depth) ** 2))
+        if not self.damp.min() > 0.0:  # u_tt divides by it
+            raise ValueError(f"sponge strength {sponge_strength} damps the outer cells to 0")
         # Edge-replication map from padded cells to interior model cells.
         map_x = np.clip(ix - w, 0, self.nx - 1)[:, None] * self.nz
         map_z = np.clip(iz - w, 0, self.nz - 1)[None, :]
@@ -581,11 +577,6 @@ class WaveFwiModel(ForwardModel):
     def n_groups(self) -> int:
         """Source groups that march at once (see ``source_group_count``)."""
         return len(self._groups)
-
-    @property
-    def field_shape(self) -> tuple[int, int, int, int]:
-        """Shape of the constraint fields: one space-time stack per source."""
-        return (self.n_sources, self.n_t, self.npx, self.npz)
 
     @property
     def metric_domain(self) -> tuple[Grid, int]:
@@ -701,42 +692,35 @@ class WaveFwiModel(ForwardModel):
         return self.reference
 
     # --- constraint actions ------------------------------------------------------
-    def _require_cache(self, record=None) -> np.ndarray:
+    def _require_cache(self, record=None, kind=None) -> np.ndarray:
         """The cached forward solve's theta; raises unless there is one and
-        the BornSource or AdjointFields record, if given, belongs to it."""
+        record, if a kind is given, is a record of that kind made from it."""
+        if kind is not None and not isinstance(record, kind):
+            raise TypeError(f"expected {kind.__name__}, not {type(record).__name__}")
         if self._cache is None:
             raise RuntimeError("forward wavefields not cached; run solve_forward first")
         theta = self._cache[0]
-        if record is not None and record.theta is not theta:
+        if kind is not None and record.theta is not theta:
             raise RuntimeError(
                 f"{type(record).__name__} belongs to another forward solve"
             )
         return theta
 
-    def apply_drho_h_inverse(self, rhs_fields) -> np.ndarray:
-        """Linearized forward: (n_sources, n_t, npx, npz) sources to traces.
-
-        A BornSource is expanded one time step at a time; any other
-        array-like of that shape is read as it is.
-        """
-        if isinstance(rhs_fields, BornSource):
-            self._require_cache(rhs_fields)
-            return self._call("born", rhs_fields.eta)
-        self._require_cache()
-        rhs = np.asarray(rhs_fields, dtype=float)
-        if rhs.shape != self.field_shape:
-            raise ValueError(f"source fields must have shape {self.field_shape}")
-        return self._call("drive", rhs, split=True)
+    def apply_drho_h_inverse(self, born: BornSource) -> np.ndarray:
+        """Linearized forward: the traces of a BornSource, whose fields are
+        formed one time step at a time."""
+        self._require_cache(born, BornSource)
+        return self._call("born", born.eta)
 
     def apply_drho_h_transpose_inverse(self, data_rhs) -> AdjointFields:
         """Reverse-time solve: trace-space input to adjoint fields, shaped
         (n_sources, n_t, npx, npz) and held as their correlation with u_tt."""
         theta = self._require_cache()
-        data = np.array(data_rhs, dtype=float)
+        data = np.asarray(data_rhs, dtype=float)
         if data.shape != (self.state_dim,):
             raise ValueError(f"data vector must have length {self.state_dim}")
         correlation = self._call("reverse", data.reshape(self.n_sources, -1), split=True)
-        return AdjointFields(theta, data, correlation)
+        return AdjointFields(theta, correlation)
 
     def apply_dtheta_h(self, eta) -> BornSource:
         """Model perturbation to the Born source fields eta * u_tt."""
@@ -744,22 +728,11 @@ class WaveFwiModel(ForwardModel):
         eta = np.asarray(eta, dtype=float)[self._pad_flat].reshape(self.npx, self.npz)
         return BornSource(theta, eta)
 
-    def apply_dtheta_h_transpose(self, lam_fields) -> np.ndarray:
-        """Zero-lag correlation of adjoint fields with u_tt, summed over sources.
-
-        AdjointFields carry it from their reverse solve; any other array-like
-        of the field shape is correlated here.
-        """
-        if isinstance(lam_fields, AdjointFields):
-            self._require_cache(lam_fields)
-            acc = lam_fields.correlation.sum(axis=0)
-        else:
-            self._require_cache()
-            lam = np.asarray(lam_fields, dtype=float)
-            if lam.shape != self.field_shape:
-                raise ValueError(f"adjoint fields must have shape {self.field_shape}")
-            acc = self._call("correlate", lam, split=True).sum(axis=0)
-        return self._pad_transpose(acc)
+    def apply_dtheta_h_transpose(self, lam: AdjointFields) -> np.ndarray:
+        """Zero-lag correlation of adjoint fields with u_tt, summed over
+        sources: the one their reverse solve accumulated."""
+        self._require_cache(lam, AdjointFields)
+        return self._pad_transpose(lam.correlation.sum(axis=0))
 
     def receiver_jacobian(self) -> np.ndarray:
         """Dense (state_dim, param_dim) Jacobian at the cached forward solve,
@@ -804,9 +777,8 @@ class WaveFwiModel(ForwardModel):
             """The groups' (n_t, npx, npz) fields, in source order."""
             return [field for part in parts for field in part]
 
-        ones = np.ones((self.npx, self.npz))  # born_fields(1) is u_tt itself
         u_hat = np.empty((n_s, order.size, n_t + 1), dtype=complex)
-        for s, u_tt in enumerate(fields(self._each("born_fields", ones))):
+        for s, u_tt in enumerate(fields(self._each("cached_u_tt", None))):
             u_hat[s] = spectrum(u_tt)
         del u_tt
         # Each block's parameter range, cell range and reduceat offsets.
@@ -829,15 +801,6 @@ class WaveFwiModel(ForwardModel):
             del green  # before the next march allocates its own
         return z.reshape(self.state_dim, p)
 
-    def materialize(self, fields) -> np.ndarray:
-        """The (n_sources, n_t, npx, npz) stack of a BornSource or
-        AdjointFields of the cached forward solve; the latter re-marches its
-        reverse solve, charged one propagation per source."""
-        self._require_cache(fields)
-        if isinstance(fields, BornSource):
-            return self._call("born_fields", fields.eta)
-        return self._call("adjoint_fields", fields.data.reshape(self.n_sources, -1), split=True)
-
 
 @dataclass(frozen=True)
 class BornSource:
@@ -846,7 +809,7 @@ class BornSource:
     eta is the (npx, npz) padded model perturbation and theta the model's
     cached parameters at creation; the source is valid while that forward
     solve is cached. The linearized solve forms each time step's slice as it
-    marches; ``WaveFwiModel.materialize`` builds the full stack.
+    marches; no full stack is ever built.
     """
 
     theta: np.ndarray
@@ -855,16 +818,11 @@ class BornSource:
 
 @dataclass(frozen=True)
 class AdjointFields:
-    """Adjoint fields of one reverse solve for trace-space ``data``, kept as
-    their per-source zero-lag correlation with u_tt, (n_sources, npx, npz),
-    which the solve accumulated.
-
-    ``apply_dtheta_h_transpose`` sums the correlation over sources;
-    ``WaveFwiModel.materialize`` re-marches the reverse solve storing every
-    step. Both need the forward solve of their creation (parameters
-    ``theta``) to be the cached one.
+    """Adjoint fields of one reverse solve, kept as their per-source zero-lag
+    correlation with u_tt, (n_sources, npx, npz), which the solve
+    accumulated. ``apply_dtheta_h_transpose`` sums it over sources while the
+    forward solve of its creation (parameters ``theta``) is the cached one.
     """
 
     theta: np.ndarray
-    data: np.ndarray
     correlation: np.ndarray

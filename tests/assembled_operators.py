@@ -1,7 +1,9 @@
 """Assembled matrices of the operators natgrad applies by stencil or by a
 k-row root: oracles that the matrix-free metric actions are checked against;
-and the red-black transport factor, the wave model's receiver Jacobian and
-the explicit direction's least-squares stack as first written, which
+the wave model's constraint fields as full (n_sources, n_t, npx, npz)
+stacks, with the plain-field linearized solve and correlation that act on
+them; and the red-black transport factor, the wave model's receiver Jacobian
+and the explicit direction's least-squares stack as first written, which
 natgrad's must equal bit for bit."""
 
 import math
@@ -13,6 +15,7 @@ import scipy.sparse as sp
 
 from natgrad.grids import build_weighted_divergence
 from natgrad.linalg import solve_least_squares_min_norm
+from natgrad.models import wave
 
 
 def neumann_gradient(grid) -> sp.csr_matrix:
@@ -231,6 +234,51 @@ class RedBlackReference:
         return out
 
 
+def field_shape(model) -> tuple[int, int, int, int]:
+    """Shape of the wave model's constraint fields: one space-time stack per
+    source."""
+    return (model.n_sources, model.n_t, model.npx, model.npz)
+
+
+def u_tt_stack(model) -> np.ndarray:
+    """The cached (n_sources, n_t, npx, npz) damped second time derivative."""
+    return model._call("cached_u_tt", None)
+
+
+def born_source_stack(model, eta) -> np.ndarray:
+    """The Born source fields eta * u_tt of a parameter perturbation eta."""
+    return eta[model._pad_flat].reshape(model.npx, model.npz) * u_tt_stack(model)
+
+
+def adjoint_stack(model, data) -> np.ndarray:
+    """The adjoint fields of trace-space data, every step stored: one reverse
+    march per source, charged as one."""
+    return model._call("adjoint_fields", data.reshape(model.n_sources, -1), split=True)
+
+
+def linearized_traces(model, fields) -> np.ndarray:
+    """Traces of the linearized solve driven by plain (n_sources, n_t, npx,
+    npz) source fields at the cached forward solve: every source marches in
+    this process, on the model's own forward loop, charging nothing."""
+    group = wave._SourceGroup(model, 0, model.n_sources)
+    stencil = group._stencil(model._require_cache())
+    f = np.zeros(group._batch)
+    f_in, f_core = f[:, 1:-1, 1:-1], f.reshape(-1)[group._core]
+
+    def inject(n, c, t):
+        f_in[...] = fields[:, n]
+        np.multiply(stencil.cs, f_core, out=t)
+        c += t
+
+    return group._forward_loop(stencil, inject)
+
+
+def correlation(model, fields) -> np.ndarray:
+    """d_theta h^T of plain fields: their zero-lag correlation with u_tt,
+    summed over sources and scatter-added onto the parameters."""
+    return model._pad_transpose(np.einsum("stij,stij->ij", fields, u_tt_stack(model)))
+
+
 def receiver_jacobian_all_at_once(model) -> np.ndarray:
     """``WaveFwiModel.receiver_jacobian`` as first written: the spectra of
     u_tt and of every Green's function of a reverse march are held at once,
@@ -247,13 +295,13 @@ def receiver_jacobian_all_at_once(model) -> np.ndarray:
         series = fields.reshape(len(fields), n_t, -1)[:, :, order]
         return np.fft.rfft(series, n_fft, axis=1)
 
-    u_hat = spectra(model._call("born_fields", np.ones((model.npx, model.npz))))
+    u_hat = spectra(u_tt_stack(model))
     z = np.empty((n_s, n_r, n_t, p))
     for first in range(0, n_r, n_s):
         stop = min(first + n_s, n_r)
         impulses = np.zeros((n_s, n_r, n_t))
         impulses[np.arange(stop - first), np.arange(first, stop), -1] = 1.0
-        green = model._call("adjoint_fields", impulses.reshape(n_s, -1), split=True)
+        green = adjoint_stack(model, impulses)
         g_hat = spectra(green[:stop - first, ::-1])
         for k in range(stop - first):
             y_hat = np.add.reduceat(u_hat * g_hat[k], starts, axis=2)

@@ -1,7 +1,6 @@
 """End-to-end CLI: configs, outputs, exit codes, determinism."""
 
 import csv
-import dataclasses
 import json
 import os
 import subprocess
@@ -12,8 +11,9 @@ import numpy as np
 import pytest
 
 import natgrad
-from natgrad import WaveFwiModel, cli
+from natgrad import cli
 from natgrad.fields import read_field, write_field
+from natgrad.models import wave
 
 
 def write_config(path, payload):
@@ -264,6 +264,19 @@ class TestRun:
             ("wave_config", lambda m: m.update(initial_model=[1.1] * 63)),
             ("wave_config", lambda m: m.update(sources=[[3]])),
             ("wave_config", _initial_model_from_wrong_shape),
+            ("wave_config", lambda m: m.update(spacing=[1.0])),
+            ("wave_config", lambda m: m.update(spacing=[1.0, 1.0, 1.0])),
+            ("wave_config", lambda m: m.update(spacing=[float("nan"), 1.0])),
+            ("wave_config", lambda m: m.update(dt=-0.4)),
+            ("wave_config", lambda m: m.update(dt=0)),
+            ("wave_config", lambda m: m.update(dt=float("nan"))),
+            ("wave_config", lambda m: m.update(sponge={"width": -1})),
+            ("wave_config", lambda m: m.update(sponge={"strength": float("nan")})),
+            ("wave_config", lambda m: m.update(sponge={"strength": float("inf")})),
+            ("wave_config", lambda m: m.update(sponge={"width": 10, "strength": 3.0})),
+            ("wave_config", lambda m: m["wavelet"].update(delay=float("nan"))),
+            ("wave_config", lambda m: m["true_model"]["layered"].update(layers=[[-2, 1.44]])),
+            ("wave_config", lambda m: m["true_model"]["layered"].update(layers=[[50, 1.44]])),
         ],
         ids=["component-extra-key", "scalar-interior", "fractional-interior", "bool-interior",
              "scalar-cells", "no-time-steps", "no-sources", "zero-peak-frequency",
@@ -276,13 +289,19 @@ class TestRun:
              "leftover-cfl-factor", "sources-unknown-key", "wavelet-unknown-key",
              "sponge-unknown-key", "sponge-not-object", "layered-unknown-key",
              "model-field-two-forms", "model-field-unknown-form", "inline-model-field-length",
-             "one-index-source", "model-field-file-shape"],
+             "one-index-source", "model-field-file-shape",
+             "one-spacing", "three-spacings", "nan-spacing", "negative-dt", "zero-dt",
+             "nan-dt", "negative-sponge-width", "nan-sponge-strength", "inf-sponge-strength",
+             "sponge-strength-zeroing-damping",
+             "nan-wavelet-delay", "negative-layer-depth", "layer-depth-below-grid"],
     )
     def test_malformed_model_section_exits_1(self, request, monkeypatch, tmp_path, capsys,
                                              config, edit):
         # Wrong types in the model section reach the model builders as a
-        # TypeError, and a key no builder reads would be ignored; each must
-        # be reported as a config error, not a traceback or a silent default.
+        # TypeError, a key no builder reads would be ignored, and a value out
+        # of range (a NaN spacing, dt <= 0, a layer below the grid) would
+        # march or be dropped; each must be reported as a config error, not
+        # a traceback, a silent default or a nonsense run.
         monkeypatch.chdir(tmp_path)  # where an edit writes the dumps it names
         with open(request.getfixturevalue(config)) as fh:
             payload = json.load(fh)
@@ -544,16 +563,30 @@ class TestCheck:
         assert "fd-gradient" in capsys.readouterr().out
 
     def test_broken_adjoint_detected(self, wave_config, monkeypatch, capsys):
-        # Fault injection: perturb the reverse-time solve so the transpose
-        # identity no longer holds.
-        original = WaveFwiModel.apply_drho_h_transpose_inverse
-
-        def broken(self, data_rhs):
-            fields = original(self, data_rhs)
-            return dataclasses.replace(fields, data=1.001 * fields.data)
-
-        monkeypatch.setattr(WaveFwiModel, "apply_drho_h_transpose_inverse", broken)
+        # Fault injection: the reverse solve's correlation with u_tt off by
+        # 0.1%, so the transpose identity no longer holds.
+        original = wave._SourceGroup.reverse
+        monkeypatch.setattr(wave._SourceGroup, "reverse",
+                            lambda group, data: 1.001 * original(group, data))
         assert cli.main(["check", "-c", wave_config]) == 3
+        assert "FAIL  adjoint-dot-product" in capsys.readouterr().out
+
+    def test_scaled_born_injection_detected(self, wave_config, monkeypatch, capsys):
+        # Fault injection: the linearized solve injects 1.001 eta u_tt.
+        original = wave._SourceGroup.born
+        monkeypatch.setattr(wave._SourceGroup, "born",
+                            lambda group, eta: original(group, 1.001 * eta))
+        assert cli.main(["check", "-c", wave_config]) == 3
+        assert "FAIL  adjoint-dot-product" in capsys.readouterr().out
+
+    def test_scaled_toy_transpose_detected_by_dot_product(self, toy_config, monkeypatch,
+                                                          capsys):
+        # Fault injection: only d_theta h^T off by 0.1%, which the check's
+        # dot product pairs with the unchanged d_theta h.
+        original = natgrad.LinearToyModel.apply_dtheta_h_transpose
+        monkeypatch.setattr(natgrad.LinearToyModel, "apply_dtheta_h_transpose",
+                            lambda self, lam: 1.001 * original(self, lam))
+        assert cli.main(["check", "-c", toy_config]) == 3
         assert "FAIL  adjoint-dot-product" in capsys.readouterr().out
 
     def test_scaled_toy_actions_detected(self, toy_config, monkeypatch, capsys):

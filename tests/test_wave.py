@@ -13,7 +13,14 @@ from natgrad.metrics import MetricKind
 from natgrad.models import WaveFwiModel, ricker_wavelet, wave
 from natgrad.solver import assemble_jacobian, build_metric_for_model, gl_action, gradient_adjoint
 
-from assembled_operators import receiver_jacobian_all_at_once
+from assembled_operators import (
+    adjoint_stack,
+    born_source_stack,
+    correlation,
+    field_shape,
+    linearized_traces,
+    receiver_jacobian_all_at_once,
+)
 from conftest import make_wave_model
 
 
@@ -91,26 +98,42 @@ class TestForward:
 
 class TestAdjointness:
     def test_dot_product_identity(self, wave_model, rng):
+        # The stored reverse loop against the forward loop on random fields.
         model, _ = wave_model
         model.solve_forward(np.full(model.param_dim, 1.1))
         probe = rng.standard_normal(model.state_dim)
-        lam = model.materialize(model.apply_drho_h_transpose_inverse(probe))
-        assert lam.shape == model.field_shape
+        lam = adjoint_stack(model, probe)
+        assert lam.shape == field_shape(model)
         fields = rng.standard_normal(lam.shape)
-        left = model.apply_drho_h_inverse(fields) @ probe
+        left = linearized_traces(model, fields) @ probe
         right = float(np.vdot(fields, lam))
         assert abs(left - right) <= 1e-10 * max(abs(left), abs(right))
 
     def test_dtheta_pair_adjoint(self, wave_model, rng):
+        # The model's d_theta h^T of a reverse solve against the dense
+        # pairing of the Born source stack with the stored adjoint fields.
         model, _ = wave_model
         model.solve_forward(np.full(model.param_dim, 1.1))
         eta = rng.standard_normal(model.param_dim)
-        fields = model.materialize(model.apply_dtheta_h(eta))
-        assert fields.shape == model.field_shape
-        lam = rng.standard_normal(fields.shape)
-        left = float(np.vdot(fields, lam))
-        right = eta @ model.apply_dtheta_h_transpose(lam)
+        fields = born_source_stack(model, eta)
+        assert fields.shape == field_shape(model)
+        probe = rng.standard_normal(model.state_dim)
+        left = float(np.vdot(fields, adjoint_stack(model, probe)))
+        right = eta @ model.apply_dtheta_h_transpose(model.apply_drho_h_transpose_inverse(probe))
         assert abs(left - right) <= 1e-12 * max(abs(left), 1.0)
+
+    def test_actions_refuse_plain_arrays(self, wave_model, rng):
+        # Fields pass only between the model's own actions, as records.
+        model, _ = wave_model
+        model.solve_forward(np.full(model.param_dim, 1.1))
+        fields = rng.standard_normal(field_shape(model))
+        with pytest.raises(TypeError, match="expected BornSource, not ndarray"):
+            model.apply_drho_h_inverse(fields)
+        with pytest.raises(TypeError, match="expected AdjointFields, not ndarray"):
+            model.apply_dtheta_h_transpose(fields)
+        born = model.apply_dtheta_h(rng.standard_normal(model.param_dim))
+        with pytest.raises(TypeError, match="expected AdjointFields, not BornSource"):
+            model.apply_dtheta_h_transpose(born)
 
     def test_gl_action_symmetry(self, wave_model, rng):
         model, _ = wave_model
@@ -178,13 +201,13 @@ class TestAccounting:
         with pytest.raises(RuntimeError):
             model.apply_dtheta_h(np.ones(model.param_dim))
 
-    def test_adjoint_fields_march_only_through_materialize(self, rng):
+    def test_adjoint_fields_start_no_march(self, rng):
         # AdjointFields are a record, not an array-like: no numpy call or
         # iteration on them can start a charged march.
         model, _ = make_wave_model(n_sources=2)
         model.solve_forward(np.full(model.param_dim, 1.1))
         lam = model.apply_drho_h_transpose_inverse(rng.standard_normal(model.state_dim))
-        u = rng.standard_normal(model.field_shape)
+        u = rng.standard_normal(field_shape(model))
         count = model.propagation_counter
         for use in (lambda: np.vdot(u, lam), lambda: np.asarray(lam), lambda: list(lam)):
             try:
@@ -192,8 +215,6 @@ class TestAccounting:
             except (TypeError, ValueError):
                 pass
             assert model.propagation_counter == count
-        assert model.materialize(lam).shape == model.field_shape
-        assert model.propagation_counter == count + model.n_sources
 
 
 def _sources_model(sources, n_t=120, dt=0.4, nx=8, nz=8):
@@ -335,13 +356,14 @@ class TestKernel:
     def test_lazy_adjoint_fields_match_materialized(self, rng):
         model = _anisotropic_model()
         model.solve_forward(np.full(model.param_dim, 1.1))
-        lam = model.apply_drho_h_transpose_inverse(rng.standard_normal(model.state_dim))
+        probe = rng.standard_normal(model.state_dim)
+        lam = model.apply_drho_h_transpose_inverse(probe)
         count = model.propagation_counter
-        fields = model.materialize(lam)
+        fields = adjoint_stack(model, probe)
         assert model.propagation_counter == count + model.n_sources
-        assert fields.shape == model.field_shape
+        assert fields.shape == field_shape(model)
         lazy = model.apply_dtheta_h_transpose(lam)
-        dense = model.apply_dtheta_h_transpose(fields)
+        dense = correlation(model, fields)
         assert np.linalg.norm(lazy - dense) <= 1e-12 * np.linalg.norm(dense)
         # Adjoint fields of a replaced forward solve are refused.
         model.solve_forward(np.full(model.param_dim, 1.2))
@@ -456,7 +478,6 @@ class TestSourceGroups:
         assert not two._workers  # set-up forks nothing
         theta = 1.0 + 0.2 * rng.random(one.param_dim)
         eta = rng.standard_normal(one.param_dim)
-        fields = rng.standard_normal(one.field_shape)
 
         def outputs(model):
             rho = model.solve_forward(theta)
@@ -469,9 +490,9 @@ class TestSourceGroups:
                 "gradient": gradient_adjoint(model, grad_rho),
                 "gl_action": gl_action(model, metric, eta),
                 "gl_action_l2": gl_action(model, None, eta),
-                "adjoint_fields": model.materialize(lam),
-                "born_source": model.materialize(model.apply_dtheta_h(-eta)),
-                "linearized_from_fields": model.apply_drho_h_inverse(fields),
+                "adjoint_fields": adjoint_stack(model, grad_rho),
+                "born_source": born_source_stack(model, -eta),
+                "receiver_jacobian": model.receiver_jacobian(),
                 "propagations": model.propagation_counter,
             }
 
@@ -479,10 +500,6 @@ class TestSourceGroups:
         assert len(two._workers) == 1
         for key in want:
             assert np.array_equal(got[key], want[key]), key
-        # A correlation of plain fields is summed per group, then over groups.
-        dense_one = one.apply_dtheta_h_transpose(fields)
-        dense_two = two.apply_dtheta_h_transpose(fields)
-        assert np.linalg.norm(dense_two - dense_one) <= 1e-13 * np.linalg.norm(dense_one)
 
     def test_worker_stops_when_model_is_deleted(self, cpus):
         cpus(2)
@@ -546,8 +563,8 @@ class TestSourceGroups:
         with pytest.raises(RuntimeError, match="not cached"):
             model.apply_dtheta_h(np.ones(model.param_dim))
         worker = model._workers[0]
-        worker.submit("born_fields", np.ones((model.npx, model.npz)))
-        assert isinstance(worker.result(), TypeError)  # the worker kept no stack
+        worker.submit("cached_u_tt", None)
+        assert isinstance(worker.result(), AttributeError)  # the worker kept no stack
         # The pipe is still in step: the next solve marches and agrees.
         assert np.array_equal(model.solve_forward(good), want)
 
@@ -571,8 +588,8 @@ class TestSourceGroups:
         assert model.propagation_counter == count + model.n_sources
         assert model._cache is None and model._groups[0].u_tt is None
         worker = model._workers[0]
-        worker.submit("born_fields", np.ones((model.npx, model.npz)))
-        assert isinstance(worker.result(), TypeError)  # the worker dropped its stack
+        worker.submit("cached_u_tt", None)
+        assert isinstance(worker.result(), AttributeError)  # the worker dropped its stack
         # The pipe is still in step: the next solve marches and agrees.
         assert np.array_equal(model.solve_forward(theta), want)
 
@@ -621,6 +638,43 @@ class TestSourceGroups:
             outputs.append(capsys.readouterr().out)
         assert forks  # two CPUs split the sources
         assert outputs[0] == outputs[1]
+
+
+class TestRefinement:
+    """The leapfrog against the wave equation itself: in a homogeneous unit
+    medium the trace a fixed distance from a point source converges at
+    second order as the grid is refined."""
+
+    PEAK, DISTANCE, WINDOW, BOX = 0.08, 4.0, 36.0, 42.0
+
+    def _trace(self, h, box=BOX):
+        """Seismogram at h, dt = 0.4 h: the source at the box centre, the
+        receiver DISTANCE to its right, both on the grid at every h. The
+        model injects the wavelet at one cell, so it is scaled by 1/h^2."""
+        n, dt = round(box / h) + 1, 0.4 * h
+        n_t = round(self.WINDOW / dt)
+        centre, receiver = round(box / (2 * h)), round((box / 2 + self.DISTANCE) / h)
+        model = WaveFwiModel(
+            cells=(n, n), spacing=(h, h), dt=dt, sources=[(centre, centre)],
+            receivers=[(receiver, centre)],
+            wavelet=ricker_wavelet(n_t, dt, self.PEAK) / h**2, sponge_width=2,
+        )
+        return model.solve_forward(np.ones(n * n))
+
+    def test_second_order_convergence(self):
+        # Traces sample u^{n+1} at t = (n + 1) dt: coarse sample n is sample
+        # 2n + 1 at h/2 and 4n + 3 at h/4.
+        coarse, mid, fine = self._trace(1.0), self._trace(0.5)[1::2], self._trace(0.25)[3::4]
+        # The window ends before the first wave that reaches the box edge
+        # returns (at t = BOX - DISTANCE = 38 > 36): a box twice the size
+        # gives the same trace, to 1e-12 of its peak (measured).
+        far = self._trace(1.0, 2 * self.BOX)
+        assert np.abs(far - coarse).max() <= 1e-11 * np.abs(coarse).max()
+        order = np.log2(np.linalg.norm(coarse - mid) / np.linalg.norm(mid - fine))
+        assert order >= 1.5  # measured 2.11
+        # At h = 1 (about 12 cells per wavelength at the peak frequency) the
+        # trace is off the h = 1/4 one by 3.3% (measured).
+        assert np.linalg.norm(coarse - fine) <= 0.05 * np.linalg.norm(fine)
 
 
 def _column_jacobian(model) -> np.ndarray:
@@ -812,7 +866,6 @@ class TestAlignment:
         shape = build()
         theta = 1.0 + 0.2 * rng.random(shape.param_dim)
         eta = rng.standard_normal(shape.param_dim)
-        fields = rng.standard_normal(shape.field_shape)
         data = rng.standard_normal(shape.state_dim)
         del shape
 
@@ -826,9 +879,8 @@ class TestAlignment:
                 "reference": model.reference,
                 "forward": rho,
                 "born": model.apply_drho_h_inverse(model.apply_dtheta_h(eta)),
-                "drive": model.apply_drho_h_inverse(fields),
                 "reverse": lam.correlation,
-                "adjoint_fields": model.materialize(lam),
+                "adjoint_fields": adjoint_stack(model, data),
                 "receiver_jacobian": model.receiver_jacobian(),
             }
 
