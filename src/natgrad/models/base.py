@@ -99,11 +99,12 @@ class ForwardModel:
 
     def loss_and_grad_rho(self, rho) -> tuple[float, np.ndarray]:
         """Least-squares misfit against the model's ``reference`` state:
-        (0.5 ||rho - ref||^2, rho - ref)."""
+        (0.5 ||rho - ref||^2, rho - ref), summed by np.sum: a BLAS dot
+        product's order would depend on the thread count."""
         if self.reference is None:
             raise RuntimeError("no observed data set; call generate_reference first")
         residual = np.asarray(rho, dtype=float) - self.reference
-        return 0.5 * float(residual @ residual), residual
+        return 0.5 * float(np.sum(residual * residual)), residual
 
     @property
     def metric_domain(self):

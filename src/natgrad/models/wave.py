@@ -4,7 +4,7 @@ Physics: m(x) u_tt - lap(u) = s with zero initial data, integrated by a
 second-order leapfrog scheme on a padded grid. Absorption uses a sponge: each
 step the new field is scaled by a damping profile d <= 1 (d = 1 in the
 interior), which keeps every time step an explicit linear map, so the adjoint
-solve is the literal transpose of the forward recursion and the dot-product
+solve is the exact transpose of the forward recursion and the dot-product
 identity holds to machine precision.
 
 One solved-form step (f is whatever space-time right-hand side drives it):
@@ -35,16 +35,25 @@ folds into per-cell coefficients built once per model:
 
 zero on the ghost ring, so the ghosts stay 0 and no neighbour wraps. Each
 step is a handful of contiguous whole-batch ufuncs over the "core" range
-(every cell but the first and last ghost row of the batch); the reverse step
-is their literal transpose. Every range a march writes starts on a 64-byte
-boundary (``_aligned_zeros``): the core of each field buffer, the scratch and
-correlation buffers, and each row of a time-major stack, whose row stride is
-rounded up to whole cache lines. A vectorised ufunc whose output is
-misaligned splits stores across cache lines; the values are the same either
-way. The forward cache keeps only w, time-major in the same layout; the Born
-source and the adjoint correlation are formed one step at a time inside the
-linearized and the reverse solves, so neither stores more than per-step
-buffers.
+(every cell but the first and last ghost row of the batch).
+
+Every march runs that one kernel. Off the ghost ring, the step's map from b
+to c is A = diag(cs) S with S symmetric: the neighbour sums are, and
+cb = cs (2 / dt2m - 2/dx^2 - 2/dz^2) and cx = cs / dx^2 share the factor cs.
+So A^T = diag(cs)^-1 A diag(cs), and as dd is diagonal, the reverse solve's
+adjoint field carried as nu = cx * lbar (lbar the adjoint of a step's new
+field) follows the forward recursion marched backward in time, with the trace
+residual injected at the receivers scaled by cx. The adjoint fields that
+correlate with u_tt are cs * lbar = dx^2 nu.
+
+Every range a march writes starts on a 64-byte boundary (``_aligned_zeros``):
+the core of each field buffer, the scratch and correlation buffers, and each
+row of a time-major stack, whose row stride is rounded up to whole cache
+lines. A vectorised ufunc whose output is misaligned splits stores across
+cache lines; the values are the same either way. The forward cache keeps
+only w, time-major in the same layout; the Born source and the adjoint
+correlation are formed one step at a time inside the linearized and the
+reverse solves, so neither stores more than per-step buffers.
 
 Source groups: sources are independent in every march, so the model splits
 them into contiguous groups that march at the same time, group 0 in the
@@ -269,18 +278,17 @@ class _SourceGroup:
         return (buf[w:n - w], buf[w - 1:n - w - 1], buf[w + 1:n - w + 1],
                 buf[:n - 2 * w], buf[2 * w:])
 
-    def _forward_loop(self, stencil, inject, u_tt=None) -> np.ndarray:
-        """March the leapfrog for every source of the group at once; returns
-        the traces as a flat data vector (one receiver-major panel per source).
+    def _forward_loop(self, stencil, inject, u_tt=None) -> None:
+        """March the leapfrog for every source of the group at once.
 
-        inject(n, c, t) adds cs * f^n to c, the core range of the new field
-        (t is a free core-sized buffer). If u_tt is given, the damped second
-        time derivative of every step is written to its row n.
+        inject(n, c, t) adds step n's right-hand side to c, the core range
+        of the new field, and may read the field there (t is a free
+        core-sized buffer). If u_tt is given, the damped second time
+        derivative of every step is written to its row n.
         """
         cb, cx, _ = stencil
         a, b, c = (self._views(_aligned_zeros(self._size, self._row)) for _ in range(3))
         t = _aligned_zeros(cb.size)
-        traces = np.empty((self.n_t, self._rec_core.size))
         if u_tt is not None:
             u_core, two_dt2 = u_tt[:, self._core], 2.0 / self.dt**2
         for n in range(self.n_t):
@@ -298,7 +306,6 @@ class _SourceGroup:
             np.multiply(self._neg_dd, a0, out=t)
             c0 += t
             inject(n, c0, t)
-            traces[n] = c0[self._rec_core]
             if u_tt is not None:
                 w = u_core[n]
                 np.multiply(self._inv_d_dt2, c0, out=w)
@@ -307,64 +314,30 @@ class _SourceGroup:
                 np.multiply(self._d_dt2, a0, out=t)
                 w += t
             a, b, c = b, c, a
-        return traces.T.ravel()
-
-    def _reverse_loop(self, data, correlate=False, stack=None):
-        """Exact transpose of the trace-recording forward map at the cached
-        stencil, marched backward in time for every source of the group.
-
-        The adjoint field of step n is w = cs * cbar = dx^2 * cx * cbar,
-        cbar being the adjoint of the step's new field; the loop carries
-        w / dx^2. With correlate, returns the zero-lag correlation
-        sum_n w^n u_tt^n as a flat batch; with stack given, writes w^n / dx^2
-        to the core range of its row n.
-        """
-        cb, cx, _ = self.stencil
-        abar, bbar, t = (_aligned_zeros(cb.size) for _ in range(3))
-        w0, wzm, wzp, wxm, wxp = self._views(_aligned_zeros(self._size, self._row))
-        if correlate:
-            u_core, acc = self.u_tt[:, self._core], _aligned_zeros(self._size, self._row)
-            acc_core = acc[self._core]
-        steps = data.reshape(-1, self.n_t).T.copy()  # row n: every trace at step n
-        for n in range(self.n_t - 1, -1, -1):
-            cbar = bbar
-            cbar[self._rec_core] += steps[n]
-            np.multiply(cx, cbar, out=w0)
-            if correlate:
-                np.multiply(w0, u_core[n], out=t)
-                acc_core += t
-            if stack is not None:
-                stack[n, self._core] = w0
-            # new_b = abar + cb cbar + transposed neighbour sums of w;
-            # new_a = -dd cbar.
-            np.multiply(cb, cbar, out=t)
-            abar += t
-            np.add(wzm, wzp, out=t)
-            if self._ratio != 1.0:
-                t *= self._ratio
-            t += wxm
-            t += wxp
-            abar += t
-            np.multiply(self._neg_dd, cbar, out=cbar)
-            abar, bbar = cbar, abar
-        if stack is not None:
-            stack *= self.dx**2
-        return acc * self.dx**2 if correlate else None
 
     def _record(self, stencil, u_tt=None) -> np.ndarray:
         """Flattened traces of every source's point-source solve."""
-        src = self._src_core
+        src, rec = self._src_core, self._rec_core
         terms = np.outer(self.wavelet, stencil.cs[src])  # row n: cs * wavelet[n]
+        traces = np.empty((self.n_t, rec.size))
 
         def inject(n, c, t):
             c[src] += terms[n]
+            traces[n] = c[rec]
 
-        traces = self._forward_loop(stencil, inject, u_tt)
+        self._forward_loop(stencil, inject, u_tt)
         if not np.all(np.isfinite(traces)):
             raise RuntimeError(
                 "wave solve blew up (non-finite traces); check the CFL margin"
             )
-        return traces
+        return traces.T.ravel()
+
+    def _residual(self, data) -> np.ndarray:
+        """The group's traces as the adjoint march injects them: scaled by
+        cx at the receivers, and reversed in time, so row n holds every
+        trace's step n_t - 1 - n."""
+        traces = data.reshape(-1, self.n_t) * self.stencil.cx[self._rec_core, None]
+        return np.ascontiguousarray(traces[:, ::-1].T)
 
     # --- the group's share of each model action ---------------------------------
     def forward(self, theta) -> np.ndarray:
@@ -388,24 +361,48 @@ class _SourceGroup:
         """Linearized traces for the Born source eta * u_tt, eta an (npx, npz)
         perturbation, formed one time step at a time."""
         ceta = self.stencil.cs * self._padded(eta)[self._core]
-        u_core = self.u_tt[:, self._core]
+        u_core, rec = self.u_tt[:, self._core], self._rec_core
+        traces = np.empty((self.n_t, rec.size))
 
         def inject(n, c, t):
             np.multiply(ceta, u_core[n], out=t)
             c += t
+            traces[n] = c[rec]
 
-        return self._forward_loop(self.stencil, inject)
+        self._forward_loop(self.stencil, inject)
+        return traces.T.ravel()
 
     def reverse(self, data) -> np.ndarray:
         """Per-source (n_sources, npx, npz) zero-lag correlation of the
-        adjoint fields for the group's traces with u_tt."""
-        acc = self._reverse_loop(data, correlate=True)
+        adjoint fields for the group's traces with u_tt: the adjoint march
+        adds nu * u_tt of each step, and the sum is scaled by dx^2."""
+        residual, rec = self._residual(data), self._rec_core
+        u_back = self.u_tt[::-1, self._core]  # row n: step n_t - 1 - n
+        acc = _aligned_zeros(self._size, self._row)
+        acc_core = acc[self._core]
+
+        def inject(n, c, t):
+            c[rec] += residual[n]
+            np.multiply(c, u_back[n], out=t)
+            np.add(acc_core, t, out=acc_core)
+
+        self._forward_loop(self.stencil, inject)
+        acc *= self.dx**2
         return acc.reshape(self._batch)[:, 1:-1, 1:-1]
 
     def adjoint_fields(self, data) -> np.ndarray:
-        """The (n_sources, n_t, npx, npz) adjoint fields for the group's traces."""
+        """The (n_sources, n_t, npx, npz) adjoint fields for the group's
+        traces: the adjoint march's nu of each step, scaled by dx^2."""
+        residual, rec = self._residual(data), self._rec_core
         stack = self._stack()
-        self._reverse_loop(data, stack=stack)
+        rows = stack[::-1, self._core]  # row n: step n_t - 1 - n
+
+        def inject(n, c, t):
+            c[rec] += residual[n]
+            rows[n] = c
+
+        self._forward_loop(self.stencil, inject)
+        stack *= self.dx**2
         return _interior(stack, self._batch)
 
     def cached_u_tt(self, _) -> np.ndarray:

@@ -264,13 +264,16 @@ def linearized_traces(model, fields) -> np.ndarray:
     stencil = group._stencil(model._require_cache())
     f = np.zeros(group._batch)
     f_in, f_core = f[:, 1:-1, 1:-1], f.reshape(-1)[group._core]
+    traces = np.empty((model.n_t, group._rec_core.size))
 
     def inject(n, c, t):
         f_in[...] = fields[:, n]
         np.multiply(stencil.cs, f_core, out=t)
         c += t
+        traces[n] = c[group._rec_core]
 
-    return group._forward_loop(stencil, inject)
+    group._forward_loop(stencil, inject)
+    return traces.T.ravel()
 
 
 def correlation(model, fields) -> np.ndarray:

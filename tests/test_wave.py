@@ -97,9 +97,9 @@ class TestForward:
 
 
 class TestAdjointness:
-    def test_dot_product_identity(self, wave_model, rng):
-        # The stored reverse loop against the forward loop on random fields.
-        model, _ = wave_model
+    @staticmethod
+    def _check_dot_product_identity(model, rng):
+        # The stored reverse march against the forward loop on random fields.
         model.solve_forward(np.full(model.param_dim, 1.1))
         probe = rng.standard_normal(model.state_dim)
         lam = adjoint_stack(model, probe)
@@ -109,10 +109,10 @@ class TestAdjointness:
         right = float(np.vdot(fields, lam))
         assert abs(left - right) <= 1e-10 * max(abs(left), abs(right))
 
-    def test_dtheta_pair_adjoint(self, wave_model, rng):
+    @staticmethod
+    def _check_dtheta_pair_adjoint(model, rng):
         # The model's d_theta h^T of a reverse solve against the dense
         # pairing of the Born source stack with the stored adjoint fields.
-        model, _ = wave_model
         model.solve_forward(np.full(model.param_dim, 1.1))
         eta = rng.standard_normal(model.param_dim)
         fields = born_source_stack(model, eta)
@@ -121,6 +121,19 @@ class TestAdjointness:
         left = float(np.vdot(fields, adjoint_stack(model, probe)))
         right = eta @ model.apply_dtheta_h_transpose(model.apply_drho_h_transpose_inverse(probe))
         assert abs(left - right) <= 1e-12 * max(abs(left), 1.0)
+
+    def test_dot_product_identity(self, wave_model, rng):
+        self._check_dot_product_identity(wave_model[0], rng)
+
+    def test_dtheta_pair_adjoint(self, wave_model, rng):
+        self._check_dtheta_pair_adjoint(wave_model[0], rng)
+
+    def test_dot_product_identity_with_no_unit_spacing(self, rng):
+        # dx = 1 hides a dropped dx^2 in either reverse march and a dropped
+        # cx on the residual the reverse marches inject.
+        model = _anisotropic_model(spacing=(1.25, 0.8))
+        self._check_dot_product_identity(model, rng)
+        self._check_dtheta_pair_adjoint(model, rng)
 
     def test_actions_refuse_plain_arrays(self, wave_model, rng):
         # Fields pass only between the model's own actions, as records.
@@ -147,12 +160,15 @@ class TestAdjointness:
 
 
 class TestGradient:
-    def test_adjoint_gradient_matches_finite_differences(self, wave_model, rng):
-        model, _ = wave_model
+    @staticmethod
+    def _check_adjoint_gradient(model, rng):
+        # Both reverse marches: the model's correlation and the stored
+        # adjoint fields correlated with u_tt.
         m0 = np.full(model.param_dim, 1.1)
         rho = model.solve_forward(m0)
         _, grad_rho = model.loss_and_grad_rho(rho)
         grad = gradient_adjoint(model, grad_rho)
+        stored = -correlation(model, adjoint_stack(model, grad_rho))
         h = 1e-6
         for j in rng.choice(model.param_dim, size=4, replace=False):
             e = np.zeros(model.param_dim)
@@ -161,6 +177,15 @@ class TestGradient:
             f_minus = model.loss_and_grad_rho(model.solve_forward(m0 - e))[0]
             fd = (f_plus - f_minus) / (2 * h)
             assert abs(fd - grad[j]) / max(abs(fd), 1e-12) < 1e-4
+            assert abs(fd - stored[j]) / max(abs(fd), 1e-12) < 1e-4
+
+    def test_adjoint_gradient_matches_finite_differences(self, wave_model, rng):
+        self._check_adjoint_gradient(wave_model[0], rng)
+
+    def test_adjoint_gradient_matches_finite_differences_with_no_unit_spacing(self, rng):
+        # At dx = 1.25 a correlation missing its dx^2 is 1/1.25^2 = 0.64 of
+        # the finite-difference gradient.
+        self._check_adjoint_gradient(_anisotropic_model(spacing=(1.25, 0.8)), rng)
 
     def test_zero_residual_gives_zero_gradient(self, wave_model):
         model, m_true = wave_model
@@ -695,9 +720,12 @@ class TestReceiverJacobian:
         (lambda: make_wave_model(12, 12, 160, n_sources=2)[0], 2),
         # dx != dz, receivers off the top row, 7 receivers over 3 source slots.
         (lambda: _anisotropic_model(extra_receivers=[(2, 4)]), 1),
+        # As above with dx = 1.25: dx = 1 hides a dropped dx^2 or cx in the
+        # reverse marches.
+        (lambda: _anisotropic_model(extra_receivers=[(2, 4)], spacing=(1.25, 0.8)), 1),
         # Two source groups, 26 receivers over 3 source slots.
         (lambda: _split_model(n_t=40), 2),
-    ], ids=["wave12", "anisotropic", "two_groups"])
+    ], ids=["wave12", "anisotropic", "no-unit-spacing", "two_groups"])
     def test_matches_column_loop_and_charges_per_receiver(self, build, n_groups, cpus, rng):
         cpus(2)
         model = build()
@@ -710,6 +738,10 @@ class TestReceiverJacobian:
         want = _column_jacobian(model)
         assert z.shape == want.shape == (model.state_dim, model.param_dim)
         assert np.abs(z - want).max() <= 1e-13 * np.abs(want).max()
+        # Its transpose agrees with the reverse solve's correlation.
+        probe = rng.standard_normal(model.state_dim)
+        want = gradient_adjoint(model, probe)
+        assert np.abs(z.T @ probe - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("block_cells", [None, 1, 10**9],
                              ids=["default-blocks", "one-parameter-blocks", "one-block"])
