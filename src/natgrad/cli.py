@@ -10,10 +10,10 @@ shared model and seed and writes a summary table. `check` runs the model's
 verification oracles (finite-difference gradient, adjoint dot product,
 explicit/implicit direction agreement, information-matrix identity).
 
-Exit codes: 0 success, 1 config/IO error or a route the model cannot take,
-2 stagnation before max_iters (a line search that finds no decrease, a fixed
-step that leaves the feasible set, or an exactly zero direction), 3 failed
-verification check.
+Exit codes: 0 a run that stops on max_iters or budget, 1 config/IO error or a
+route the model cannot take, 2 a run that stops on line_search_stalled,
+zero_direction or infeasible_step (the statuses of ``optimize``), 3 failed
+verification check. `compare` exits 0 whatever its runs' statuses.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _run_single(exp: Experiment) -> OptimizeResult:
             f"solve(s) stopped before reaching cg_tol {exp.solver.cg_tol:g}",
             file=sys.stderr,
         )
-    if result.zero_direction:
+    if result.status == "zero_direction":
         print(
             f"warning: {exp.solver.metric}: the descent direction is exactly zero at "
             f"iteration {len(result.records)}; the run stopped there",
@@ -96,7 +96,7 @@ def cmd_run(args) -> int:
         f"final loss {result.final_loss:.6e}, "
         f"{result.records[-1].propagations} propagations"
     )
-    return 2 if result.stagnated else 0
+    return 0 if result.status in ("max_iters", "budget") else 2
 
 
 def cmd_compare(args) -> int:

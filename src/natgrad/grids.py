@@ -248,7 +248,7 @@ class WeightedDivergence:
         return self._ground is not None
 
     # apply_pinv and apply_bt have no caller in natgrad; the benchmark tracer
-    # patches apply_pinv by name, so both stay until it reads spans instead.
+    # patches apply_pinv by name, so both stay until ROADMAP items 18 and 4.
     def apply_pinv(self, zeta) -> np.ndarray:
         """Minimum-norm solution of B y = zeta (the action of pinv(B))."""
         return self.apply_bt(self.apply_gram_pinv(zeta))

@@ -280,5 +280,5 @@ class MetricOperator:
 
 
 # The benchmark tracer still patches methods by this name; the alias goes
-# once it reads spans instead (ROADMAP item 3).
+# once it reads cProfile instead (ROADMAP items 18 and 4).
 BlockMetric = MetricOperator

@@ -247,7 +247,6 @@ def hutchinson_jacobian(model, m: int, rng: np.random.Generator) -> np.ndarray:
 @dataclass(frozen=True)
 class LineSearchResult:
     tau: float
-    f_new: float
     n_evals: int
     stagnated: bool
 
@@ -264,20 +263,19 @@ def line_search(
     for n in range(cfg.ls_max_halvings):
         f_new = eval_loss(theta + tau * eta)
         if f_new < f0 + cfg.sufficient_decrease * tau * g_dot_eta:
-            return LineSearchResult(tau, f_new, n + 1, False)
+            return LineSearchResult(tau, n + 1, False)
         tau *= cfg.ls_shrink
-    return LineSearchResult(0.0, f0, cfg.ls_max_halvings, True)
+    return LineSearchResult(0.0, cfg.ls_max_halvings, True)
 
 
 @dataclass
 class OptimizeResult:
     theta: np.ndarray
     records: list[IterationRecord]
-    stagnated: bool = False
+    # Why the run stopped: one of the statuses listed under ``optimize``.
+    status: str
     # Direction CG solves that stopped unconverged, accepted step or not.
     cg_unconverged: int = 0
-    # The run stopped (stagnated) because the direction was exactly zero.
-    zero_direction: bool = False
 
     @property
     def final_loss(self) -> float:
@@ -367,19 +365,17 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
     """Run the descent loop from theta0 under cfg.
 
     The direction rule is fixed before the first forward solve. The loop
-    refreshes state-dependent metrics at every iterate and stops on
-    max_iters, the propagation budget, a stagnated line search, a fixed step
-    to a candidate whose loss is not finite (one that left the feasible set)
-    or an exactly zero direction (the last three without a record, flagged
-    ``stagnated``).
-    The trajectory is always returned. ``callback``, if given, is invoked as
-    callback(iteration, theta) after each accepted step.
+    refreshes state-dependent metrics at every iterate. ``status`` names the
+    stop: max_iters, budget (max_propagations spent as an iteration begins),
+    or, with no record, line_search_stalled, zero_direction (an exactly zero
+    direction) or infeasible_step (a fixed step to a non-finite loss, off the
+    feasible set). The trajectory is always returned. ``callback``, if given,
+    is invoked as callback(iteration, theta) after each accepted step.
     """
     direction = direction_rule(model, cfg)
     theta = np.asarray(theta0, dtype=float).copy()
     records: list[IterationRecord] = []
-    stagnated = False
-    zero_direction = False
+    status = "max_iters"
     cg_unconverged = 0
 
     def eval_loss(candidate):
@@ -409,6 +405,7 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
             cfg.max_propagations is not None
             and model.propagation_counter >= cfg.max_propagations
         ):
+            status = "budget"
             break
         if it > 1:
             metric = _refresh(model, metric, rho)
@@ -420,21 +417,24 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
         grad_norm = float(np.linalg.norm(grad_theta))
         if not eta.any():
             # No step can change theta: stop without a record.
-            stagnated = zero_direction = True
+            status = "zero_direction"
             break
 
+        # No accepted step: stop without a record so the trace stays
+        # strictly decreasing.
         if cfg.fixed_step:
             tau = cfg.step0
-            stagnated = not math.isfinite(eval_loss(theta + tau * eta))
+            if not math.isfinite(eval_loss(theta + tau * eta)):
+                status = "infeasible_step"
+                break
         else:
             result = line_search(
                 eval_loss, theta, eta, loss, cfg, g_dot_eta=float(grad_theta @ eta)
             )
-            tau, stagnated = result.tau, result.stagnated
-        if stagnated:
-            # No accepted step: stop without a record so the trace stays
-            # strictly decreasing.
-            break
+            if result.stagnated:
+                status = "line_search_stalled"
+                break
+            tau = result.tau
 
         theta = theta + tau * eta
         rho = model.solve_forward(theta)
@@ -452,8 +452,7 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
             callback(it, theta)
 
     return OptimizeResult(
-        theta=theta, records=records, stagnated=stagnated,
-        cg_unconverged=cg_unconverged, zero_direction=zero_direction,
+        theta=theta, records=records, status=status, cg_unconverged=cg_unconverged
     )
 
 

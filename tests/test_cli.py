@@ -179,6 +179,18 @@ class TestRun:
         assert [int(r["iter"]) for r in rows] == list(range(28))
         assert (tmp_path / "gm_out" / "theta_final.f64").exists()
 
+    def test_budget_stop_exits_0(self, toy_config, tmp_path, capsys):
+        # Left alone, this run's line search stalls after four steps (exit 2);
+        # a two-propagation budget stops it after the first.
+        with open(toy_config) as fh:
+            payload = json.load(fh)
+        payload["solver"].update(max_propagations=2)
+        cfg = write_config(tmp_path / "budget.json", payload)
+        assert cli.main(["run", "-c", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_trace(tmp_path / "out" / "trace.csv")
+        assert [(r["iter"], r["propagations"]) for r in rows] == [("0", "1"), ("1", "2")]
+
     def test_malformed_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

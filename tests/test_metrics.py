@@ -329,6 +329,13 @@ class TestNormalization:
     def test_flat_input_uniform(self):
         np.testing.assert_allclose(normalize_to_density(np.full(7, 3.3)), np.ones(7))
 
+    def test_documented_shift_and_scale(self):
+        # (v - min + 0.1 (max - min)) * n / sum: on [-1, 0, 3] the shift is
+        # 1 + 0.4, so the density is [0.4, 1.4, 4.4] * 3 / 6.2.
+        dens = normalize_to_density(np.array([-1.0, 0.0, 3.0]))
+        np.testing.assert_allclose(dens, np.array([0.4, 1.4, 4.4]) * 3.0 / 6.2, rtol=1e-14)
+        assert dens.min() / dens.max() == pytest.approx(0.1 / 1.1, rel=1e-14)
+
 
 class TestPanels:
     PANEL = Grid.index_space([4, 6])

@@ -171,7 +171,7 @@ class TestLineSearch:
     def test_exact_step_on_quadratic(self):
         cfg = NgdConfig(step0=1.0)
         res = line_search(self.quadratic, np.array([1.0]), np.array([-1.0]), 0.5, cfg)
-        assert res.tau == 1.0 and res.f_new == 0.0 and not res.stagnated
+        assert res.tau == 1.0 and res.n_evals == 1 and not res.stagnated
 
     def test_ascent_direction_stagnates(self):
         cfg = NgdConfig(step0=1.0)
@@ -428,13 +428,41 @@ class TestOptimize:
         res = optimize(model, np.full(model.param_dim, 0.7), cfg)
         assert all(r.step == 1.0 for r in res.records[1:])
 
+    def test_every_iteration_run_stops_on_max_iters(self, toy_model):
+        model, _ = toy_model
+        cfg = NgdConfig(metric="h1", step0=1.0, max_iters=3)
+        res = optimize(model, np.full(model.param_dim, 0.7), cfg)
+        assert res.status == "max_iters"
+        assert [r.iter for r in res.records] == [0, 1, 2, 3]
+
+    def test_spent_budget_stops_on_budget(self, toy_model):
+        model, _ = toy_model
+        cfg = NgdConfig(metric="h1", step0=1.0, max_iters=10, max_propagations=3)
+        res = optimize(model, np.full(model.param_dim, 0.7), cfg)
+        assert res.status == "budget"
+        # The budget is checked as an iteration begins, so the last record
+        # is the first to reach it.
+        props = [r.propagations for r in res.records]
+        assert props[-1] >= 3 > props[-2]
+        assert len(res.records) - 1 < cfg.max_iters
+
     def test_stagnation_flagged_at_minimum(self):
+        # At the exact minimum the direction is zero before any line search.
         model = LinearToyModel(np.eye(3), np.ones(3))
         res = optimize(model, np.ones(3), NgdConfig(metric="l2", step0=1.0, max_iters=5))
-        assert res.stagnated
+        assert res.status == "zero_direction"
         # No post-stagnation record: losses stay strictly decreasing.
         losses = [r.loss for r in res.records]
         assert all(b < a for a, b in zip(losses, losses[1:]))
+
+    def test_stalled_line_search_stops_without_record(self):
+        # Every trial overshoots the exact step 1 by at least 2**15.
+        model = LinearToyModel(np.eye(3), np.ones(3))
+        cfg = NgdConfig(metric="l2", step0=2.0**17, ls_max_halvings=3, max_iters=5)
+        res = optimize(model, np.zeros(3), cfg)
+        assert res.status == "line_search_stalled"
+        assert len(res.records) == 1
+        np.testing.assert_array_equal(res.theta, np.zeros(3))
 
     @pytest.mark.parametrize("metric", ["gd", "l2"])
     def test_zero_direction_stops_without_record(self, metric):
@@ -443,7 +471,7 @@ class TestOptimize:
         model = LinearToyModel(a, a @ theta0)
         cfg = NgdConfig(metric=metric, step0=1.0, fixed_step=True, max_iters=5)
         res = optimize(model, theta0, cfg)
-        assert res.zero_direction and res.stagnated
+        assert res.status == "zero_direction"
         assert len(res.records) == 1
         np.testing.assert_array_equal(res.theta, theta0)
 
@@ -463,7 +491,7 @@ class TestOptimize:
         theta0 = np.array([4.900145266897968, 2.9863634340183696])
         cfg = NgdConfig(metric="h-1", step0=0.2, fixed_step=True, max_iters=60)
         res = optimize(model, theta0, cfg)
-        assert res.stagnated and not res.zero_direction
+        assert res.status == "infeasible_step"
         assert [r.iter for r in res.records] == list(range(28))
         # The infeasible candidate was never solved, so it is not charged.
         assert res.records[-1].propagations == model.propagation_counter == 28
