@@ -2,13 +2,7 @@
 PDE-constrained models, over L2 / Sobolev / Fisher-Rao / transport metrics."""
 
 from .grids import Grid, build_operator_set, build_weighted_divergence
-from .linalg import (
-    CgReport,
-    PivotedQRFactors,
-    cg_solve,
-    qr_column_pivoted,
-    solve_least_squares_min_norm,
-)
+from .linalg import CgReport, cg_solve, solve_least_squares_min_norm
 from .metrics import MetricKind, MetricOperator
 from .models import (
     GaussianComponent,
@@ -38,9 +32,7 @@ __all__ = [
     "build_operator_set",
     "build_weighted_divergence",
     "CgReport",
-    "PivotedQRFactors",
     "cg_solve",
-    "qr_column_pivoted",
     "solve_least_squares_min_norm",
     "MetricKind",
     "MetricOperator",

@@ -1,13 +1,13 @@
 """Dense linear-algebra kernels: rank-revealing QR, minimum-norm least squares
 and conjugate gradient.
 
-Everything here is plain 64-bit float numpy/scipy. Factorization results are
-immutable value objects; all functions are pure.
+Everything here is plain 64-bit float numpy/scipy. The QR factors stay inside
+the minimum-norm solve; the CG outcome is an immutable value object, and all
+functions are pure.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,20 +21,6 @@ _geqp3 = get_lapack_funcs("geqp3", dtype=np.float64)
 _geqrf = get_lapack_funcs("geqrf", dtype=np.float64)
 _orgqr = get_lapack_funcs("orgqr", dtype=np.float64)
 _trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class PivotedQRFactors:
-    """Column-pivoted QR factorization A P = Q R with a detected numerical rank.
-
-    ``numerical_rank`` counts the leading diagonal entries of R with
-    |R[i,i]| > tol * |R[0,0]|, tol being ``qr_column_pivoted``'s.
-    """
-
-    q: np.ndarray
-    r: np.ndarray
-    permutation: np.ndarray
-    numerical_rank: int
 
 
 @dataclass(frozen=True)
@@ -52,15 +38,6 @@ class CgReport:
     final_relative_residual: float
     converged: bool
     model_decrease: float
-
-
-def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
 
 
 def _lapack(routine, *args):
@@ -92,60 +69,46 @@ def _economic_qr(a, pivoting: bool):
     return (q, r, perm) if pivoting else (q, r)
 
 
-def qr_column_pivoted(a, tol: float = 1e-10) -> PivotedQRFactors:
-    """Rank-revealing QR with column pivoting.
-
-    The numerical rank is the number of diagonal entries of R exceeding
-    tol * |R[0,0]|; the pivoting guarantees |R[i,i]| is non-increasing.
-    """
-    a = _as_matrix(a)
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    if a.size == 0:  # LAPACK rejects an empty matrix
-        m, n = a.shape
-        k = min(m, n)
-        q, r, perm = np.empty((m, k)), np.empty((k, n)), np.arange(n, dtype=np.int32)
-    else:
-        q, r, perm = _economic_qr(np.array(a, order="F"), pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(diag > tol * diag[0]))
-    return PivotedQRFactors(q=q, r=r, permutation=perm, numerical_rank=rank)
-
-
 def solve_least_squares_min_norm(a, b, tol: float = 1e-10) -> np.ndarray:
     """Minimum-norm least-squares solution of ``a @ x ~ b``, for a vector ``b``
     or for each column of a matrix ``b``.
 
     Uses two QR passes: a column-pivoted QR of ``a`` truncated at the numerical
-    rank, then a second QR of the truncated triangular block transposed, so the
-    returned solution is the minimum-norm minimizer (equal to pinv(a) @ b).
-    A zero (or numerically rank-0) matrix yields the zero vector with a warning.
+    rank, the number of diagonal entries of R exceeding tol * |R[0,0]| (the
+    pivoting keeps |R[i,i]| non-increasing), then a second QR of the truncated
+    triangular block transposed, so the returned solution is the minimum-norm
+    minimizer (equal to pinv(a) @ b). A numerically rank-0 matrix, an empty one
+    included, yields zeros. Neither input is written.
     """
-    a = np.asarray(a, dtype=float)  # qr_column_pivoted validates it
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2D matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[:1] != a.shape[:1]:
         raise ValueError(f"rhs shape {b.shape} does not match matrix {a.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs entries must be finite")
-    piv = qr_column_pivoted(a, tol=tol)
-    r = piv.numerical_rank
-    if r == 0:
-        warnings.warn("least-squares matrix is numerically zero; returning 0")
-        return np.zeros((a.shape[1],) + b.shape[1:])
-    qt_b = piv.q[:, :r].T @ b
-    # piv.r is this call's own, so its transposed rows may be overwritten.
-    q1, r1 = _economic_qr(np.asfortranarray(piv.r[:r, :].T), pivoting=False)
+    x = np.zeros((a.shape[1],) + b.shape[1:])
+    if a.size == 0:  # LAPACK rejects an empty matrix
+        return x
+    q, r, perm = _economic_qr(np.array(a, order="F"), pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.count_nonzero(diag > tol * diag[0]))
+    if rank == 0:
+        return x
+    qt_b = q[:, :rank].T @ b
+    # r is this call's own, so its transposed rows may be overwritten.
+    q1, r1 = _economic_qr(np.asfortranarray(r[:rank, :].T), pivoting=False)
     # The trtrs call of solve_triangular(r1.T, qt_b, lower=True): r1 is
     # C-ordered, so r1.T is passed as it is, a lower triangle.
     y, info = _trtrs(r1.T, qt_b, lower=1, trans=0, overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
-    x_perm = q1 @ y
-    x = np.empty((a.shape[1],) + b.shape[1:])
-    x[piv.permutation] = x_perm
+    x[perm] = q1 @ y
     return x
 
 

@@ -60,6 +60,13 @@ def divergence_matrix(wdiv) -> sp.csr_matrix:
     return sp.hstack([-(a @ d) for a in axis_central_operators(wdiv.grid)], format="csr")
 
 
+def divergence_rank(wdiv) -> int:
+    """Numerical rank of the assembled divergence: its singular values above
+    1e-10 of the largest."""
+    s = np.linalg.svd(divergence_matrix(wdiv).toarray(), compute_uv=False)
+    return int(np.count_nonzero(s > 1e-10 * s[0]))
+
+
 def stacked_metric_root(name: str, grid, rho) -> np.ndarray:
     """The stacked L that each k-row metric root is orthogonally equivalent
     to, dense: [I; G] for h1, G for hdot1, their duals for h-1 and hdot-1,
