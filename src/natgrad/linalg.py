@@ -3,7 +3,8 @@ and conjugate gradient.
 
 Everything here is plain 64-bit float numpy/scipy. The QR factors stay inside
 the minimum-norm solve; the CG outcome is an immutable value object, and all
-functions are pure.
+functions are pure, apart from the in-place QR that the minimum-norm solve
+runs on a stack its caller hands over.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ def _economic_qr(a, pivoting: bool):
     return (q, r, perm) if pivoting else (q, r)
 
 
-def solve_least_squares_min_norm(a, b, tol: float = 1e-10) -> np.ndarray:
+def solve_least_squares_min_norm(
+    a, b, tol: float = 1e-10, *, _overwrite_a: bool = False
+) -> np.ndarray:
     """Minimum-norm least-squares solution of ``a @ x ~ b``, for a vector ``b``
     or for each column of a matrix ``b``.
 
@@ -78,7 +81,15 @@ def solve_least_squares_min_norm(a, b, tol: float = 1e-10) -> np.ndarray:
     pivoting keeps |R[i,i]| non-increasing), then a second QR of the truncated
     triangular block transposed, so the returned solution is the minimum-norm
     minimizer (equal to pinv(a) @ b). A numerically rank-0 matrix, an empty one
-    included, yields zeros. Neither input is written.
+    included, yields zeros.
+
+    Neither input is written: the QR factors a Fortran-ordered copy of ``a``.
+    The one exception is ``_overwrite_a=True``, which only
+    ``solver.direction_explicit`` passes for the stack it has just built: a
+    writeable, Fortran-ordered float64 ``a`` is then factored in place, its
+    entries overwritten, while any other ``a`` (C-ordered, another dtype, not
+    contiguous) is still copied. LAPACK gets the same values in the same
+    layout either way, so the solution is the same to the bit.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -95,7 +106,8 @@ def solve_least_squares_min_norm(a, b, tol: float = 1e-10) -> np.ndarray:
     x = np.zeros((a.shape[1],) + b.shape[1:])
     if a.size == 0:  # LAPACK rejects an empty matrix
         return x
-    q, r, perm = _economic_qr(np.array(a, order="F"), pivoting=True)
+    in_place = _overwrite_a and a.flags.f_contiguous and a.flags.writeable
+    q, r, perm = _economic_qr(a if in_place else np.array(a, order="F"), pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.count_nonzero(diag > tol * diag[0]))
     if rank == 0:

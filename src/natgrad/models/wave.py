@@ -89,7 +89,7 @@ CFL_FACTOR = 0.5
 # Most padded cells one block of receiver_jacobian's FFT products spans. A
 # block holds whole parameters, so one parameter that replicates more cells
 # (a sponge corner owns (sponge width + 1)^2) is a block of its own.
-JACOBIAN_BLOCK_CELLS = 256
+JACOBIAN_BLOCK_CELLS = 64
 
 
 # Floats per 64-byte cache line: the alignment of every buffer a march writes.
@@ -774,6 +774,14 @@ class WaveFwiModel(ForwardModel):
             """The groups' (n_t, npx, npz) fields, in source order."""
             return [field for part in parts for field in part]
 
+        def columns(green, cells, offsets) -> np.ndarray:
+            """One block's (source, time, parameter) convolutions of u_tt with
+            a Green's function. Its buffers die with the caller's statement,
+            before the next block allocates its own."""
+            # (source, parameter, freq) for the block's parameters, then time.
+            y_hat = np.add.reduceat(u_hat[:, cells] * spectrum(green, cells), offsets, axis=1)
+            return np.fft.irfft(y_hat, n_fft)[:, :, :n_t].transpose(0, 2, 1)
+
         u_hat = np.empty((n_s, order.size, n_t + 1), dtype=complex)
         for s, u_tt in enumerate(fields(self._each("cached_u_tt", None))):
             u_hat[s] = spectrum(u_tt)
@@ -790,11 +798,7 @@ class WaveFwiModel(ForwardModel):
             for k in range(stop - first):
                 z_r = z[:, first + k]  # (source, time, parameter)
                 for a, b, cells, offsets in blocks:
-                    g_hat = spectrum(green[k][::-1], cells)
-                    # (source, parameter, freq) for parameters a..b-1, then time.
-                    y_hat = np.add.reduceat(u_hat[:, cells] * g_hat, offsets, axis=1)
-                    y = np.fft.irfft(y_hat, n_fft)[:, :, :n_t]
-                    np.negative(y.transpose(0, 2, 1), out=z_r[:, :, a:b])
+                    np.negative(columns(green[k][::-1], cells, offsets), out=z_r[:, :, a:b])
             del green  # before the next march allocates its own
         return z.reshape(self.state_dim, p)
 

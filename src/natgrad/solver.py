@@ -135,7 +135,8 @@ def direction_explicit(
     damping metric's) is written into it one block of ``_CHUNK`` columns at
     a time, the width at which the metric actions' blocked products give
     the bits of a whole-Z product, and the identity's rows are written as
-    they are. No full-size L Z exists beside it.
+    they are. No full-size L Z exists beside it, and the QR factors the
+    stack in place, so it is the route's one full-size least-squares matrix.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
@@ -160,7 +161,7 @@ def direction_explicit(
             top[:, block] = metric.apply_L_matrix(z[:, block])
         if damped and damping_metric is not None:
             np.multiply(damping_metric.apply_L_matrix(z[:, block]), root, out=bottom[:, block])
-    return -solve_least_squares_min_norm(y, rhs, tol=rank_tol)
+    return -solve_least_squares_min_norm(y, rhs, tol=rank_tol, _overwrite_a=True)
 
 
 def gradient_adjoint(model, grad_rho) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 
 import natgrad
 from natgrad import cli
+from natgrad.config import load_experiment
 from natgrad.fields import read_field, write_field
 from natgrad.models import wave
 
@@ -591,6 +592,23 @@ class TestCheck:
             assert cli.main(["check", "-c", cfg]) == 0
         out = capsys.readouterr().out
         assert "PASS  direction-equivalence" in out and "FAIL" not in out
+
+    def test_fd_gradient_charge_leaves_theta0_cached(self, wave_config, tmp_path):
+        # Two forwards per difference pair, then one forward and one adjoint
+        # at theta0. That solve runs last, so the checks after it find theta0
+        # cached without a restoring forward.
+        with open(wave_config) as fh:
+            payload = json.load(fh)
+        payload["model"]["sources"]["count"] = 2
+        exp = load_experiment(write_config(tmp_path / "two.json", payload))
+        model, theta0 = exp.model, exp.theta0
+        model.propagation_counter = 0
+        ok, _ = cli._check_fd_gradient(model, theta0, np.random.default_rng(0))
+        assert ok
+        charge = (2 * min(5, model.param_dim) + 2) * model.n_sources
+        assert model.propagation_counter == charge
+        model.solve_forward(theta0.copy())  # a cache hit charges nothing
+        assert model.propagation_counter == charge
 
     def test_mixture_fd_jacobian_pass(self, mixture_config, capsys):
         assert cli.main(["check", "-c", mixture_config]) == 0

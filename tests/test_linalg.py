@@ -118,6 +118,43 @@ class TestDirectLapackOracle:
             assert x.shape == want.shape and np.array_equal(x, want)
             assert np.array_equal(b, kept) and np.array_equal(a, kept_a)
 
+    @pytest.mark.parametrize("name", list(ORACLE_MATRICES))
+    def test_in_place_solve_equals_copying_call(self, name):
+        # The in-place path that direction_explicit takes factors its
+        # Fortran-ordered stack itself, and gets the copying call's bits.
+        a = ORACLE_MATRICES[name]
+        rng = np.random.default_rng(11)
+        m = a.shape[0]
+        for b in (rng.standard_normal(m), rng.standard_normal((m, 3)),
+                  np.asfortranarray(rng.standard_normal((m, 3)))):
+            work = np.array(a, order="F")
+            x = solve_least_squares_min_norm(work, b, _overwrite_a=True)
+            assert np.array_equal(x, solve_least_squares_min_norm(a, b))
+            assert not np.array_equal(work, a)  # factored where it lies
+
+    def test_public_call_never_writes_a(self):
+        # A Fortran-ordered float64 matrix is the one layout the in-place
+        # path would factor as it is; without the keyword it is copied.
+        a = np.array(ORACLE_MATRICES["wave-3984x144"], order="F")
+        kept = a.copy()
+        solve_least_squares_min_norm(a, np.ones(a.shape[0]))
+        assert np.array_equal(a, kept)
+
+    @pytest.mark.parametrize("layout", ["c-ordered", "float32", "strided", "read-only"])
+    def test_in_place_path_copies_other_layouts(self, layout):
+        base = ORACLE_MATRICES["tall"]
+        a = {"c-ordered": np.ascontiguousarray(base),
+             "float32": np.asfortranarray(base, dtype=np.float32),
+             "strided": np.asfortranarray(np.repeat(base, 2, axis=1))[:, ::2],
+             "read-only": np.asfortranarray(base)}[layout]
+        a.flags.writeable = layout != "read-only"
+        assert not (a.flags.f_contiguous and a.flags.writeable and a.dtype == np.float64)
+        kept = a.copy()
+        b = np.arange(a.shape[0], dtype=float)
+        x = solve_least_squares_min_norm(a, b, _overwrite_a=True)
+        assert np.array_equal(a, kept)
+        assert np.array_equal(x, solve_least_squares_min_norm(a, b))
+
     def test_rank_deficiency_is_seen(self):
         # Without the cut at ranks 3 and 2 the round-off pivots would be
         # inverted; with it the solve returns the row-space part of z.

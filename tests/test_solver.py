@@ -1,6 +1,7 @@
 """Direction solvers, line search, descent loop, and randomized helpers."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,21 @@ class TestDirectionExplicit:
         eta = direction_explicit(z, None, grad_rho, damping_lambda=lam)
         dense = -np.linalg.solve(z.T @ z + lam * np.eye(5), z.T @ grad_rho)
         np.testing.assert_allclose(eta, dense, atol=1e-10)
+
+    def test_one_full_size_matrix(self, rng):
+        # The damped stack [Z; sqrt(lambda) I] of a wave12-sized Jacobian is
+        # 4.6 MB. The QR factors it in place, so the solve's peak stays below
+        # two such matrices; a copy for the QR alone would make it two.
+        z = rng.standard_normal((3840, 144))
+        grad_rho = rng.standard_normal(3840)
+        stack = (3840 + 144) * 144 * 8
+        tracemalloc.start()
+        try:
+            direction_explicit(z, None, grad_rho, damping_lambda=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack <= peak < 2 * stack
 
     def test_normal_equation_orthogonality_all_metrics(self, rng):
         grid = Grid.regular([[0, 1], [0, 1]], [8, 8])

@@ -801,9 +801,17 @@ class TestReceiverJacobian:
     @pytest.mark.parametrize("n", [1, 2])
     def test_working_memory_is_z_one_spectrum_one_march_and_blocks(self, n, cpus):
         # Beyond Z and u_tt's spectrum: one march's fields, used where they
-        # arrive (never joined), and a few buffers of one parameter block.
-        # Joining the march and transforming whole Green's functions peaked
-        # at 18.4 and 18.1 MiB against this 15.5 MiB bound.
+        # arrive (never joined), its impulses and one parameter block's
+        # buffers. The march's fields are group 0's padded stack, its rows
+        # rounded up to whole cache lines, and each worker's reply, which
+        # arrives as pickled bytes before it is unpickled. A block holds its
+        # (source, cell, freq) product of spectra and one more buffer no
+        # larger: the Green's function's spectrum, or the product's sums
+        # over each parameter's cells, or their inverse transform. The
+        # largest block is a sponge corner, a parameter of more cells than
+        # JACOBIAN_BLOCK_CELLS. Joining the march and transforming whole
+        # Green's functions peaked at 18.4 and 18.1 MiB; the bound stays
+        # within the 15.5 MiB of the 256-cell blocks.
         cpus(n)
         model = make_wave_model(12, 12, 160, n_sources=2)[0]
         assert model.n_groups == n
@@ -815,10 +823,17 @@ class TestReceiverJacobian:
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        spectrum = model.n_sources * (model.n_t + 1) * model.npx * model.npz * 16
-        march = model.n_sources * model.n_t * model.npx * model.npz * 8
-        block = model.n_sources * (model.n_t + 1) * wave.JACOBIAN_BLOCK_CELLS * 16
-        assert peak <= z.nbytes + spectrum + march + 3 * block
+        n_s, n_t, cells = model.n_sources, model.n_t, model.npx * model.npz
+        spectrum = n_s * (n_t + 1) * cells * 16
+        stack = model._groups[0]._stack()
+        replies = [(g.stop - g.first) * n_t * cells * 8 for g in model._groups[1:]]
+        march = stack.shape[0] * stack.strides[0] + sum(replies) + max(replies, default=0)
+        impulses = n_s * model.n_receivers * n_t * 8
+        edges = np.searchsorted(np.sort(model._pad_flat), np.arange(model.param_dim + 1))
+        largest = max(edges[b] - edges[a] for a, b in wave._parameter_blocks(edges))
+        block = n_s * (n_t + 1) * largest * 16
+        bound = z.nbytes + spectrum + march + impulses + 2 * block
+        assert peak <= bound <= 15.5 * 2**20
 
     def test_assemble_jacobian_uses_it(self):
         model = _anisotropic_model()
