@@ -15,6 +15,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
+from .grids import integer
+
 # Resolved once: the minimum-norm solve calls LAPACK directly, in the same
 # sequence as scipy.linalg.qr and solve_triangular but without their wrapper
 # layers, which cost more than the factorization of a tall, narrow Jacobian.
@@ -145,10 +147,17 @@ def cg_solve(
     products actually applied. Stops when that residual is <= tol * ||b||.
     Exhausting min(max_iter, n) products (max_iter defaults to n) returns the
     last iterate with converged=False so the caller can decide how to proceed.
+    A non-finite ``b``, a ``tol`` that is not positive and finite and a
+    ``max_iter`` below 1 raise ValueError.
     """
     b = np.asarray(b, dtype=float)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    # Written so that NaN fails it.
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter is not None and integer(max_iter, "max_iter") < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("entries of the rhs b must be finite")
     n = b.shape[0]
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:

@@ -33,8 +33,10 @@ interior count is odd. L^T L itself is applied by its closed forms (the
 stencil of G^T G, one DCT scaling for its inverses, pinv(B B^T)).
 
 Fisher-Rao and the transport metric depend on the current density and must
-be refreshed every iteration; refreshing returns a new operator, so
-operators stay immutable.
+be refreshed every iteration. Refreshing spends the operator it is called
+on: it builds the new operator one panel at a time and frees each old panel
+once its replacement is built, so no refresh holds two whole copies of a
+metric, and the spent operator refuses every action.
 
 One class, ``MetricOperator``, covers every model: it acts on ``panels``
 copies of one grid, with L block diagonal over them. The model says which
@@ -45,6 +47,7 @@ density weights them (``metric_state``).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -213,43 +216,83 @@ class MetricOperator:
                  panels: int = 1):
         if isinstance(kind, str):
             kind = MetricKind.parse(kind)
-        build = _ACTIONS[kind.family]
-        if kind.state_dependent:
-            if rho is None:
-                raise ValueError(f"metric {kind.label()!r} requires a density")
-            rho = np.asarray(rho, dtype=float)
-            if np.any(rho <= 0.0):
-                raise ValueError("density must be strictly positive")
-            actions = [build(kind, grid, r) for r in np.split(rho, panels)]
-        else:
-            rho = None
-            actions = [build(kind, grid, None)] * panels
         self.kind = kind
         self.grid = grid
-        self.rho = rho
         self.panels = panels
         self.state_dependent = kind.state_dependent
-        self._actions = actions
+        self._state_size = panels * grid.size
+        if self.state_dependent:
+            if rho is None:
+                raise ValueError(f"metric {kind.label()!r} requires a density")
+            self.rho = self._checked_density(rho)
+            self._actions = self._build_panels()
+        else:
+            self.rho = None
+            self._actions = [_ACTIONS[kind.family](kind, grid, None)] * panels
         # Whether L^T drops directions depends on the kind and the grid only,
         # so every panel agrees.
-        self.needs_tangent_projection = actions[0].project is not None
+        self.needs_tangent_projection = self._actions[0].project is not None
+
+    def _checked_density(self, rho) -> np.ndarray:
+        rho = np.asarray(rho, dtype=float)
+        if rho.shape != (self._state_size,):
+            raise ValueError(f"density shape {rho.shape} is not ({self._state_size},)")
+        if np.any(rho <= 0.0):
+            raise ValueError("density must be strictly positive")
+        return rho
+
+    def _build_panels(self, spent: list | None = None) -> list:
+        """Build each panel's actions at ``self.rho``. Once panel i is built,
+        ``spent[i]`` (the same panel of the operator being refreshed) is
+        dropped, so at most one panel is held beyond one metric."""
+        build = _ACTIONS[self.kind.family]
+        actions = []
+        for i, r in enumerate(np.split(self.rho, self.panels)):
+            actions.append(build(self.kind, self.grid, r))
+            if spent is not None:
+                spent[i] = None
+        return actions
+
+    def _live_actions(self) -> list:
+        if self._actions is None:
+            raise RuntimeError(
+                "this metric operator was spent by refresh; use the operator refresh returned"
+            )
+        return self._actions
+
+    def _state(self, v) -> np.ndarray:
+        """A state vector or (k, p) block, checked against a live operator."""
+        self._live_actions()
+        v = np.asarray(v, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[0] != self._state_size:
+            raise ValueError(f"state shape {v.shape} does not start with {self._state_size}")
+        return v
 
     def _map(self, action: str, v) -> np.ndarray:
         """Apply one action panel by panel and stack the results."""
-        v = np.asarray(v, dtype=float)
+        v = self._state(v)
         if self.panels == 1:
             return getattr(self._actions[0], action)(v)
-        expected = self.panels * self.grid.size
-        if v.ndim not in (1, 2) or v.shape[0] != expected:
-            raise ValueError(f"state shape {v.shape} does not start with {expected}")
         parts = np.split(v, self.panels)
         return np.concatenate([getattr(a, action)(p) for a, p in zip(self._actions, parts)])
 
     def refresh(self, rho) -> "MetricOperator":
-        """Return an operator rebuilt at the new density (self if state-free)."""
+        """Return the operator rebuilt at the new density (self if state-free).
+
+        Refreshing spends a state-dependent operator: its density goes
+        first, then each old panel as soon as its new one is built, so the
+        returned operator is the only usable one and every action of the
+        spent one raises RuntimeError. A density that fails its checks
+        leaves this operator as it was."""
         if not self.state_dependent:
             return self
-        return MetricOperator(self.kind, self.grid, rho, self.panels)
+        spent = self._live_actions()
+        rho = self._checked_density(rho)
+        self.rho = self._actions = None
+        fresh = copy.copy(self)
+        fresh.rho = rho
+        fresh._actions = fresh._build_panels(spent)
+        return fresh
 
     def apply_Lt_pinv(self, grad) -> np.ndarray:
         return self._map("Lt_pinv", grad)
@@ -265,7 +308,7 @@ class MetricOperator:
         matrix-free route must feed Z^T applied to this projection to agree
         with the least-squares formulation."""
         if not self.needs_tangent_projection:
-            return np.asarray(g, dtype=float)
+            return self._state(g)
         return self._map("project", g)
 
     def apply_L_matrix(self, z) -> np.ndarray:

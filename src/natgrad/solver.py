@@ -366,11 +366,13 @@ def optimize(model, theta0, cfg: NgdConfig, callback=None) -> OptimizeResult:
     """Run the descent loop from theta0 under cfg.
 
     The direction rule is fixed before the first forward solve. The loop
-    refreshes state-dependent metrics at every iterate. ``status`` names the
-    stop: max_iters, budget (max_propagations spent as an iteration begins),
-    or, with no record, line_search_stalled, zero_direction (an exactly zero
-    direction) or infeasible_step (a fixed step to a non-finite loss, off the
-    feasible set). The trajectory is always returned. ``callback``, if given,
+    refreshes state-dependent metrics at every iterate. A refresh spends the
+    operator it replaces, panel by panel, so the loop holds one metric (plus
+    one panel while it refreshes). ``status`` names the stop: max_iters,
+    budget (max_propagations spent as an iteration begins), or, with no
+    record, line_search_stalled, zero_direction (an exactly zero direction)
+    or infeasible_step (a fixed step to a non-finite loss, off the feasible
+    set). The trajectory is always returned. ``callback``, if given,
     is invoked as callback(iteration, theta) after each accepted step.
     """
     direction = direction_rule(model, cfg)
@@ -465,7 +467,8 @@ def _metric_at(model, kind, rho):
 
 
 def _refresh(model, metric, rho):
-    """Rebuild a state-dependent metric at rho; state-free metrics are kept."""
+    """Rebuild a state-dependent metric at rho, spending the old one;
+    state-free metrics are kept."""
     if metric is None or not metric.state_dependent:
         return metric
     return metric.refresh(model.metric_state(rho))

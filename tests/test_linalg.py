@@ -227,6 +227,28 @@ class TestCgSolve:
         assert rep.iterations == 0 and rep.converged
         np.testing.assert_allclose(rep.solution, np.zeros(3))
 
+    # Each bad argument is named before any product is applied; NaN slips
+    # through a plain tol <= 0 test, and max_iter 0 used to return zeros.
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-8, float("inf")])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            cg_solve(self.no_product, np.ones(3), tol=tol)
+
+    @pytest.mark.parametrize("max_iter, message", [
+        (0, "at least 1"), (-2, "at least 1"), (2.5, "an integer"), (True, "an integer")])
+    def test_bad_max_iter_rejected(self, max_iter, message):
+        with pytest.raises(ValueError, match=f"max_iter must be {message}"):
+            cg_solve(self.no_product, np.ones(3), max_iter=max_iter)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rhs_rejected(self, bad):
+        with pytest.raises(ValueError, match="rhs b must be finite"):
+            cg_solve(self.no_product, np.array([1.0, bad, 2.0]))
+
+    @staticmethod
+    def no_product(v):
+        raise AssertionError("a rejected argument must stop the solve before any product")
+
     def test_spd_within_dimension_plus_slack(self, rng):
         for n in (10, 30, 50):
             m = rng.standard_normal((n, n))

@@ -1,5 +1,6 @@
 """Metric operators: action tables, information-matrix identities, refresh."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -71,6 +72,30 @@ class TestBuildAndRefresh:
             MetricOperator("w2", grid_2d)
         with pytest.raises(ValueError):
             MetricOperator("fisher-rao", grid_2d, rho=-np.ones(grid_2d.size))
+
+    @pytest.mark.parametrize("name", ["fisher-rao", "w2"])
+    @pytest.mark.parametrize("size", [8, 32])
+    def test_density_of_wrong_length_rejected(self, name, size):
+        # A 4x4 grid takes 16 density entries, at construction and on refresh.
+        grid = Grid.index_space([4, 4])
+        with pytest.raises(ValueError, match="density shape"):
+            MetricOperator(name, grid, rho=np.ones(size))
+        op = MetricOperator(name, grid, rho=np.ones(16))
+        with pytest.raises(ValueError, match="density shape"):
+            op.refresh(np.ones(size))
+        with pytest.raises(ValueError, match="density shape"):
+            MetricOperator(name, grid, rho=np.ones((16, 1)))
+
+    @pytest.mark.parametrize("name", ALL_METRICS)
+    def test_one_panel_state_length_checked(self, name):
+        grid = Grid.index_space([4, 4])
+        rho = np.ones(16) if MetricKind.parse(name).state_dependent else None
+        op = MetricOperator(name, grid, rho=rho)
+        for bad in (np.ones(32), np.ones((8, 2)), np.ones((16, 2, 1))):
+            for action in ("apply_L_matrix", "apply_Lt_pinv", "apply_LtL",
+                           "project_state_gradient"):
+                with pytest.raises(ValueError, match="state shape"):
+                    getattr(op, action)(bad)
 
     def test_refresh_noop_for_state_free(self, grid_2d, rng):
         for name in ("l2", "h1", "h-1", "hdot1", "hdot-1"):
@@ -384,19 +409,78 @@ class TestPanels:
         assert len({id(a) for a in weighted._actions}) == 3
 
     def test_refresh_keeps_panels(self, rng):
-        for name in ("fisher-rao", "w2"):
+        # Every action of a refreshed four-panel operator equals, to the bit,
+        # that of an operator built afresh at the new density.
+        cases = [("fisher-rao", self.PANEL), ("w2", self.PANEL), ("w2", self.ODD_PANEL)]
+        for name, grid in cases:
             kind = MetricKind.parse(name)
-            op, _ = self._pair(kind, self.PANEL, 2, rng)
-            rho = rng.uniform(0.5, 2.0, 2 * self.PANEL.size)
-            fresh = op.refresh(rho)
-            assert fresh.panels == 2
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the odd panel's rank warning
+                op, _ = self._pair(kind, grid, 4, rng)
+                rho = rng.uniform(0.5, 2.0, 4 * grid.size)
+                fresh = op.refresh(rho)
+                built = MetricOperator(kind, grid, rho, panels=4)
+            assert fresh.panels == 4
+            assert fresh.needs_tangent_projection == built.needs_tangent_projection
             np.testing.assert_array_equal(fresh.rho, rho)
-            v = rng.standard_normal(2 * self.PANEL.size)
-            want = np.concatenate([
-                MetricOperator(kind, self.PANEL, r).apply_L_matrix(part)
-                for r, part in zip(np.split(rho, 2), np.split(v, 2))
-            ])
-            np.testing.assert_array_equal(fresh.apply_L_matrix(v), want)
+            v = rng.standard_normal(4 * grid.size)
+            z = rng.standard_normal((4 * grid.size, 3))
+            for action in ("apply_L_matrix", "apply_Lt_pinv", "apply_LtL",
+                           "project_state_gradient"):
+                for arg in (v, z):
+                    np.testing.assert_array_equal(
+                        getattr(fresh, action)(arg), getattr(built, action)(arg),
+                        err_msg=f"{name} {grid.interior_counts} {action}")
+            np.testing.assert_array_equal(fresh.info_matrix(z).matrix,
+                                          built.info_matrix(z).matrix)
+
+    @pytest.mark.parametrize("name", ["fisher-rao", "w2"])
+    def test_spent_operator_refuses_every_action(self, name, rng):
+        op, _ = self._pair(MetricKind.parse(name), self.PANEL, 2, rng)
+        rho = rng.uniform(0.5, 2.0, 2 * self.PANEL.size)
+        fresh = op.refresh(rho)
+        v = rng.standard_normal(2 * self.PANEL.size)
+        for action, arg in (("apply_L_matrix", v), ("apply_Lt_pinv", v), ("apply_LtL", v),
+                            ("project_state_gradient", v), ("info_matrix", v[:, None]),
+                            ("refresh", rho)):
+            with pytest.raises(RuntimeError, match="spent by refresh"):
+                getattr(op, action)(arg)
+        assert op.rho is None
+        fresh.apply_L_matrix(v)  # the refreshed operator is the usable one
+
+    def test_rejected_density_leaves_operator_usable(self, rng):
+        op, _ = self._pair(MetricKind.parse("w2"), self.PANEL, 2, rng)
+        v = rng.standard_normal(2 * self.PANEL.size)
+        before = op.apply_L_matrix(v)
+        for bad in (np.ones(self.PANEL.size), -np.ones(2 * self.PANEL.size)):
+            with pytest.raises(ValueError):
+                op.refresh(bad)
+        np.testing.assert_array_equal(op.apply_L_matrix(v), before)
+
+    def test_refresh_holds_one_panel_beyond_one_metric(self, rng):
+        # The FWI metric: four trace panels of w2. Refreshing it while the
+        # caller still holds the old operator frees each old panel once its
+        # replacement is built, so the traced growth stays within what one
+        # panel's build allocates (its factor and arrays, plus the
+        # factorization's transients), not a whole second metric.
+        panel = Grid.index_space([12, 160])
+        rho = rng.uniform(0.5, 2.0, (2, 4 * panel.size))
+        build_weighted_divergence(panel, rho[0, :panel.size])  # warm the layout cache
+        tracemalloc.start()
+        try:
+            build_weighted_divergence(panel, rho[1, :panel.size])
+            one_panel = tracemalloc.get_traced_memory()[1]
+            op = MetricOperator("w2", panel, rho[0], panels=4)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fresh = op.refresh(rho[1])
+            growth = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # 16 KiB for the operator, its panel list and each panel's actions
+        # (about 1 KiB here); a whole second metric would add three panels.
+        assert growth <= one_panel + 16384, (growth, one_panel)
+        assert fresh.panels == 4 and op.rho is None
 
     def test_wrong_leading_dimension_raises(self, rng):
         k = self.PANEL.size
